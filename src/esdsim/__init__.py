@@ -42,7 +42,6 @@ from .linalg import (
     partial_transpose,
 )
 from .states import (
-    AnsatzState,
     DensityMatrix,
     InvalidStateError,
     ansatz_general,
@@ -58,7 +57,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnsatzState",
     "BipartiteDims",
     "BracketError",
     "CurvePoint",

@@ -15,6 +15,15 @@ and qutrit noise three,
     F1 = I2 (x) diag(1, gamma, gamma),
     F2 = I2 (x) diag(0, omega, 0),
     F3 = I2 (x) diag(0, 0, omega).
+
+Both operator sets are diagonal, so the channels act entrywise: with
+M_A(g) = [[1, g], [g, 1]] and M_B(g) = [[1, g, g], [g, 1, g^2], [g, g^2, 1]],
+
+    rho(t) = rho(0) o (M_A(gamma_A) (x) M_B(gamma_B)).
+
+The qutrit (1, 2) coherence decays as gamma^2, not gamma. dephasing_mask()
+builds this product; the Kraus route stays as the general API and as the
+tests' reference for the mask.
 """
 
 from __future__ import annotations
@@ -114,6 +123,17 @@ def dephasing_qutrit(params: DephasingParams) -> KrausChannel:
     f2 = linalg.kron(eye2, np.diag([0.0, w, 0.0]).astype(complex))
     f3 = linalg.kron(eye2, np.diag([0.0, 0.0, w]).astype(complex))
     return KrausChannel(ops=(f1, f2, f3), dim=QUBIT_QUTRIT.total)
+
+
+def dephasing_mask(gamma_a: float, gamma_b: float) -> np.ndarray:
+    """Real 6x6 mask M_A(gamma_a) (x) M_B(gamma_b); rho * mask dephases rho.
+
+    Its diagonal is exactly 1, so it is trace preserving by construction.
+    """
+    qubit = np.array([[1.0, gamma_a], [gamma_a, 1.0]])
+    gb2 = gamma_b * gamma_b
+    qutrit = np.array([[1.0, gamma_b, gamma_b], [gamma_b, 1.0, gb2], [gamma_b, gb2, 1.0]])
+    return np.kron(qubit, qutrit)
 
 
 def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 selfcheck failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -71,12 +72,12 @@ def parse_args(argv) -> RunConfig:
     ns = _build_parser().parse_args(list(argv))
     if not 0.0 <= ns.x <= ANSATZ_X_MAX:
         raise UsageError(f"--x must lie in the positivity range [0, {ANSATZ_X_MAX}], got {ns.x}")
-    if ns.rate_a < 0.0:
-        raise UsageError(f"--rate-a must be >= 0, got {ns.rate_a}")
-    if ns.rate_b < 0.0:
-        raise UsageError(f"--rate-b must be >= 0, got {ns.rate_b}")
-    if ns.t_max <= 0.0:
-        raise UsageError(f"--t-max must be positive, got {ns.t_max}")
+    if not (math.isfinite(ns.rate_a) and ns.rate_a >= 0.0):
+        raise UsageError(f"--rate-a must be finite and >= 0, got {ns.rate_a}")
+    if not (math.isfinite(ns.rate_b) and ns.rate_b >= 0.0):
+        raise UsageError(f"--rate-b must be finite and >= 0, got {ns.rate_b}")
+    if not (math.isfinite(ns.t_max) and ns.t_max > 0.0):
+        raise UsageError(f"--t-max must be finite and positive, got {ns.t_max}")
     if ns.steps < 2:
         raise UsageError(f"--steps must be at least 2, got {ns.steps}")
     return RunConfig(

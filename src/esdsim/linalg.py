@@ -147,7 +147,7 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     a = np.array(as_complex_matrix(mat))
     _require_square(a)
     defect = hermiticity_defect(a)
-    if defect > HERMITIAN_TOL:
+    if not defect <= HERMITIAN_TOL:  # also refuses NaN/inf entries
         raise NonHermitianError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
     n = a.shape[0]
     if n == 1:

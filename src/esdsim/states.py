@@ -41,9 +41,10 @@ class InvalidStateError(ValueError):
     """A matrix failed density-matrix validation.
 
     Attributes:
-        condition: which requirement failed ("hermiticity", "trace" or
-            "positivity").
-        magnitude: size of the violation.
+        condition: which requirement failed ("finite", "hermiticity",
+            "trace" or "positivity").
+        magnitude: size of the violation; for "finite", the number of
+            NaN or infinite entries.
     """
 
     def __init__(self, condition: str, magnitude: float):
@@ -75,14 +76,18 @@ class DensityMatrix:
 
 
 def validate(mat, dims: BipartiteDims = QUBIT_QUTRIT) -> DensityMatrix:
-    """Check the three density-matrix conditions and wrap the input.
+    """Check the density-matrix conditions and wrap the input.
 
-    Requirements, tested in order: Hermiticity within 1e-12, trace 1
-    within 1e-12, and smallest eigenvalue >= -1e-10. The first failure
-    raises InvalidStateError naming the condition and its magnitude.
+    Requirements, tested in order: every entry finite, Hermiticity
+    within 1e-12, trace 1 within 1e-12, and smallest eigenvalue
+    >= -1e-10. The first failure raises InvalidStateError naming the
+    condition and its magnitude.
     """
     arr = linalg.as_complex_matrix(mat).copy()
     dims.check(arr)
+    non_finite = int(np.count_nonzero(~np.isfinite(arr)))
+    if non_finite:
+        raise InvalidStateError("finite", non_finite)
     herm = linalg.hermiticity_defect(arr)
     if herm > linalg.HERMITIAN_TOL:
         raise InvalidStateError("hermiticity", herm)
@@ -95,40 +100,6 @@ def validate(mat, dims: BipartiteDims = QUBIT_QUTRIT) -> DensityMatrix:
     return DensityMatrix(arr, dims)
 
 
-@dataclass(frozen=True)
-class AnsatzState:
-    """Bookkeeping record for the one-parameter family.
-
-    ``x`` is the coherence the state started with; ``corner`` is its
-    current (dephased) value. Both sit in [0, 1/4] with corner <= x.
-    """
-
-    x: float
-    corner: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.x <= ANSATZ_X_MAX:
-            raise ValueError(f"x must lie in [0, {ANSATZ_X_MAX}], got {self.x}")
-        if not 0.0 <= self.corner <= self.x + 1e-15:
-            raise ValueError(f"corner must lie in [0, x] = [0, {self.x}], got {self.corner}")
-
-    @classmethod
-    def initial(cls, x: float) -> "AnsatzState":
-        return cls(x=x, corner=x)
-
-    def evolved(self, gamma_product: float) -> "AnsatzState":
-        """The same state after its corner decayed by gamma_product."""
-        return AnsatzState(x=self.x, corner=self.x * gamma_product)
-
-    def matrix(self) -> DensityMatrix:
-        """Materialize the 6x6 density matrix for the current corner."""
-        m = np.diag(np.array(ANSATZ_DIAGONAL, dtype=complex))
-        i, j = CORNER_SLOT
-        m[i, j] = self.corner
-        m[j, i] = self.corner
-        return DensityMatrix(m, QUBIT_QUTRIT)
-
-
 def ansatz_x(x: float) -> DensityMatrix:
     """The one-parameter state: fixed diagonal, corner coherence x.
 
@@ -137,7 +108,12 @@ def ansatz_x(x: float) -> DensityMatrix:
     [0, 1/4] gives a valid state; x = 1/4 is rank-deficient (one zero
     eigenvalue) and x > 1/8 is where the state is entangled.
     """
-    return AnsatzState.initial(x).matrix()
+    if not 0.0 <= x <= ANSATZ_X_MAX:
+        raise ValueError(f"x must lie in [0, {ANSATZ_X_MAX}], got {x}")
+    m = np.diag(np.array(ANSATZ_DIAGONAL, dtype=complex))
+    i, j = CORNER_SLOT
+    m[i, j] = m[j, i] = x
+    return DensityMatrix(m, QUBIT_QUTRIT)
 
 
 def ansatz_general(diagonal: Sequence[float], coherences: Sequence[float]) -> DensityMatrix:

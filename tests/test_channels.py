@@ -11,6 +11,7 @@ from esdsim.channels import (
     KrausChannel,
     apply,
     apply_multilocal,
+    dephasing_mask,
     dephasing_qubit,
     dephasing_qutrit,
     identity_channel,
@@ -113,16 +114,29 @@ def test_apply_refuses_incomplete_channel():
 
 def test_multilocal_matches_sequential():
     rng = np.random.default_rng(33)
-    for _ in range(10):
+    params = [
+        (DephasingParams(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0))),
+         DephasingParams(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0))))
+        for _ in range(10)
+    ]
+    params += [
+        (DephasingParams(1.0, math.inf), DephasingParams(0.7, 1.3)),
+        (DephasingParams(0.0, 2.0), DephasingParams(1.0, math.inf)),
+        (DephasingParams(0.0, 1.0), DephasingParams(0.0, math.inf)),
+    ]
+    for pa, pb in params:
         rho = random_density_matrix(rng)
-        pa = DephasingParams(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0)))
-        pb = DephasingParams(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0)))
         ca, cb = dephasing_qubit(pa), dephasing_qutrit(pb)
         combined = apply_multilocal(ca, cb, rho)
         sequential = apply(cb, apply(ca, rho))
         assert max_abs_diff(combined.mat, sequential.mat) < 1e-14
         swapped = apply(ca, apply(cb, rho))
         assert max_abs_diff(combined.mat, swapped.mat) < 1e-15
+        # the mask is the third route: one entrywise product
+        masked = rho.mat * dephasing_mask(pa.gamma, pb.gamma)
+        assert max_abs_diff(masked, combined.mat) < 1e-15
+        assert max_abs_diff(rho.mat * dephasing_mask(pa.gamma, 1.0), apply(ca, rho).mat) < 1e-15
+        assert max_abs_diff(rho.mat * dephasing_mask(1.0, pb.gamma), apply(cb, rho).mat) < 1e-15
 
 
 def test_multilocal_corner_product():

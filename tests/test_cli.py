@@ -1,10 +1,13 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import esdsim
 from esdsim import cli
 from esdsim.cli import CSV_HEADER, UsageError, main, parse_args
 from esdsim.entanglement import negativity
@@ -45,7 +48,8 @@ def test_parse_rejects_x_outside_positivity_range():
 
 def test_parse_rejects_bad_values():
     for argv in (["--steps", "1"], ["--t-max", "0"], ["--rate-a", "-1"], ["--scenario", "bogus"],
-                 ["unknown-mode"], ["--x", "abc"]):
+                 ["unknown-mode"], ["--x", "abc"], ["--rate-a", "nan"], ["--rate-a", "inf"],
+                 ["--t-max", "nan"], ["--t-max", "inf"]):
         with pytest.raises(UsageError):
             parse_args(argv)
 
@@ -54,6 +58,8 @@ def test_main_usage_error_exit_code(capsys):
     assert main(["--x", "0.9"]) == 1
     err = capsys.readouterr().err
     assert "usage:" in err
+    assert main(["esd-time", "--rate-b", "nan"]) == 1
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_curve_csv_shape(capsys):
@@ -139,9 +145,12 @@ def test_out_io_error_exit_code(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # run the tree under test, not whatever copy is installed
+    src = str(Path(esdsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "esdsim", "curve", "--steps", "2", "--t-max", "1"],
-        capture_output=True, text=True, check=False,
+        capture_output=True, text=True, check=False, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == CSV_HEADER

@@ -103,7 +103,7 @@ def test_evolve_corner_decay():
 def test_evolve_keeps_diagonal_fixed():
     s = scenario(ScenarioKind.MULTI_LOCAL, x=0.25, rate_a=1.3, rate_b=0.4)
     out = evolve(s, 2.2)
-    assert np.max(np.abs(np.diag(out.mat) - [0.25, 0.125, 0.125, 0.125, 0.125, 0.25])) < 1e-15
+    assert np.array_equal(np.diag(out.mat), [0.25, 0.125, 0.125, 0.125, 0.125, 0.25])
 
 
 def test_pt_spectrum_closed_form_matches_numeric():

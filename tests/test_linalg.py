@@ -191,6 +191,6 @@ def test_eigenvalues_match_characteristic_polynomial():
 
 
 def test_eigenvalues_reject_non_hermitian():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(NonHermitianError):
-        hermitian_eigenvalues(bad)
+    for bad in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(NonHermitianError):
+            hermitian_eigenvalues(np.array(bad, dtype=complex))

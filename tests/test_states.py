@@ -6,7 +6,7 @@ from esdsim.linalg import QUBIT_QUTRIT, hermitian_eigenvalues
 from esdsim.states import (
     ANSATZ_DIAGONAL,
     JOINT_COHERENCE_SLOTS,
-    AnsatzState,
+    DensityMatrix,
     InvalidStateError,
     ansatz_general,
     ansatz_x,
@@ -53,17 +53,6 @@ def test_ansatz_x_validates_across_range():
     for x in np.linspace(0.0, 0.25, 11):
         rho = ansatz_x(float(x))
         validate(rho.mat)  # should not raise
-
-
-def test_ansatz_state_record():
-    s = AnsatzState.initial(0.2)
-    assert s.corner == 0.2
-    evolved = s.evolved(0.5)
-    assert evolved.x == 0.2
-    assert evolved.corner == 0.1
-    assert np.max(np.abs(s.matrix().mat - ansatz_x(0.2).mat)) == 0.0
-    with pytest.raises(ValueError):
-        AnsatzState(x=0.1, corner=0.2)
 
 
 def test_ansatz_general_matches_ansatz_x():
@@ -118,6 +107,22 @@ def test_validate_rejects_non_hermitian():
     with pytest.raises(InvalidStateError) as err:
         validate(m)
     assert err.value.condition == "hermiticity"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.inf, np.inf)])
+@pytest.mark.parametrize("slots", [((2, 2),), ((0, 5), (5, 0))], ids=["diagonal", "off-diagonal"])
+def test_validate_rejects_non_finite_entries(value, slots):
+    m = ansatz_x(0.2).mat.copy()
+    for i, j in slots:
+        m[i, j] = value
+    with pytest.raises(InvalidStateError) as err:
+        validate(m)
+    assert err.value.condition == "finite"
+    assert err.value.magnitude == len(slots)
+    # DensityMatrix checks only the shape, so it can carry the bad entries into text
+    with pytest.raises(InvalidStateError) as err:
+        parse_state(format_state(DensityMatrix(m, QUBIT_QUTRIT)))
+    assert err.value.condition == "finite"
 
 
 def test_validate_accepts_boundary_state():
