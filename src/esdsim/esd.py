@@ -12,13 +12,16 @@ only decays asymptotically. Closed forms used here:
 
 where rate_eff is the sum of the active dephasing rates. The death-time
 expression is derived by inverting the exponential decay factors; the
-numeric bisection path below double-checks it rather than trusting it.
+numeric root finder below double-checks it rather than trusting it, by
+locating the sign change of the smallest partial-transpose eigenvalue
+(1 - 8*x*g(t))/8, which is continuous and crosses zero at t*.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -32,7 +35,8 @@ from .states import ANSATZ_X_MAX, DensityMatrix, ansatz_x, extract_corner
 #: Corner values at or below 1/8 never produce entanglement.
 ENTANGLEMENT_THRESHOLD_X = 0.125
 
-_BISECTION_TOL = 1e-10
+_EPS = sys.float_info.epsilon
+_MAX_ROOT_ITERATIONS = 200
 
 
 class ScenarioKind(enum.Enum):
@@ -149,32 +153,63 @@ def default_bracket(scenario: Scenario) -> float:
     return 10.0 * (2.0 * math.log(2.0)) / rate
 
 
-def numeric_esd_time(scenario: Scenario, t_max: float | None = None, tol: float = _BISECTION_TOL) -> EsdTime:
-    """Find the death time by bisection on the numeric negativity.
+def numeric_esd_time(scenario: Scenario, t_max: float | None = None, tol: float = 0.0) -> EsdTime:
+    """Find the death time as the root of the smallest PT eigenvalue.
 
-    Evaluates the full evolve -> partial transpose -> eigenvalue pipeline
-    at each probe, so this is an independent check on the closed form.
+    Every probe runs the full evolve -> partial transpose -> eigenvalue
+    pipeline, so this is an independent check on the closed form. The
+    bracket [0, t_max] is closed by Illinois regula falsi (Dowell &
+    Jarratt, BIT 11, 1971) until its width is at most
+    4*eps*max(|a|, |b|) + tol; the midpoint of the final bracket is
+    returned. tol is the absolute floor of that rule: the default 0.0
+    asks for the root to machine precision.
+
     Returns NEVER_ENTANGLED when the state starts with zero negativity.
-    Raises BracketError when negativity is still positive at t_max.
+    Raises BracketError when the eigenvalue is still negative at t_max,
+    when t_max is not finite (the default window overflows for rates
+    below about 7.7e-308) or when the iteration cap is reached.
     """
-    if negativity(evolve(scenario, 0.0)).value == 0.0:
+    start = negativity(evolve(scenario, 0.0))
+    if not start.is_entangled:
         return EsdOutcome.NEVER_ENTANGLED
     if t_max is None:
         t_max = default_bracket(scenario)
+    if not math.isfinite(t_max):
+        raise BracketError(f"search window t_max = {t_max} is not finite; the dephasing rate is too small")
     if t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    if negativity(evolve(scenario, t_max)).value > 0.0:
+    a, fa = 0.0, start.min_pt_eigenvalue
+    b = float(t_max)
+    fb = negativity(evolve(scenario, b)).min_pt_eigenvalue
+    if fb < 0.0:
         raise BracketError(
-            f"negativity is still positive at t_max = {t_max}; enlarge the search window"
+            f"the smallest PT eigenvalue is still negative at t_max = {t_max}; enlarge the search window"
         )
-    lo, hi = 0.0, float(t_max)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if negativity(evolve(scenario, mid)).value > 0.0:
-            lo = mid
+    if fb == 0.0:
+        return b
+    side = 0  # which end moved last: -1 for a, +1 for b
+    for _ in range(_MAX_ROOT_ITERATIONS):
+        if b - a <= 4.0 * _EPS * max(abs(a), abs(b)) + tol:
+            return a + 0.5 * (b - a)
+        c = b - fb * (b - a) / (fb - fa)
+        if not a < c < b:
+            c = a + 0.5 * (b - a)
+            if not a < c < b:  # a and b are adjacent floats
+                return c
+        fc = negativity(evolve(scenario, c)).min_pt_eigenvalue
+        if fc == 0.0:
+            return c
+        if fc < 0.0:
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            b, fb = c, fc
+            if side == +1:
+                fa *= 0.5
+            side = +1
+    raise BracketError(f"no convergence in {_MAX_ROOT_ITERATIONS} iterations; last bracket [{a!r}, {b!r}]")
 
 
 @dataclass(frozen=True)
@@ -204,7 +239,7 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> EsdReport:
     """Sample the trajectory on t_grid and determine the death time.
 
     Each point runs the numeric pipeline and the closed form side by
-    side. esd_time comes from bisection when the analytic result is
+    side. esd_time comes from the root finder when the analytic result is
     finite and mirrors the analytic variant otherwise.
     """
     points = []

@@ -8,6 +8,7 @@ tiny (6x6 at most) and robustness matters more than speed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,9 @@ SPECTRAL_TOL = 1e-10
 
 _JACOBI_OFF_TOL = 1e-13
 _MAX_JACOBI_SWEEPS = 60
+# Entries above this are scaled by a power of two first, so that the
+# squared norms cannot overflow.
+_JACOBI_SCALE_LIMIT = 1e150
 
 
 class DimensionMismatchError(ValueError):
@@ -141,7 +145,8 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     (a plane rotation times a phase) chosen to annihilate one off-diagonal
     pair exactly. Sweeps repeat until the off-diagonal Frobenius norm
     falls below 1e-13 (scaled up for matrices of large norm, so the loop
-    terminates on any input). Convergence is quadratic; six sweeps
+    terminates on any input; entries above 1e150 are first divided by a
+    power of two, exactly). Convergence is quadratic; six sweeps
     typically suffice at these sizes.
     """
     a = np.array(as_complex_matrix(mat))
@@ -152,12 +157,18 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real])
+    exponent = 0
+    peak = float(np.max(np.abs(a)))
+    if peak > _JACOBI_SCALE_LIMIT:  # keep |a|^2 finite: iterate on a / 2^k
+        exponent = math.frexp(peak)[1]
+        a = a * 2.0 ** -exponent
     a = 0.5 * (a + a.conj().T)  # symmetrize roundoff before iterating
     fro = math.sqrt(float(np.sum(np.abs(a) ** 2)))
     off_tol = _JACOBI_OFF_TOL * max(1.0, fro)
     skip_tol = off_tol / (2 * n)
+    upper = _strict_upper_flat(n)
     for _ in range(_MAX_JACOBI_SWEEPS):
-        off = math.sqrt(2.0 * float(np.sum(np.abs(np.triu(a, 1)) ** 2)))
+        off = math.sqrt(2.0 * float(np.sum(np.abs(a.take(upper)) ** 2)))
         if off < off_tol:
             break
         for p in range(n - 1):
@@ -165,7 +176,18 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
                 _jacobi_rotate(a, p, q, skip_tol)
     else:
         raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
-    return np.sort(np.diag(a).real)
+    return np.ldexp(np.sort(np.diag(a).real), exponent)
+
+
+@functools.lru_cache(maxsize=None)
+def _strict_upper_flat(n: int) -> np.ndarray:
+    """Flat indices of the entries above the diagonal of an n x n matrix.
+
+    Cached per size: building them costs more than a sweep's norm.
+    """
+    idx = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))
+    idx.flags.writeable = False
+    return idx
 
 
 def _jacobi_rotate(a: np.ndarray, p: int, q: int, skip_tol: float) -> None:

@@ -40,12 +40,14 @@ def _check_negativity_curves():
 
 def _check_esd_times():
     worst = 0.0
+    ok = True
     for kind in esd.ScenarioKind:
         scenario = esd.Scenario(kind=kind, x=0.25, rate_a=1.0, rate_b=1.0)
         analytic = esd.analytic_esd_time(scenario)
-        numeric = esd.numeric_esd_time(scenario)
-        worst = max(worst, abs(numeric - analytic))
-    return worst <= 1e-8, f"max |numeric - analytic| = {worst:.3e}"
+        deviation = abs(esd.numeric_esd_time(scenario) - analytic)
+        ok = ok and deviation <= 1e-12 * max(1.0, analytic)
+        worst = max(worst, deviation)
+    return ok, f"max |numeric - analytic| = {worst:.3e}"
 
 
 def _check_pt_spectrum():

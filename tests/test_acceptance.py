@@ -65,9 +65,9 @@ def test_criterion_3_finite_death_time_qubit_noise():
     corner_at_death = extract_corner(esd.evolve(scenario, 2.0 * LN2))
     corner_late = extract_corner(esd.evolve(scenario, 20.0))
     # at the death time the corner sits exactly at the 1/8 threshold
-    ok = time_error < 1e-8 and abs(corner_at_death - 0.125) < 1e-12 and corner_at_death > 0.0 and corner_late > 0.0
+    ok = time_error <= 1e-12 * max(1.0, 2.0 * LN2) and abs(corner_at_death - 0.125) < 1e-12 and corner_at_death > 0.0 and corner_late > 0.0
     _verdict("criterion-3 qubit-noise-sudden-death", ok,
-             f"|t_numeric - 2ln2| = {time_error:.3e} (tol 1e-8), corner(t*) = {corner_at_death:.12f}, "
+             f"|t_numeric - 2ln2| = {time_error:.3e} (tol 1e-12 x max(1, t*)), corner(t*) = {corner_at_death:.12f}, "
              f"corner(20) = {corner_late:.3e} > 0")
 
 
@@ -82,9 +82,9 @@ def test_criterion_4_multilocal_death_time_and_corner():
         corner = extract_corner(esd.evolve(scenario, t))
         ga, gb = scenario.gamma_factors(t)
         worst_corner = max(worst_corner, abs(corner - 0.25 * ga * gb))
-    ok = time_error < 1e-8 and worst_corner < 1e-14
+    ok = time_error <= 1e-12 * max(1.0, LN2) and worst_corner < 1e-14
     _verdict("criterion-4 multilocal-death-time", ok,
-             f"|t_numeric - ln2| = {time_error:.3e} (tol 1e-8), max corner deviation {worst_corner:.3e} (tol 1e-14)")
+             f"|t_numeric - ln2| = {time_error:.3e} (tol 1e-12 x max(1, t*)), max corner deviation {worst_corner:.3e} (tol 1e-14)")
 
 
 def test_criterion_5_channel_sanity():

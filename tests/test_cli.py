@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,41 @@ def test_esd_time_output(capsys):
     analytic = float(lines["analytic_esd_time"])
     numeric = float(lines["numeric_esd_time"])
     assert abs(analytic - 2.0 * math.log(2.0)) < 1e-12
-    assert abs(numeric - analytic) < 1e-8
+    assert abs(numeric - analytic) <= 1e-12 * max(1.0, analytic)
+
+
+@pytest.mark.parametrize("mode", ["esd-time", "curve"])
+def test_long_death_time_finishes(mode, capsys):
+    # t* is about 1.4e7 here; the thresholded bisection never ended
+    started = time.perf_counter()
+    assert main([mode, "--scenario", "qubit", "--rate-a", "1e-7", "--steps", "3"]) == 0
+    assert time.perf_counter() - started < 1.0
+    out = capsys.readouterr().out
+    if mode == "esd-time":
+        lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
+        analytic = float(lines["analytic_esd_time"])
+        assert abs(float(lines["numeric_esd_time"]) - analytic) <= 1e-12 * analytic
+    else:
+        assert len(out.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("mode", ["esd-time", "curve"])
+def test_search_window_overflow_exit_code(mode, capsys):
+    # a subnormal rate makes the default window 10 * 2 ln 2 / rate infinite
+    assert main([mode, "--scenario", "qubit", "--rate-a", "1e-320", "--steps", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("esd: ")
+    assert "not finite" in captured.err
+
+
+def test_esd_time_below_noise_floor(capsys):
+    # negativity 5e-11 is under the -1e-10 eigenvalue threshold: the numeric
+    # route sees no entanglement while the closed form still gives a time
+    assert main(["esd-time", "--x", "0.12500000005"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("analytic_esd_time ")
+    assert lines[1:] == ["numeric_esd_time never-entangled"]
 
 
 def test_esd_time_never_entangled(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ from esdsim.esd import (
 from esdsim.states import extract_corner, validate
 
 LN2 = math.log(2.0)
+
+#: Death-time agreement, numeric vs closed form, relative above t* = 1.
+ESD_TIME_TOL = 1e-12
+
+
+def close_to_death_time(numeric, analytic):
+    return abs(numeric - analytic) <= ESD_TIME_TOL * max(1.0, analytic)
 
 
 def scenario(kind, x=0.25, rate_a=1.0, rate_b=1.0):
@@ -70,9 +78,59 @@ def test_numeric_esd_time_matches_analytic():
         scenario(ScenarioKind.MULTI_LOCAL),
         scenario(ScenarioKind.MULTI_LOCAL, x=0.2, rate_a=0.8, rate_b=1.7),
     ):
-        analytic = analytic_esd_time(s)
-        numeric = numeric_esd_time(s)
-        assert abs(numeric - analytic) < 1e-8
+        assert close_to_death_time(numeric_esd_time(s), analytic_esd_time(s))
+
+
+@pytest.fixture
+def evolve_calls(monkeypatch):
+    """Count the pipeline probes the death-time search makes."""
+    calls = []
+
+    def counting_evolve(scenario, t):
+        calls.append(t)
+        return evolve(scenario, t)
+
+    monkeypatch.setattr(esd, "evolve", counting_evolve)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_numeric_esd_time_regression_over_rates(kind, evolve_calls):
+    # the thresholded bisection hung for t* above about 1e6 and was biased
+    # by 1e-10 over the eigenvalue's slope; the root finder must do neither
+    started = time.perf_counter()
+    for rate in np.logspace(-9.0, 3.0, 13):
+        for x in (0.13, 0.15, 0.2, 0.25):
+            s = scenario(kind, x=x, rate_a=float(rate), rate_b=float(rate))
+            analytic = analytic_esd_time(s)
+            del evolve_calls[:]
+            numeric = numeric_esd_time(s)
+            assert close_to_death_time(numeric, analytic), (rate, x, numeric, analytic)
+            assert len(evolve_calls) <= 16, (rate, x, len(evolve_calls))
+    assert time.perf_counter() - started < 10.0
+
+
+def test_numeric_esd_time_probes_every_point_through_the_pipeline(evolve_calls):
+    s = scenario(ScenarioKind.MULTI_LOCAL)
+    numeric = numeric_esd_time(s)
+    # both bracket ends are probed once and reused
+    assert evolve_calls[:2] == [0.0, esd.default_bracket(s)]
+    assert len(set(evolve_calls)) == len(evolve_calls)
+    assert all(0.0 <= t <= evolve_calls[1] for t in evolve_calls)
+    assert 0.0 < numeric < evolve_calls[1]
+
+
+def test_numeric_esd_time_tol_is_an_absolute_floor():
+    s = scenario(ScenarioKind.QUBIT_ONLY)
+    coarse = numeric_esd_time(s, tol=1e-3)
+    assert abs(coarse - 2.0 * LN2) <= 1e-3
+    assert close_to_death_time(numeric_esd_time(s, tol=0.0), 2.0 * LN2)
+
+
+def test_numeric_esd_time_iteration_cap(monkeypatch):
+    monkeypatch.setattr(esd, "_MAX_ROOT_ITERATIONS", 2)
+    with pytest.raises(BracketError, match="2 iterations"):
+        numeric_esd_time(scenario(ScenarioKind.QUBIT_ONLY))
 
 
 def test_numeric_esd_time_never_entangled():
@@ -85,6 +143,14 @@ def test_numeric_esd_time_bracket_failure():
         numeric_esd_time(scenario(ScenarioKind.QUBIT_ONLY), t_max=0.5)
     with pytest.raises(BracketError):
         numeric_esd_time(scenario(ScenarioKind.QUBIT_ONLY, rate_a=0.0))
+    # below a rate of about 7.7e-308 the default window overflows to inf
+    with pytest.raises(BracketError, match="not finite"):
+        numeric_esd_time(scenario(ScenarioKind.QUBIT_ONLY, rate_a=1e-320))
+    for t_max in (math.inf, math.nan):
+        with pytest.raises(BracketError, match="not finite"):
+            numeric_esd_time(scenario(ScenarioKind.QUBIT_ONLY), t_max=t_max)
+    with pytest.raises(ValueError):
+        numeric_esd_time(scenario(ScenarioKind.QUBIT_ONLY), t_max=-1.0)
 
 
 def test_evolve_time_zero_is_initial_state():
@@ -163,7 +229,7 @@ def test_sweep_report_structure():
     report = sweep(s, grid)
     assert len(report.curve) == 101
     assert report.analytic_time == pytest.approx(2.0 * LN2, abs=1e-15)
-    assert abs(report.esd_time - report.analytic_time) < 1e-8
+    assert close_to_death_time(report.esd_time, report.analytic_time)
     # the numeric curve crosses zero between the grid neighbors of t*
     before = [pt for pt in report.curve if pt.negativity_numeric > 0.0]
     assert before[-1].t < 2.0 * LN2

@@ -1,0 +1,112 @@
+"""Property tests: every CLI argv and every state text ends cleanly.
+
+The CLI either succeeds (exit 0) or refuses with exit 1; it never raises
+and never hangs. parse_state either returns a valid density matrix or
+raises a ValueError (InvalidStateError is one). Examples are drawn from
+a fixed seed so the suite stays deterministic.
+"""
+
+import contextlib
+import io
+import math
+from datetime import timedelta
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from esdsim import linalg  # noqa: E402
+from esdsim.cli import main  # noqa: E402
+from esdsim.esd import ScenarioKind  # noqa: E402
+from esdsim.states import DensityMatrix, parse_state  # noqa: E402
+
+FUZZ = settings(max_examples=60, deadline=timedelta(seconds=1), derandomize=True, database=None)
+
+RATES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-320, 1e-310, 1e-300, math.nan, math.inf, -math.inf, -1.0]),
+    st.floats(min_value=-12.0, max_value=6.0).map(lambda e: 10.0 ** e),
+)
+T_MAX = st.one_of(
+    st.sampled_from([0.0, -1.0, 5e-324, 1e300, math.nan, math.inf]),
+    st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0 ** e),
+)
+X = st.one_of(st.floats(min_value=0.0, max_value=0.25),
+              st.sampled_from([0.125, 0.12500000005, 0.1250000002, 0.25, -0.0, 0.2500001, math.nan]))
+
+
+def _argv(mode, kind, x, rate_a, rate_b, t_max, extra=()):
+    return [mode, "--scenario", kind.value, "--x", repr(x), "--rate-a", repr(rate_a),
+            "--rate-b", repr(rate_b), "--t-max", repr(t_max), *extra]
+
+
+def _run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@FUZZ
+@given(kind=st.sampled_from(list(ScenarioKind)), x=X, rate_a=RATES, rate_b=RATES, t_max=T_MAX)
+def test_esd_time_argv_ends_cleanly(kind, x, rate_a, rate_b, t_max):
+    assert _run_quietly(_argv("esd-time", kind, x, rate_a, rate_b, t_max)) in (0, 1)
+
+
+@FUZZ
+@given(kind=st.sampled_from(list(ScenarioKind)), x=X, rate_a=RATES, rate_b=RATES, t_max=T_MAX,
+       steps=st.integers(min_value=1, max_value=5))
+def test_curve_argv_ends_cleanly(kind, x, rate_a, rate_b, t_max, steps):
+    assert _run_quietly(_argv("curve", kind, x, rate_a, rate_b, t_max, ("--steps", str(steps)))) in (0, 1)
+
+
+TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.complex_numbers(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "1", "0.25", "1e999", "-1e999", "nan", "inf", "1j", "(1+2j)", "abc", "", "--"]),
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    """The plain-text format with drawn dims, row counts and entry tokens."""
+    dim_a = draw(st.integers(min_value=-1, max_value=3))
+    dim_b = draw(st.integers(min_value=-1, max_value=3))
+    size = max(dim_a * dim_b, 0)
+    rows = draw(st.integers(min_value=0, max_value=size + 1))
+    width = draw(st.sampled_from([size, size, max(size - 1, 0), size + 1]))
+    lines = [f"dims {dim_a} {dim_b}"]
+    for _ in range(rows):
+        lines.append(" ".join(draw(st.lists(TOKENS, min_size=width, max_size=width))))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def state_texts(draw):
+    """A Gram matrix G G^dagger / tr, written with repr: valid up to rounding."""
+    dim_a = draw(st.integers(min_value=1, max_value=2))
+    dim_b = draw(st.integers(min_value=1, max_value=3))
+    n = dim_a * dim_b
+    entries = draw(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2 * n * n, max_size=2 * n * n))
+    g = np.array(entries[: n * n]).reshape(n, n) + 1j * np.array(entries[n * n:]).reshape(n, n)
+    rho = g @ g.conj().T
+    trace = np.trace(rho).real
+    if trace > 0.0:
+        rho = rho / trace
+    rows = [" ".join(repr(complex(v)) for v in row) for row in rho]
+    return "\n".join([f"dims {dim_a} {dim_b}", *rows]) + "\n"
+
+
+@FUZZ
+@given(text=st.one_of(st.text(max_size=200), matrix_texts(), state_texts()))
+def test_parse_state_returns_valid_state_or_value_error(text):
+    try:
+        rho = parse_state(text)
+    except ValueError:  # InvalidStateError, DimensionMismatchError and parse errors
+        return
+    assert isinstance(rho, DensityMatrix)
+    mat = rho.mat
+    assert np.all(np.isfinite(mat))
+    assert linalg.hermiticity_defect(mat) <= linalg.HERMITIAN_TOL
+    assert abs(np.trace(mat) - 1.0) <= 1e-12
+    # LAPACK as the outside oracle for positivity, with eigensolver slack
+    assert np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0] >= -1e-10 - 1e-12

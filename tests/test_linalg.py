@@ -194,3 +194,13 @@ def test_eigenvalues_reject_non_hermitian():
     for bad in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]]):
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.array(bad, dtype=complex))
+
+
+@pytest.mark.parametrize("magnitude", [1e150, 1e200, 1.7e308])
+def test_eigenvalues_of_huge_matrices(magnitude):
+    # |a|^2 overflowed, so the off-diagonal norm was inf and the loop never converged
+    h = magnitude * np.array([[0.5, 0.25 + 0.125j], [0.25 - 0.125j, -0.375]])
+    expected = np.linalg.eigvalsh(h)
+    got = hermitian_eigenvalues(h)
+    assert np.all(np.abs(got - expected) <= 1e-14 * magnitude)
+

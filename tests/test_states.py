@@ -125,6 +125,16 @@ def test_validate_rejects_non_finite_entries(value, slots):
     assert err.value.condition == "finite"
 
 
+@pytest.mark.parametrize("corner", [1e150, 1e200, 1e308])
+def test_validate_rejects_huge_coherence(corner):
+    m = ansatz_x(0.2).mat.copy()
+    m[0, 5] = m[5, 0] = corner
+    with pytest.raises(InvalidStateError) as err:
+        parse_state(format_state(DensityMatrix(m, QUBIT_QUTRIT)))
+    assert err.value.condition == "positivity"
+    assert err.value.magnitude == pytest.approx(corner - 0.25)
+
+
 def test_validate_accepts_boundary_state():
     validate(ansatz_x(0.25).mat)
 
