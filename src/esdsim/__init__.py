@@ -16,7 +16,7 @@ from .channels import (
     identity_channel,
 )
 from .channels import apply as apply_channel
-from .entanglement import NegativityResult, PTSpectrum, is_ppt, negativity, pt_spectrum
+from .entanglement import NegativityResult, is_ppt, negativity, pt_spectrum
 from .esd import (
     BracketError,
     CurvePoint,
@@ -70,7 +70,6 @@ __all__ = [
     "KrausChannel",
     "NegativityResult",
     "NonHermitianError",
-    "PTSpectrum",
     "QUBIT_QUTRIT",
     "Scenario",
     "ScenarioKind",

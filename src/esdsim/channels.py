@@ -126,14 +126,14 @@ def dephasing_qutrit(params: DephasingParams) -> KrausChannel:
 
 
 def dephasing_mask(gamma_a: float, gamma_b: float) -> np.ndarray:
-    """Real 6x6 mask M_A(gamma_a) (x) M_B(gamma_b); rho * mask dephases rho.
+    """6x6 mask M_A(gamma_a) (x) M_B(gamma_b) with real entries; rho * mask dephases rho.
 
     Its diagonal is exactly 1, so it is trace preserving by construction.
     """
-    qubit = np.array([[1.0, gamma_a], [gamma_a, 1.0]])
+    qubit = [[1.0, gamma_a], [gamma_a, 1.0]]
     gb2 = gamma_b * gamma_b
-    qutrit = np.array([[1.0, gamma_b, gamma_b], [gamma_b, 1.0, gb2], [gamma_b, gb2, 1.0]])
-    return np.kron(qubit, qutrit)
+    qutrit = [[1.0, gamma_b, gamma_b], [gamma_b, 1.0, gb2], [gamma_b, gb2, 1.0]]
+    return linalg.kron(qubit, qutrit)
 
 
 def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

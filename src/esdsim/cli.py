@@ -18,7 +18,7 @@ import numpy as np
 
 from . import selfcheck
 from .esd import BracketError, EsdOutcome, Scenario, ScenarioKind, analytic_esd_time, evolve, numeric_esd_time, sweep
-from .states import ANSATZ_X_MAX, format_state
+from .states import format_state
 
 MODES = ("curve", "esd-time", "selfcheck", "dump-state")
 
@@ -32,10 +32,7 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     mode: str
-    scenario: ScenarioKind
-    x: float
-    rate_a: float
-    rate_b: float
+    scenario: Scenario
     t_max: float
     steps: int
     out: str | None
@@ -71,26 +68,15 @@ def _build_parser() -> _Parser:
 def parse_args(argv) -> RunConfig:
     """Parse and range-check arguments; raises UsageError on any problem."""
     ns = _build_parser().parse_args(list(argv))
-    if not 0.0 <= ns.x <= ANSATZ_X_MAX:
-        raise UsageError(f"--x must lie in the positivity range [0, {ANSATZ_X_MAX}], got {ns.x}")
-    if not (math.isfinite(ns.rate_a) and ns.rate_a >= 0.0):
-        raise UsageError(f"--rate-a must be finite and >= 0, got {ns.rate_a}")
-    if not (math.isfinite(ns.rate_b) and ns.rate_b >= 0.0):
-        raise UsageError(f"--rate-b must be finite and >= 0, got {ns.rate_b}")
+    try:
+        scenario = Scenario(kind=ScenarioKind(ns.scenario), x=ns.x, rate_a=ns.rate_a, rate_b=ns.rate_b)
+    except ValueError as exc:  # x, rate_a or rate_b out of range
+        raise UsageError(str(exc)) from exc
     if not (math.isfinite(ns.t_max) and ns.t_max > 0.0):
         raise UsageError(f"--t-max must be finite and positive, got {ns.t_max}")
     if ns.steps < 2:
         raise UsageError(f"--steps must be at least 2, got {ns.steps}")
-    return RunConfig(
-        mode=ns.mode,
-        scenario=ScenarioKind(ns.scenario),
-        x=ns.x,
-        rate_a=ns.rate_a,
-        rate_b=ns.rate_b,
-        t_max=ns.t_max,
-        steps=ns.steps,
-        out=ns.out,
-    )
+    return RunConfig(mode=ns.mode, scenario=scenario, t_max=ns.t_max, steps=ns.steps, out=ns.out)
 
 
 def _format_value(v: float) -> str:
@@ -121,9 +107,11 @@ def _emit(text: str, out: str | None) -> int:
 
 
 def run(config: RunConfig) -> int:
-    scenario = Scenario(kind=config.scenario, x=config.x, rate_a=config.rate_a, rate_b=config.rate_b)
+    scenario = config.scenario
     if config.mode == "selfcheck":
-        return 0 if selfcheck.run() else 2
+        lines = []
+        passed = selfcheck.run(write=lines.append)
+        return _emit("\n".join(lines) + "\n", config.out) or (0 if passed else 2)
     if config.mode == "dump-state":
         return _emit(format_state(evolve(scenario, config.t_max)), config.out)
     try:
@@ -132,19 +120,18 @@ def run(config: RunConfig) -> int:
             return _emit(render_csv(sweep(scenario, grid)), config.out)
         analytic = analytic_esd_time(scenario)
         if isinstance(analytic, EsdOutcome):
-            print(analytic.value)
-            return 0
+            return _emit(f"{analytic.value}\n", config.out)
         numeric = numeric_esd_time(scenario)
     except BracketError as exc:
         print(f"esd: {exc}", file=sys.stderr)
         return 1
-    print(f"analytic_esd_time {_format_value(analytic)}")
+    lines = [f"analytic_esd_time {_format_value(analytic)}"]
     if isinstance(numeric, EsdOutcome):  # x within the eigenvalue noise floor of 1/8
-        print(f"numeric_esd_time {numeric.value}")
-        return 0
-    print(f"numeric_esd_time {_format_value(numeric)}")
-    print(f"difference {_format_value(abs(numeric - analytic))}")
-    return 0
+        lines.append(f"numeric_esd_time {numeric.value}")
+    else:
+        lines.append(f"numeric_esd_time {_format_value(numeric)}")
+        lines.append(f"difference {_format_value(abs(numeric - analytic))}")
+    return _emit("\n".join(lines) + "\n", config.out)
 
 
 def main(argv=None) -> int:
@@ -154,8 +141,7 @@ def main(argv=None) -> int:
         config = parse_args(argv)
     except UsageError as exc:
         print(f"esd: {exc}", file=sys.stderr)
-        print("usage: esd [curve|esd-time|selfcheck|dump-state] [--scenario S] [--x F] "
-              "[--rate-a F] [--rate-b F] [--t-max F] [--steps N] [--out PATH]", file=sys.stderr)
+        sys.stderr.write(_build_parser().format_usage())
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

@@ -16,17 +16,6 @@ import numpy as np
 from . import linalg
 from .states import DensityMatrix
 
-#: Eigenvalues above -1e-10 count as non-negative (eigensolver noise floor).
-NEGATIVE_EIG_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PTSpectrum:
-    """Eigenvalues of a partially transposed state, ascending."""
-
-    eigenvalues: np.ndarray
-    subsystem: str
-
 
 @dataclass(frozen=True)
 class NegativityResult:
@@ -35,23 +24,21 @@ class NegativityResult:
     min_pt_eigenvalue: float
 
 
-def pt_spectrum(rho: DensityMatrix, subsystem: str = "A") -> PTSpectrum:
-    """Spectrum of the partial transpose over the chosen factor."""
-    pt = linalg.partial_transpose(rho.mat, rho.dims, subsystem)
-    eigs = linalg.hermitian_eigenvalues(pt)
-    return PTSpectrum(eigenvalues=eigs, subsystem=subsystem)
+def pt_spectrum(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
+    """Eigenvalues of the partial transpose over the chosen factor, ascending."""
+    return linalg.hermitian_eigenvalues(linalg.partial_transpose(rho.mat, rho.dims, subsystem))
 
 
 def negativity(rho: DensityMatrix, subsystem: str = "A") -> NegativityResult:
     """Sum of |negative PT eigenvalues|; zero iff the spectrum is nonnegative.
 
-    Eigenvalues within NEGATIVE_EIG_TOL of zero are treated as zero, so
-    value == 0.0 exactly for PPT states and is_entangled is simply
-    value > 0. Transposing either subsystem gives the same answer.
+    Eigenvalues within linalg.SPECTRAL_TOL (the eigensolver's noise
+    floor, 1e-10) of zero are treated as zero, so value == 0.0 exactly
+    for PPT states and is_entangled is simply value > 0. Transposing
+    either subsystem gives the same answer.
     """
-    spec = pt_spectrum(rho, subsystem)
-    eigs = spec.eigenvalues
-    negative = eigs[eigs < -NEGATIVE_EIG_TOL]
+    eigs = pt_spectrum(rho, subsystem)
+    negative = eigs[eigs < -linalg.SPECTRAL_TOL]
     value = float(-np.sum(negative)) if negative.size else 0.0
     return NegativityResult(
         value=value,

@@ -56,7 +56,11 @@ EsdTime = Union[float, EsdOutcome]
 
 
 class BracketError(RuntimeError):
-    """The search window never reached the negativity-zero region."""
+    """The death-time search has no usable window or did not converge.
+
+    Raised when no noise acts, when the default window overflows to
+    infinity, or when the root finder hits its iteration cap.
+    """
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.x <= ANSATZ_X_MAX:
-            raise ValueError(f"x must lie in [0, {ANSATZ_X_MAX}], got {self.x}")
+            raise ValueError(f"x must lie in the positivity range [0, {ANSATZ_X_MAX}], got {self.x}")
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
@@ -153,43 +157,34 @@ def default_bracket(scenario: Scenario) -> float:
     return 10.0 * (2.0 * math.log(2.0)) / rate
 
 
-def numeric_esd_time(scenario: Scenario, t_max: float | None = None, tol: float = 0.0) -> EsdTime:
+def numeric_esd_time(scenario: Scenario) -> EsdTime:
     """Find the death time as the root of the smallest PT eigenvalue.
 
     Every probe runs the full evolve -> partial transpose -> eigenvalue
     pipeline, so this is an independent check on the closed form. The
-    bracket [0, t_max] is closed by Illinois regula falsi (Dowell &
-    Jarratt, BIT 11, 1971) until its width is at most
-    4*eps*max(|a|, |b|) + tol; the midpoint of the final bracket is
-    returned. tol is the absolute floor of that rule: the default 0.0
-    asks for the root to machine precision.
+    bracket [0, default_bracket(scenario)] is closed by Illinois regula
+    falsi (Dowell & Jarratt, BIT 11, 1971) until its width is at most
+    4*eps*max(|a|, |b|), i.e. to machine precision; the midpoint of the
+    final bracket is returned. The window is 10x the largest possible
+    t*, so the eigenvalue at its end is (1 - 8x/2^10)/8 > 0.12 and the
+    bracket always holds the sign change.
 
     Returns NEVER_ENTANGLED when the state starts with zero negativity.
-    Raises BracketError when the eigenvalue is still negative at t_max,
-    when t_max is not finite (the default window overflows for rates
-    below about 7.7e-308) or when the iteration cap is reached.
+    Raises BracketError when no noise acts, when the window is not
+    finite (rates below about 7.7e-308) or when the iteration cap is
+    reached.
     """
     start = negativity(evolve(scenario, 0.0))
     if not start.is_entangled:
         return EsdOutcome.NEVER_ENTANGLED
-    if t_max is None:
-        t_max = default_bracket(scenario)
-    if not math.isfinite(t_max):
-        raise BracketError(f"search window t_max = {t_max} is not finite; the dephasing rate is too small")
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    b = default_bracket(scenario)
+    if not math.isfinite(b):
+        raise BracketError(f"search window t_max = {b} is not finite; the dephasing rate is too small")
     a, fa = 0.0, start.min_pt_eigenvalue
-    b = float(t_max)
     fb = negativity(evolve(scenario, b)).min_pt_eigenvalue
-    if fb < 0.0:
-        raise BracketError(
-            f"the smallest PT eigenvalue is still negative at t_max = {t_max}; enlarge the search window"
-        )
-    if fb == 0.0:
-        return b
     side = 0  # which end moved last: -1 for a, +1 for b
     for _ in range(_MAX_ROOT_ITERATIONS):
-        if b - a <= 4.0 * _EPS * max(abs(a), abs(b)) + tol:
+        if b - a <= 4.0 * _EPS * max(abs(a), abs(b)):
             return a + 0.5 * (b - a)
         c = b - fb * (b - a) / (fb - fa)
         if not a < c < b:

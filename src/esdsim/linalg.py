@@ -109,7 +109,6 @@ def partial_transpose(mat, dims: BipartiteDims, subsystem: str) -> np.ndarray:
     is not, which is the whole point.
     """
     arr = as_complex_matrix(mat)
-    _require_square(arr)
     dims.check(arr)
     da, db = dims.dim_a, dims.dim_b
     blocks = arr.reshape(da, db, da, db)
@@ -128,7 +127,6 @@ def partial_trace(mat, dims: BipartiteDims, keep: str) -> np.ndarray:
     keep="A" returns the dim_a x dim_a matrix out[a,a'] = sum_b m[(a,b),(a',b)].
     """
     arr = as_complex_matrix(mat)
-    _require_square(arr)
     dims.check(arr)
     blocks = arr.reshape(dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b)
     if keep == "A":
@@ -149,7 +147,7 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     power of two, exactly). Convergence is quadratic; six sweeps
     typically suffice at these sizes.
     """
-    a = np.array(as_complex_matrix(mat))
+    a = as_complex_matrix(mat)
     _require_square(a)
     defect = hermiticity_defect(a)
     if not defect <= HERMITIAN_TOL:  # also refuses NaN/inf entries

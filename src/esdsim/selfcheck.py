@@ -60,7 +60,7 @@ def _check_pt_spectrum():
             rate_a=float(rng.uniform(0.1, 3.0)),
         )
         t = float(rng.uniform(0.0, 4.0))
-        numeric = pt_spectrum(esd.evolve(scenario, t)).eigenvalues
+        numeric = pt_spectrum(esd.evolve(scenario, t))
         closed = esd.pt_spectrum_closed_form(scenario, t)
         worst = max(worst, float(np.max(np.abs(numeric - closed))))
     return worst <= 1e-10, f"max spectrum deviation {worst:.3e}"

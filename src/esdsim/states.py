@@ -19,7 +19,6 @@ from . import linalg
 from .linalg import QUBIT_QUTRIT, BipartiteDims
 
 TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
 PATTERN_TOL = 1e-14
 
 #: Fixed diagonal of the one-parameter family.
@@ -95,7 +94,7 @@ def validate(mat, dims: BipartiteDims = QUBIT_QUTRIT) -> DensityMatrix:
     if trace_defect > TRACE_TOL:
         raise InvalidStateError("trace", trace_defect)
     lowest = float(linalg.hermitian_eigenvalues(arr)[0])
-    if lowest < -PSD_TOL:
+    if lowest < -linalg.SPECTRAL_TOL:
         raise InvalidStateError("positivity", -lowest)
     return DensityMatrix(arr, dims)
 

@@ -33,7 +33,7 @@ def test_criterion_1_pt_spectrum_closed_form():
         t = float(rng.uniform(0.0, 4.0))
         rate = float(rng.uniform(0.1, 3.0))
         scenario = esd.Scenario(kind=esd.ScenarioKind.QUBIT_ONLY, x=x, rate_a=rate)
-        numeric = pt_spectrum(esd.evolve(scenario, t)).eigenvalues
+        numeric = pt_spectrum(esd.evolve(scenario, t))
         xg = x * math.exp(-0.5 * t * rate)
         expected = np.sort([0.25, 0.25, 0.125, 0.125, (1.0 + 8.0 * xg) / 8.0, (1.0 - 8.0 * xg) / 8.0])
         worst = max(worst, float(np.max(np.abs(numeric - expected))))

@@ -12,17 +12,14 @@ import esdsim
 from esdsim import cli
 from esdsim.cli import CSV_HEADER, UsageError, main, parse_args
 from esdsim.entanglement import negativity
-from esdsim.esd import ScenarioKind
+from esdsim.esd import Scenario, ScenarioKind
 from esdsim.states import parse_state
 
 
 def test_parse_defaults():
     config = parse_args([])
     assert config.mode == "curve"
-    assert config.scenario is ScenarioKind.MULTI_LOCAL
-    assert config.x == 0.25
-    assert config.rate_a == 1.0
-    assert config.rate_b == 1.0
+    assert config.scenario == Scenario(ScenarioKind.MULTI_LOCAL, x=0.25, rate_a=1.0, rate_b=1.0)
     assert config.t_max == 4.0
     assert config.steps == 101
     assert config.out is None
@@ -31,9 +28,7 @@ def test_parse_defaults():
 def test_parse_mode_and_flags():
     config = parse_args(["esd-time", "--scenario", "qubit", "--x", "0.2", "--rate-a", "2"])
     assert config.mode == "esd-time"
-    assert config.scenario is ScenarioKind.QUBIT_ONLY
-    assert config.x == 0.2
-    assert config.rate_a == 2.0
+    assert config.scenario == Scenario(ScenarioKind.QUBIT_ONLY, x=0.2, rate_a=2.0, rate_b=1.0)
 
 
 def test_parse_flags_without_mode():
@@ -136,6 +131,22 @@ def test_esd_time_below_noise_floor(capsys):
     assert lines[1:] == ["numeric_esd_time never-entangled"]
 
 
+def test_readme_examples_byte_for_byte(capsys):
+    assert main(["curve", "--scenario", "qubit", "--x", "0.25", "--steps", "5", "--t-max", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        CSV_HEADER,
+        "0,1,1,0.25,0.12499999999999997,0.125,-0.12499999999999997",
+        "0.5,0.77880078307140488,1,0.19470019576785122,0.069700195767851192,0.06970019576785122,"
+        "-0.069700195767851192",
+    ]
+    assert main(["esd-time", "--scenario", "multilocal", "--x", "0.25"]) == 0
+    assert capsys.readouterr().out == (
+        "analytic_esd_time 0.69314718055994529\n"
+        "numeric_esd_time 0.6931471805599454\n"
+        "difference 1.1102230246251565e-16\n"
+    )
+
+
 def test_esd_time_never_entangled(capsys):
     assert main(["esd-time", "--x", "0.1"]) == 0
     assert capsys.readouterr().out.strip() == "never-entangled"
@@ -173,10 +184,32 @@ def test_dump_state_negativity_consistent_with_curve(tmp_path):
     assert abs(emitted - recomputed) < 1e-12
 
 
+OUT_ARGVS = (
+    ["curve", "--steps", "3"],
+    ["esd-time"],
+    ["esd-time", "--x", "0.1"],
+    ["selfcheck"],
+    ["dump-state", "--t-max", "0.5"],
+)
+
+
+@pytest.mark.parametrize("argv", OUT_ARGVS, ids=lambda argv: "-".join(argv))
+def test_out_file_equals_stdout(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    path = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == expected.encode()
+
+
 def test_out_io_error_exit_code(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
-    assert main(["curve", "--steps", "2", "--out", str(missing_dir)]) == 3
-    assert "cannot write" in capsys.readouterr().err
+    for argv in OUT_ARGVS:
+        assert main(argv + ["--out", str(missing_dir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write" in captured.err
 
 
 def test_module_entry_point():

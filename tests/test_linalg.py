@@ -13,6 +13,8 @@ from esdsim.linalg import (
     partial_transpose,
 )
 
+from esdsim.states import random_density_matrix
+
 from numeric_oracles import charpoly_eigs_2x2, charpoly_eigs_3x3, random_hermitian, random_unitary
 
 
@@ -194,6 +196,17 @@ def test_eigenvalues_reject_non_hermitian():
     for bad in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]]):
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.array(bad, dtype=complex))
+
+
+@pytest.mark.parametrize("read_only", [False, True])
+def test_eigenvalues_leave_input_unchanged(read_only):
+    rng = np.random.default_rng(18)
+    m = random_density_matrix(rng).mat if read_only else random_hermitian(rng, 6)
+    assert m.dtype == np.complex128 and m.flags.writeable is not read_only
+    before = m.copy()
+    expected = np.linalg.eigvalsh(before)
+    assert np.max(np.abs(hermitian_eigenvalues(m) - expected)) < 1e-12
+    assert m.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("magnitude", [1e150, 1e200, 1.7e308])
