@@ -44,9 +44,14 @@ class IncompleteChannelError(ValueError):
     """Kraus operators do not sum to the identity within tolerance."""
 
 
+def decay_factor(rate: float, t: float) -> float:
+    """gamma(t) = exp(-t * rate / 2), exactly 1 when rate or t is 0; the caller checks both."""
+    return 1.0 if rate == 0.0 or t == 0.0 else math.exp(-0.5 * t * rate)
+
+
 @dataclass(frozen=True)
 class DephasingParams:
-    """Decay parameters of one local dephasing channel.
+    """Checked decay parameters of one Kraus dephasing channel.
 
     rate is the dephasing rate (inverse time, >= 0); t is the elapsed
     time (>= 0; infinity gives the fully dephased limit gamma = 0).
@@ -64,9 +69,7 @@ class DephasingParams:
 
     @property
     def gamma(self) -> float:
-        if self.rate == 0.0 or self.t == 0.0:
-            return 1.0
-        return math.exp(-0.5 * self.t * self.rate)
+        return decay_factor(self.rate, self.t)
 
     @property
     def omega(self) -> float:

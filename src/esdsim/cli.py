@@ -4,13 +4,14 @@ Modes: curve (default) writes a CSV negativity trajectory, esd-time
 prints the death time, selfcheck runs the numeric cross-checks,
 dump-state writes the evolved state in the plain-text matrix format.
 Exit codes: 0 success, 1 usage error or no death time found in the
-search window, 2 selfcheck failure, 3 I/O error.
+search window, 2 selfcheck failure, 3 I/O error on --out or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -94,14 +95,19 @@ def render_csv(report) -> str:
 
 
 def _emit(text: str, out: str | None) -> int:
-    if out is None:
-        sys.stdout.write(text)
-        return 0
     try:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="ascii") as fh:
+                fh.write(text)
     except OSError as exc:
-        print(f"esd: cannot write {out}: {exc}", file=sys.stderr)
+        print(f"esd: cannot write {'<stdout>' if out is None else out}: {exc}", file=sys.stderr)
+        if out is None and sys.stdout is sys.__stdout__:
+            # the interpreter flushes the process's stdout buffer again at exit: let it reach the null device
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 3
     return 0
 

@@ -22,15 +22,15 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
-from .channels import DephasingParams, dephasing_mask
+from .channels import decay_factor, dephasing_mask
 from .entanglement import negativity
 from .linalg import QUBIT_QUTRIT
-from .states import ANSATZ_X_MAX, DensityMatrix, ansatz_x, extract_corner
+from .states import DensityMatrix, ansatz_x, extract_corner
 
 #: Corner values at or below 1/8 never produce entanglement.
 ENTANGLEMENT_THRESHOLD_X = 0.125
@@ -68,47 +68,41 @@ class Scenario:
     """Which subsystems are noisy, the initial corner x, and the rates.
 
     rate_a is ignored by QUTRIT_ONLY and rate_b by QUBIT_ONLY; both act
-    in MULTI_LOCAL.
+    in MULTI_LOCAL. Construction is the one check of x and the rates and
+    builds the x-state once; gamma_factors is the one check of t.
     """
 
     kind: ScenarioKind
     x: float
     rate_a: float = 1.0
     rate_b: float = 1.0
+    initial_state: DensityMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.x <= ANSATZ_X_MAX:
-            raise ValueError(f"x must lie in the positivity range [0, {ANSATZ_X_MAX}], got {self.x}")
+        object.__setattr__(self, "initial_state", ansatz_x(self.x))  # checks x
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
 
     @property
-    def noisy_a(self) -> bool:
-        return self.kind in (ScenarioKind.QUBIT_ONLY, ScenarioKind.MULTI_LOCAL)
-
-    @property
-    def noisy_b(self) -> bool:
-        return self.kind in (ScenarioKind.QUTRIT_ONLY, ScenarioKind.MULTI_LOCAL)
+    def rates(self) -> tuple:
+        """(rate_a, rate_b) as they act: an idle side's rate is 0.0."""
+        return (0.0 if self.kind is ScenarioKind.QUTRIT_ONLY else self.rate_a,
+                0.0 if self.kind is ScenarioKind.QUBIT_ONLY else self.rate_b)
 
     def effective_rate(self) -> float:
         """Sum of the rates that actually act in this scenario."""
-        rate = 0.0
-        if self.noisy_a:
-            rate += self.rate_a
-        if self.noisy_b:
-            rate += self.rate_b
-        return rate
+        return sum(self.rates)
 
     def gamma_factors(self, t: float) -> tuple:
-        """(gamma_a, gamma_b) at time t; an idle subsystem keeps factor 1."""
-        ga = DephasingParams(self.rate_a, t).gamma if self.noisy_a else 1.0
-        gb = DephasingParams(self.rate_b, t).gamma if self.noisy_b else 1.0
-        return ga, gb
+        """(gamma_a, gamma_b) at time t >= 0 (else ValueError); rate 0 keeps factor 1."""
+        if not t >= 0.0:
+            raise ValueError(f"t must be >= 0, got {t}")
+        rate_a, rate_b = self.rates
+        return decay_factor(rate_a, t), decay_factor(rate_b, t)
 
     def gamma_product(self, t: float) -> float:
-        ga, gb = self.gamma_factors(t)
-        return ga * gb
+        return math.prod(self.gamma_factors(t))
 
 
 def evolve(scenario: Scenario, t: float) -> DensityMatrix:
@@ -118,20 +112,17 @@ def evolve(scenario: Scenario, t: float) -> DensityMatrix:
     decay factor 1. It equals the Kraus route of :mod:`esdsim.channels`,
     which stays the general API and the tests' reference for the mask.
     """
-    return DensityMatrix(ansatz_x(scenario.x).mat * dephasing_mask(*scenario.gamma_factors(t)), QUBIT_QUTRIT)
+    return DensityMatrix(scenario.initial_state.mat * dephasing_mask(*scenario.gamma_factors(t)), QUBIT_QUTRIT)
 
 
 def analytic_negativity(scenario: Scenario, t: float) -> float:
     """Closed-form negativity max{0, x*g(t) - 1/8}."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
     return max(0.0, scenario.x * scenario.gamma_product(t) - 0.125)
 
 
 def pt_spectrum_closed_form(scenario: Scenario, t: float) -> np.ndarray:
     """Closed-form PT spectrum of the evolved x-state, ascending."""
-    g = scenario.gamma_product(t)
-    xg = scenario.x * g
+    xg = scenario.x * scenario.gamma_product(t)
     return np.sort(np.array([0.25, 0.25, 0.125, 0.125, (1.0 + 8.0 * xg) / 8.0, (1.0 - 8.0 * xg) / 8.0]))
 
 

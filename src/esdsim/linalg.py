@@ -86,9 +86,10 @@ def max_abs_diff(a, b) -> float:
 
 
 def hermiticity_defect(mat) -> float:
-    """max |m - m^dagger| over all entries."""
+    """max |m - m^dagger| over all entries; NaN or inf, without a warning, on non-finite entries or overflow."""
     arr = as_complex_matrix(mat)
-    return float(np.max(np.abs(arr - arr.conj().T)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(arr - arr.conj().T)))
 
 
 def kron(a, b) -> np.ndarray:
@@ -153,8 +154,6 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     if not defect <= HERMITIAN_TOL:  # also refuses NaN/inf entries
         raise NonHermitianError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
     n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
     exponent = 0
     peak = float(np.max(np.abs(a)))
     if peak > _JACOBI_SCALE_LIMIT:  # keep |a|^2 finite: iterate on a / 2^k

@@ -105,10 +105,11 @@ def ansatz_x(x: float) -> DensityMatrix:
     Diagonal (1/4, 1/8, 1/8, 1/8, 1/8, 1/4); the only off-diagonal
     entries are x at the corner slot and its mirror. Every x in
     [0, 1/4] gives a valid state; x = 1/4 is rank-deficient (one zero
-    eigenvalue) and x > 1/8 is where the state is entangled.
+    eigenvalue) and x > 1/8 is where the state is entangled. Any other x
+    raises ValueError: the one check of x, made once per esd.Scenario.
     """
     if not 0.0 <= x <= ANSATZ_X_MAX:
-        raise ValueError(f"x must lie in [0, {ANSATZ_X_MAX}], got {x}")
+        raise ValueError(f"x must lie in the positivity range [0, {ANSATZ_X_MAX}], got {x}")
     m = np.diag(np.array(ANSATZ_DIAGONAL, dtype=complex))
     i, j = CORNER_SLOT
     m[i, j] = m[j, i] = x
@@ -167,9 +168,9 @@ def coherence_pattern_defect(mat) -> float:
     return worst
 
 
-def is_locally_incoherent(mat, tol: float = PATTERN_TOL) -> bool:
+def is_locally_incoherent(mat) -> bool:
     """True when all coherence sits in the joint slots (reductions diagonal)."""
-    return coherence_pattern_defect(mat) <= tol
+    return coherence_pattern_defect(mat) <= PATTERN_TOL
 
 
 def random_density_matrix(rng: np.random.Generator, dims: BipartiteDims = QUBIT_QUTRIT) -> DensityMatrix:

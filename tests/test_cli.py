@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -212,13 +213,47 @@ def test_out_io_error_exit_code(tmp_path, capsys):
         assert "cannot write" in captured.err
 
 
-def test_module_entry_point():
+class FullStdout:
+    """A stdout on a full device: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", OUT_ARGVS, ids=lambda argv: "-".join(argv))
+def test_stdout_io_error_exit_code(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("esd: cannot write <stdout>: ")
+
+
+def _subprocess_env(**extra):
     # run the tree under test, not whatever copy is installed
     src = str(Path(esdsim.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(extra)
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("mode", ["curve", "esd-time", "selfcheck", "dump-state"])
+def test_full_stdout_device_exit_code(mode, unbuffered):
+    # a buffered stdout fails at its flush, an unbuffered one at its write;
+    # either way the run must end with exit 3 and no traceback or exit-time error
+    env = _subprocess_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "esdsim", mode], stdout=full, stderr=subprocess.PIPE,
+                              text=True, check=False, env=env)
+    assert proc.returncode == 3
+    assert proc.stderr == "esd: cannot write <stdout>: [Errno 28] No space left on device\n"
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "esdsim", "curve", "--steps", "2", "--t-max", "1"],
-        capture_output=True, text=True, check=False, env=env,
+        capture_output=True, text=True, check=False, env=_subprocess_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == CSV_HEADER

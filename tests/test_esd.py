@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from esdsim import esd
+from esdsim import channels, esd
 from esdsim.entanglement import negativity, pt_spectrum
 from esdsim.esd import (
     BracketError,
@@ -246,3 +246,52 @@ def test_gamma_factors_idle_subsystem():
     ga, gb = s.gamma_factors(1.0)
     assert gb == 1.0
     assert abs(ga - math.exp(-0.5)) < 1e-15
+
+
+T_CHECKED = (
+    ("evolve", evolve),
+    ("analytic_negativity", analytic_negativity),
+    ("pt_spectrum_closed_form", pt_spectrum_closed_form),
+    ("gamma_factors", lambda s, t: s.gamma_factors(t)),
+)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+@pytest.mark.parametrize("name, call", T_CHECKED, ids=[name for name, _ in T_CHECKED])
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+def test_time_is_checked_at_the_scenario(kind, name, call, t):
+    with pytest.raises(ValueError, match=r"^t must be >= 0, got "):
+        call(scenario(kind), t)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_gamma_factors_at_infinite_time(kind):
+    ga, gb = scenario(kind, rate_a=1.0, rate_b=2.0).gamma_factors(math.inf)
+    assert (ga, gb) == (1.0 if kind is ScenarioKind.QUTRIT_ONLY else 0.0,
+                        1.0 if kind is ScenarioKind.QUBIT_ONLY else 0.0)
+    assert scenario(kind, rate_a=0.0, rate_b=0.0).gamma_factors(math.inf) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_x_and_rates_are_checked_once(kind, monkeypatch):
+    # the x-state is built when the Scenario is, and the evolve path makes
+    # no DephasingParams (whose construction re-checks a rate and t)
+    ansatz_calls = []
+    params_made = []
+    build = esd.ansatz_x
+
+    def counting_ansatz_x(x):
+        ansatz_calls.append(x)
+        return build(x)
+
+    def counting_post_init(params):
+        params_made.append(params)
+
+    monkeypatch.setattr(esd, "ansatz_x", counting_ansatz_x)
+    monkeypatch.setattr(channels.DephasingParams, "__post_init__", counting_post_init)
+    s = scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7)
+    report = sweep(s, np.linspace(0.0, 4.0, 101))
+    assert close_to_death_time(report.esd_time, analytic_esd_time(s))
+    assert close_to_death_time(numeric_esd_time(s), analytic_esd_time(s))
+    assert ansatz_calls == [0.2]
+    assert params_made == []

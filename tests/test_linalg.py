@@ -156,6 +156,11 @@ def test_eigenvalues_small_closed_forms():
     assert np.allclose(hermitian_eigenvalues(pauli_x), [-1.0, 1.0], atol=1e-14)
     complex_pair = np.array([[1.0, 1j], [-1j, 1.0]], dtype=complex)
     assert np.allclose(hermitian_eigenvalues(complex_pair), [0.0, 2.0], atol=1e-14)
+    # a 1x1 matrix is its own eigenvalue, bit for bit, sign of zero included
+    for value in (0.0, -0.0, 5e-324, -2.5e-310, 1.0, 1e200, -1e308, 1.7e308):
+        for one_by_one in ([[value]], np.array([[value]], dtype=complex)):
+            eigs = hermitian_eigenvalues(one_by_one)
+            assert eigs.dtype == np.float64 and eigs.tobytes() == np.array([value]).tobytes()
 
 
 def test_eigenvalues_boundary_corner():
@@ -193,7 +198,8 @@ def test_eigenvalues_match_characteristic_polynomial():
 
 
 def test_eigenvalues_reject_non_hermitian():
-    for bad in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+    for bad in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]):
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.array(bad, dtype=complex))
 
