@@ -19,7 +19,6 @@ from .channels import apply as apply_channel
 from .entanglement import NegativityResult, is_ppt, negativity, pt_spectrum
 from .esd import (
     BracketError,
-    CurvePoint,
     EsdOutcome,
     EsdReport,
     Scenario,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BipartiteDims",
     "BracketError",
-    "CurvePoint",
     "DensityMatrix",
     "DephasingParams",
     "DimensionMismatchError",

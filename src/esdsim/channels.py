@@ -22,8 +22,9 @@ M_A(g) = [[1, g], [g, 1]] and M_B(g) = [[1, g, g], [g, 1, g^2], [g, g^2, 1]],
     rho(t) = rho(0) o (M_A(gamma_A) (x) M_B(gamma_B)).
 
 The qutrit (1, 2) coherence decays as gamma^2, not gamma. dephasing_mask()
-builds this product; the Kraus route stays as the general API and as the
-tests' reference for the mask.
+builds this product, for one pair of factors or for arrays of them; the
+Kraus route stays as the general API and as the tests' reference for the
+mask.
 """
 
 from __future__ import annotations
@@ -128,15 +129,27 @@ def dephasing_qutrit(params: DephasingParams) -> KrausChannel:
     return KrausChannel(ops=(f1, f2, f3), dim=QUBIT_QUTRIT.total)
 
 
-def dephasing_mask(gamma_a: float, gamma_b: float) -> np.ndarray:
+# dephasing_mask gathers each entry of M_A(ga) (x) M_B(gb) from its one product in
+# (1, ga, gb, gb^2, ga*gb, ga*gb^2): a qubit exponent in {0, 1} (rows) times a
+# qutrit exponent in {0, 1, 2} (columns) picks the term.
+_MASK_TERMS = np.array([[0, 2, 3], [1, 4, 5]])[
+    np.array([[0, 1], [1, 0]])[:, None, :, None], np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]])[None, :, None, :]
+].reshape(6, 6)
+_MASK_TERMS.flags.writeable = False
+
+
+def dephasing_mask(gamma_a, gamma_b) -> np.ndarray:
     """6x6 mask M_A(gamma_a) (x) M_B(gamma_b) with real entries; rho * mask dephases rho.
 
     Its diagonal is exactly 1, so it is trace preserving by construction.
+    The factors may be arrays of one shape S, giving an (*S, 6, 6) stack
+    of masks, each bit-equal to the mask of its own factors.
     """
-    qubit = [[1.0, gamma_a], [gamma_a, 1.0]]
-    gb2 = gamma_b * gamma_b
-    qutrit = [[1.0, gamma_b, gamma_b], [gamma_b, 1.0, gb2], [gamma_b, gb2, 1.0]]
-    return linalg.kron(qubit, qutrit)
+    ga = np.asarray(gamma_a, dtype=float)[..., None]
+    gb = np.asarray(gamma_b, dtype=float)[..., None]
+    gb2 = gb * gb
+    terms = np.concatenate([np.ones_like(ga), ga, gb, gb2, ga * gb, ga * gb2], axis=-1)
+    return terms[..., _MASK_TERMS]
 
 
 def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

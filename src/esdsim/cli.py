@@ -18,12 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import selfcheck
-from .esd import BracketError, EsdOutcome, Scenario, ScenarioKind, analytic_esd_time, evolve, numeric_esd_time, sweep
+from .esd import (CURVE_FIELDS, BracketError, EsdOutcome, Scenario, ScenarioKind, analytic_esd_time, evolve,
+                  numeric_esd_time, sweep)
 from .states import format_state
 
 MODES = ("curve", "esd-time", "selfcheck", "dump-state")
 
-CSV_HEADER = "t,gamma_a,gamma_b,corner,negativity_numeric,negativity_analytic,min_pt_eigenvalue"
+CSV_HEADER = ",".join(CURVE_FIELDS)
+# one curve row at 17 significant digits, which round-trips float64 exactly
+_CSV_ROW = ",".join(["%.17g"] * len(CURVE_FIELDS)) + "\n"
 
 
 class UsageError(Exception):
@@ -44,6 +47,11 @@ class _Parser(argparse.ArgumentParser):
     # through UsageError so main() can exit 1 instead.
     def error(self, message):
         raise UsageError(message)
+
+    # argparse's own writer drops an OSError; _emit reports it, so that
+    # --help on a failed stdout exits 3 like every mode
+    def print_help(self, file=None):
+        raise SystemExit(_emit(self.format_help(), None))
 
 
 def _build_parser() -> _Parser:
@@ -85,13 +93,7 @@ def _format_value(v: float) -> str:
 
 
 def render_csv(report) -> str:
-    lines = [CSV_HEADER]
-    for pt in report.curve:
-        lines.append(",".join(_format_value(v) for v in (
-            pt.t, pt.gamma_a, pt.gamma_b, pt.corner,
-            pt.negativity_numeric, pt.negativity_analytic, pt.min_pt_eigenvalue,
-        )))
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "\n" + "".join(_CSV_ROW % row for row in report.curve.tolist())
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -149,7 +151,7 @@ def main(argv=None) -> int:
         print(f"esd: {exc}", file=sys.stderr)
         sys.stderr.write(_build_parser().format_usage())
         return 1
-    except SystemExit as exc:  # argparse --help
+    except SystemExit as exc:  # --help, with _emit's status
         return int(exc.code or 0)
     return run(config)
 

@@ -29,14 +29,23 @@ import numpy as np
 
 from .channels import decay_factor, dephasing_mask
 from .entanglement import negativity
-from .linalg import QUBIT_QUTRIT
-from .states import DensityMatrix, ansatz_x, extract_corner
+from .linalg import QUBIT_QUTRIT, SPECTRAL_TOL, hermitian_eigenvalues, partial_transpose
+from .states import CORNER_SLOT, DensityMatrix, ansatz_x
 
 #: Corner values at or below 1/8 never produce entanglement.
 ENTANGLEMENT_THRESHOLD_X = 0.125
 
 _EPS = sys.float_info.epsilon
 _MAX_ROOT_ITERATIONS = 200
+
+#: The columns of a sampled curve, in CSV order; EsdReport.curve has one float field each.
+CURVE_FIELDS = ("t", "gamma_a", "gamma_b", "corner", "negativity_numeric", "negativity_analytic",
+                "min_pt_eigenvalue")
+_CURVE_DTYPE = np.dtype([(name, float) for name in CURVE_FIELDS])
+
+# sweep runs evolve -> partial transpose -> eigenvalues on this many grid
+# points at a time, so its working memory does not grow with the grid
+_SWEEP_BLOCK = 256
 
 
 class ScenarioKind(enum.Enum):
@@ -94,15 +103,33 @@ class Scenario:
         """Sum of the rates that actually act in this scenario."""
         return sum(self.rates)
 
-    def gamma_factors(self, t: float) -> tuple:
-        """(gamma_a, gamma_b) at time t >= 0 (else ValueError); rate 0 keeps factor 1."""
+    def gamma_factors(self, t) -> tuple:
+        """(gamma_a, gamma_b) at time t >= 0 (else ValueError); rate 0 keeps factor 1.
+
+        For an array of times the factors are arrays of its shape, each
+        entry computed by decay_factor as for that time alone, and every
+        entry is checked.
+        """
+        rate_a, rate_b = self.rates
+        if isinstance(t, np.ndarray) and t.ndim:
+            bad = ~(t >= 0.0)
+            if bad.any():
+                raise ValueError(f"t must be >= 0, got {t[bad][0]}")
+            # math.exp point by point: np.exp differs from it in the last bit
+            times = t.ravel().tolist()
+            return tuple(np.fromiter((decay_factor(rate, s) for s in times), float, len(times)).reshape(t.shape)
+                         for rate in (rate_a, rate_b))
         if not t >= 0.0:
             raise ValueError(f"t must be >= 0, got {t}")
-        rate_a, rate_b = self.rates
         return decay_factor(rate_a, t), decay_factor(rate_b, t)
 
-    def gamma_product(self, t: float) -> float:
+    def gamma_product(self, t):
         return math.prod(self.gamma_factors(t))
+
+
+def _dephased(scenario: Scenario, gamma_a, gamma_b) -> np.ndarray:
+    """The x-state times the dephasing mask of the factors: a 6x6 matrix, or a stack for arrays."""
+    return scenario.initial_state.mat * dephasing_mask(gamma_a, gamma_b)
 
 
 def evolve(scenario: Scenario, t: float) -> DensityMatrix:
@@ -112,12 +139,17 @@ def evolve(scenario: Scenario, t: float) -> DensityMatrix:
     decay factor 1. It equals the Kraus route of :mod:`esdsim.channels`,
     which stays the general API and the tests' reference for the mask.
     """
-    return DensityMatrix(scenario.initial_state.mat * dephasing_mask(*scenario.gamma_factors(t)), QUBIT_QUTRIT)
+    return DensityMatrix(_dephased(scenario, *scenario.gamma_factors(t)), QUBIT_QUTRIT)
 
 
-def analytic_negativity(scenario: Scenario, t: float) -> float:
-    """Closed-form negativity max{0, x*g(t) - 1/8}."""
-    return max(0.0, scenario.x * scenario.gamma_product(t) - 0.125)
+def _closed_negativity(xg):
+    """max{0, xg - 1/8}, entrywise for an array of x*g(t)."""
+    return np.maximum(0.0, xg - 0.125)
+
+
+def analytic_negativity(scenario: Scenario, t):
+    """Closed-form negativity max{0, x*g(t) - 1/8}; an array of times gives an array."""
+    return _closed_negativity(scenario.x * scenario.gamma_product(t))
 
 
 def pt_spectrum_closed_form(scenario: Scenario, t: float) -> np.ndarray:
@@ -198,56 +230,51 @@ def numeric_esd_time(scenario: Scenario) -> EsdTime:
     raise BracketError(f"no convergence in {_MAX_ROOT_ITERATIONS} iterations; last bracket [{a!r}, {b!r}]")
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One sampled time along a dephasing trajectory."""
-
-    t: float
-    gamma_a: float
-    gamma_b: float
-    corner: float
-    negativity_numeric: float
-    negativity_analytic: float
-    min_pt_eigenvalue: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EsdReport:
-    """A sampled negativity curve plus both death-time determinations."""
+    """A sampled negativity curve plus both death-time determinations.
+
+    curve is a read-only record array with one row per grid time and one
+    float field per CURVE_FIELDS name, so report.curve.negativity_numeric
+    is a column and report.curve[i].t a value. Reports compare by
+    identity, since an array has no single truth value.
+    """
 
     scenario: Scenario
     esd_time: EsdTime
     analytic_time: EsdTime
-    curve: tuple
+    curve: np.recarray
 
 
 def sweep(scenario: Scenario, t_grid: Sequence[float]) -> EsdReport:
     """Sample the trajectory on t_grid and determine the death time.
 
-    Each point runs the numeric pipeline and the closed form side by
-    side. esd_time comes from the root finder when the analytic result is
-    finite and mirrors the analytic variant otherwise.
+    The numeric pipeline and the closed form run side by side, batched
+    over the grid: each row equals what evolve, negativity and
+    analytic_negativity give at its time alone, bit for bit. esd_time
+    comes from the root finder when the analytic result is finite and
+    mirrors the analytic variant otherwise.
     """
-    points = []
-    for t in t_grid:
-        t = float(t)
-        rho = evolve(scenario, t)
-        res = negativity(rho)
-        ga, gb = scenario.gamma_factors(t)
-        points.append(
-            CurvePoint(
-                t=t,
-                gamma_a=ga,
-                gamma_b=gb,
-                corner=extract_corner(rho),
-                negativity_numeric=res.value,
-                negativity_analytic=analytic_negativity(scenario, t),
-                min_pt_eigenvalue=res.min_pt_eigenvalue,
-            )
-        )
+    times = np.array(t_grid, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"t_grid must be one-dimensional, got shape {times.shape}")
+    ga, gb = scenario.gamma_factors(times)
+    curve = np.empty(len(times), dtype=_CURVE_DTYPE).view(np.recarray)
+    curve.t, curve.gamma_a, curve.gamma_b = times, ga, gb
+    i, j = CORNER_SLOT
+    for start in range(0, len(times), _SWEEP_BLOCK):
+        block = slice(start, start + _SWEEP_BLOCK)
+        rho = _dephased(scenario, ga[block], gb[block])
+        eigs = hermitian_eigenvalues(partial_transpose(rho, QUBIT_QUTRIT, "A"))
+        curve.corner[block] = rho[:, i, j].real
+        # entanglement.negativity, row by row: eigenvalues within the noise floor count as zero
+        curve.negativity_numeric[block] = np.where(eigs < -SPECTRAL_TOL, -eigs, 0.0).sum(axis=-1)
+        curve.min_pt_eigenvalue[block] = eigs[:, 0]
+    curve.negativity_analytic = _closed_negativity(scenario.x * (ga * gb))
+    curve.flags.writeable = False
     analytic_time = analytic_esd_time(scenario)
     if isinstance(analytic_time, EsdOutcome):
         esd_time: EsdTime = analytic_time
     else:
         esd_time = numeric_esd_time(scenario)
-    return EsdReport(scenario=scenario, esd_time=esd_time, analytic_time=analytic_time, curve=tuple(points))
+    return EsdReport(scenario=scenario, esd_time=esd_time, analytic_time=analytic_time, curve=curve)

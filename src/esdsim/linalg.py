@@ -4,6 +4,12 @@ Everything operates on plain numpy arrays of complex128 in row-major
 layout. The eigensolver is a self-contained cyclic Jacobi iteration, so
 the whole numeric path stays inspectable end to end; matrices here are
 tiny (6x6 at most) and robustness matters more than speed.
+
+partial_transpose and hermitian_eigenvalues also take a (..., n, n)
+stack and treat each matrix as if it came alone, so a time series runs
+as one batched pass; the eigensolver's stack kernel rotates every
+matrix of the stack at once, each with its own rotation parameters,
+and returns the same bits as one call per matrix.
 """
 
 from __future__ import annotations
@@ -55,9 +61,9 @@ class BipartiteDims:
     def total(self) -> int:
         return self.dim_a * self.dim_b
 
-    def check(self, mat: np.ndarray) -> None:
-        """Raise DimensionMismatchError unless mat is total x total."""
-        if mat.shape != (self.total, self.total):
+    def check(self, mat: np.ndarray, stacked: bool = False) -> None:
+        """Raise DimensionMismatchError unless mat is total x total (stacked: (..., total, total))."""
+        if (mat.shape[-2:] if stacked else mat.shape) != (self.total, self.total):
             raise DimensionMismatchError(
                 f"expected a {self.total}x{self.total} matrix for dims "
                 f"({self.dim_a}, {self.dim_b}), got shape {mat.shape}"
@@ -75,8 +81,16 @@ def as_complex_matrix(mat) -> np.ndarray:
     return arr
 
 
+def as_complex_stack(mat) -> np.ndarray:
+    """Coerce input to a complex128 matrix or (..., rows, cols) stack of matrices."""
+    arr = np.asarray(mat, dtype=complex)
+    if arr.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={arr.ndim}")
+    return arr
+
+
 def _require_square(mat: np.ndarray) -> None:
-    if mat.shape[0] != mat.shape[1]:
+    if mat.shape[-2] != mat.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
 
 
@@ -103,23 +117,24 @@ def kron(a, b) -> np.ndarray:
 
 
 def partial_transpose(mat, dims: BipartiteDims, subsystem: str) -> np.ndarray:
-    """Transpose the indices of one factor only.
+    """Transpose the indices of one factor only, of a matrix or of each matrix of a (..., n, n) stack.
 
     For subsystem "A": out[(a,b),(a',b')] = m[(a',b),(a,b')], and the
     mirror image for "B". Trace and Hermiticity are preserved; positivity
     is not, which is the whole point.
     """
-    arr = as_complex_matrix(mat)
-    dims.check(arr)
+    arr = as_complex_stack(mat)
+    dims.check(arr, stacked=True)
     da, db = dims.dim_a, dims.dim_b
-    blocks = arr.reshape(da, db, da, db)
+    lead = arr.shape[:-2]
+    blocks = arr.reshape(*lead, da, db, da, db)
     if subsystem == "A":
-        blocks = blocks.transpose(2, 1, 0, 3)
+        blocks = blocks.swapaxes(-4, -2)
     elif subsystem == "B":
-        blocks = blocks.transpose(0, 3, 2, 1)
+        blocks = blocks.swapaxes(-3, -1)
     else:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return blocks.reshape(da * db, da * db).copy()
+    return blocks.reshape(*lead, da * db, da * db).copy()
 
 
 def partial_trace(mat, dims: BipartiteDims, keep: str) -> np.ndarray:
@@ -138,42 +153,109 @@ def partial_trace(mat, dims: BipartiteDims, keep: str) -> np.ndarray:
 
 
 def hermitian_eigenvalues(mat) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
+    """All eigenvalues of a Hermitian matrix, ascending; of each matrix of a (..., n, n) stack, shape (..., n).
 
     Cyclic Jacobi iteration: each step conjugates by a two-level unitary
     (a plane rotation times a phase) chosen to annihilate one off-diagonal
     pair exactly. Sweeps repeat until the off-diagonal Frobenius norm
     falls below 1e-13 (scaled up for matrices of large norm, so the loop
-    terminates on any input; entries above 1e150 are first divided by a
-    power of two, exactly). Convergence is quadratic; six sweeps
-    typically suffice at these sizes.
+    terminates on any input; a matrix with a real or imaginary part
+    above 1e150 is first divided by a power of two, exactly, and a
+    spectrum beyond the float range comes back as +/-inf). Convergence
+    is quadratic; six sweeps typically suffice at these sizes.
+
+    A stack is checked, scaled and iterated matrix by matrix with the
+    same (p, q) order and formulas as a single matrix, so each row of the
+    result equals the eigenvalues of its matrix alone, bit for bit; one
+    non-Hermitian member fails the whole call.
     """
-    a = as_complex_matrix(mat)
+    a = as_complex_stack(mat)
     _require_square(a)
-    defect = hermiticity_defect(a)
-    if not defect <= HERMITIAN_TOL:  # also refuses NaN/inf entries
-        raise NonHermitianError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
-    n = a.shape[0]
-    exponent = 0
-    peak = float(np.max(np.abs(a)))
-    if peak > _JACOBI_SCALE_LIMIT:  # keep |a|^2 finite: iterate on a / 2^k
-        exponent = math.frexp(peak)[1]
-        a = a * 2.0 ** -exponent
-    a = 0.5 * (a + a.conj().T)  # symmetrize roundoff before iterating
-    fro = math.sqrt(float(np.sum(np.abs(a) ** 2)))
-    off_tol = _JACOBI_OFF_TOL * max(1.0, fro)
+    n = a.shape[-1]
+    stack, exponent, off_tol = _prepared(np.ascontiguousarray(a.reshape(-1, n, n)))
     skip_tol = off_tol / (2 * n)
+    if a.ndim == 2:
+        # one matrix keeps the scalar rotation: the stack kernel's per-call
+        # overhead would more than double the cost of a single 6x6 matrix
+        diag = _jacobi_matrix(stack[0], off_tol[0], skip_tol[0])
+    else:
+        diag = _jacobi_stack(stack, off_tol, skip_tol)
+    eigs = np.sort(diag, axis=-1)
+    if exponent is not None:
+        with np.errstate(over="ignore"):  # a spectrum beyond the float range is +/-inf
+            eigs = np.ldexp(eigs, exponent[:, None])
+    return eigs.reshape(a.shape[:-1])
+
+
+def _prepared(stack: np.ndarray):
+    """Check a contiguous (k, n, n) stack, then scale and symmetrize a copy of it.
+
+    Returns the copy, each matrix's power-of-two exponent (None when no
+    matrix is scaled, else 0 for those that are not) and its
+    off-diagonal tolerance.
+    """
+    # whole-stack maxima first: the per-matrix ones are only needed when a check trips
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = np.abs(stack - stack.conj().transpose(0, 2, 1))
+    if not defect.max(initial=0.0) <= HERMITIAN_TOL:  # also refuses NaN/inf entries
+        worst = np.max(defect, axis=(1, 2))
+        raise NonHermitianError(
+            f"matrix is not Hermitian: max |m - m^dagger| = {worst[~(worst <= HERMITIAN_TOL)][0]:.3e}")
+    # keep |a|^2 finite: iterate on a / 2^k, with k from max(|re|, |im|), which
+    # is finite where |a| may overflow
+    parts = np.abs(stack.view(np.float64))
+    exponent = None
+    if parts.max(initial=0.0) > _JACOBI_SCALE_LIMIT:
+        peak = np.max(parts, axis=(1, 2))
+        big = peak > _JACOBI_SCALE_LIMIT
+        exponent = np.where(big, np.frexp(peak)[1], 0)
+        stack = np.where(big[:, None, None], stack * np.ldexp(1.0, -exponent)[:, None, None], stack)
+    stack = 0.5 * (stack + stack.conj().transpose(0, 2, 1))  # symmetrize roundoff before iterating
+    fro = np.sqrt(np.sum(np.abs(stack) ** 2, axis=(1, 2)))
+    return stack, exponent, _JACOBI_OFF_TOL * np.maximum(1.0, fro)
+
+
+def _off_norms(stack: np.ndarray) -> np.ndarray:
+    """Off-diagonal Frobenius norm of each matrix of a (k, n, n) stack."""
+    k, n, _ = stack.shape
+    upper = stack.reshape(k, n * n)[:, _strict_upper_flat(n)]
+    return np.sqrt(2.0 * np.sum(np.abs(upper) ** 2, axis=1))
+
+
+def _jacobi_matrix(a: np.ndarray, off_tol: float, skip_tol: float) -> np.ndarray:
+    """Diagonalize one prepared n x n matrix in place; its diagonal, unsorted."""
+    n = a.shape[0]
     upper = _strict_upper_flat(n)
     for _ in range(_MAX_JACOBI_SWEEPS):
-        off = math.sqrt(2.0 * float(np.sum(np.abs(a.take(upper)) ** 2)))
+        off = math.sqrt(2.0 * float(np.sum(np.abs(a.take(upper)) ** 2)))  # _off_norms without its stack overhead
         if off < off_tol:
-            break
+            return a.diagonal().real
         for p in range(n - 1):
             for q in range(p + 1, n):
                 _jacobi_rotate(a, p, q, skip_tol)
-    else:
-        raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
-    return np.ldexp(np.sort(np.diag(a).real), exponent)
+    raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
+
+
+def _jacobi_stack(stack: np.ndarray, off_tol: np.ndarray, skip_tol: np.ndarray) -> np.ndarray:
+    """Diagonalize a prepared (k, n, n) stack; the diagonals, unsorted, shape (k, n).
+
+    A sweep runs over the matrices not yet converged, each exactly as
+    _jacobi_matrix would run it (Golub & Van Loan, Matrix Computations,
+    section 8.5, with per-matrix rotation parameters).
+    """
+    k, n, _ = stack.shape
+    active = np.arange(k)
+    for _ in range(_MAX_JACOBI_SWEEPS):
+        sub = stack[active]
+        going = ~(_off_norms(sub) < off_tol[active])
+        active, sub = active[going], sub[going]
+        if not active.size:
+            return stack.diagonal(axis1=1, axis2=2).real
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                _jacobi_rotate_stack(sub, p, q, skip_tol[active])
+        stack[active] = sub
+    raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,3 +300,39 @@ def _jacobi_rotate(a: np.ndarray, p: int, q: int, skip_tol: float) -> None:
     a[q, p] = 0.0
     a[p, p] = a[p, p].real
     a[q, q] = a[q, q].real
+
+
+def _jacobi_rotate_stack(a: np.ndarray, p: int, q: int, skip_tol: np.ndarray) -> None:
+    """_jacobi_rotate on each matrix of a (k, n, n) stack, with its own rotation and skip_tol."""
+    alpha = a[:, p, q]
+    r = np.hypot(alpha.real, alpha.imag)  # abs() of a complex scalar, bit for bit; np.abs is not
+    hit = r > skip_tol
+    if not hit.any():
+        return
+    whole = hit.all()
+    sub = a if whole else a[hit]
+    alpha, r = alpha[hit], r[hit]
+    phase = alpha / r
+    app = sub[:, p, p].real
+    aqq = sub[:, q, q].real
+    tau = (aqq - app) / (2.0 * r)
+    root = np.sqrt(1.0 + tau * tau)
+    # both roots of the scalar branch in one expression: tau >= 0 holds for -0.0 as well
+    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
+    c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+    s = (t * c[:, 0])[:, None]
+    phase = phase[:, None]
+    colp = sub[:, :, p].copy()
+    colq = sub[:, :, q].copy()
+    sub[:, :, p] = c * colp - (s * np.conj(phase)) * colq
+    sub[:, :, q] = s * colp + (c * np.conj(phase)) * colq
+    rowp = sub[:, p, :].copy()
+    rowq = sub[:, q, :].copy()
+    sub[:, p, :] = c * rowp - (s * phase) * rowq
+    sub[:, q, :] = s * rowp + (c * phase) * rowq
+    sub[:, p, q] = 0.0
+    sub[:, q, p] = 0.0
+    sub[:, p, p] = sub[:, p, p].real
+    sub[:, q, q] = sub[:, q, q].real
+    if not whole:
+        a[hit] = sub

@@ -139,6 +139,18 @@ def test_multilocal_matches_sequential():
         assert max_abs_diff(rho.mat * dephasing_mask(1.0, pb.gamma), apply(cb, rho).mat) < 1e-15
 
 
+def test_dephasing_mask_of_arrays_is_per_pair():
+    ga = np.array([[1.0, 0.9, 0.5], [0.123456789, 1e-200, 0.0]])
+    gb = np.array([[1.0, 0.3, 0.77], [0.987654321, 0.0, 1.0]])
+    masks = dephasing_mask(ga, gb)
+    assert masks.shape == (2, 3, 6, 6)
+    for idx in np.ndindex(2, 3):
+        assert masks[idx].tobytes() == dephasing_mask(float(ga[idx]), float(gb[idx])).tobytes()
+    qubit = np.array([[1.0, 0.9], [0.9, 1.0]])
+    qutrit = np.array([[1.0, 0.3, 0.3], [0.3, 1.0, 0.09], [0.3, 0.09, 1.0]])
+    assert max_abs_diff(masks[0, 1], np.kron(qubit, qutrit)) < 1e-16
+
+
 def test_multilocal_corner_product():
     x = 0.25
     pa = DephasingParams(1.0, 0.8)

@@ -238,7 +238,7 @@ def _subprocess_env(**extra):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("mode", ["curve", "esd-time", "selfcheck", "dump-state"])
+@pytest.mark.parametrize("mode", ["curve", "esd-time", "selfcheck", "dump-state", "--help"])
 def test_full_stdout_device_exit_code(mode, unbuffered):
     # a buffered stdout fails at its flush, an unbuffered one at its write;
     # either way the run must end with exit 3 and no traceback or exit-time error

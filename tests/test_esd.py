@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from esdsim.esd import (
     pt_spectrum_closed_form,
     sweep,
 )
+from esdsim.esd import CURVE_FIELDS
 from esdsim.states import extract_corner, validate
 
 LN2 = math.log(2.0)
@@ -295,3 +297,71 @@ def test_x_and_rates_are_checked_once(kind, monkeypatch):
     assert close_to_death_time(numeric_esd_time(s), analytic_esd_time(s))
     assert ansatz_calls == [0.2]
     assert params_made == []
+
+
+def pointwise_curve(s, grid):
+    """HEAD's per-point route: evolve -> negativity and the closed form, one time at a time."""
+    rows = []
+    for t in grid:
+        t = float(t)
+        rho = evolve(s, t)
+        res = negativity(rho)
+        rows.append((t, *s.gamma_factors(t), extract_corner(rho), res.value, analytic_negativity(s, t),
+                     res.min_pt_eigenvalue))
+    return np.array(rows, dtype=float).reshape(len(rows), len(CURVE_FIELDS))
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+@pytest.mark.parametrize("rates", [(1.0, 1.0), (0.0, 2.5), (0.3, 0.0), (0.0, 0.0), (1e-9, 7e2)],
+                         ids=lambda r: f"{r[0]:g}-{r[1]:g}")
+def test_sweep_equals_pointwise_route_bit_for_bit(kind, rates):
+    s = scenario(kind, x=0.2, rate_a=rates[0], rate_b=rates[1])
+    grid = np.concatenate([np.linspace(0.0, 6.0, 300), [1e300, math.inf, 0.0, 0.7]])
+    curve = sweep(s, grid).curve
+    assert curve.dtype.names == CURVE_FIELDS
+    columns = np.stack([curve[name] for name in CURVE_FIELDS], axis=-1)
+    assert columns.tobytes() == pointwise_curve(s, grid).tobytes()
+
+
+def test_sweep_curve_is_a_read_only_record_array():
+    report = sweep(scenario(ScenarioKind.MULTI_LOCAL), np.linspace(0.0, 2.0, 600))  # more than one block
+    curve = report.curve
+    assert isinstance(curve, np.recarray) and len(curve) == 600
+    assert curve[599].t == 2.0 and curve.t[-1] == 2.0
+    assert np.array_equal(curve.negativity_numeric, [pt.negativity_numeric for pt in curve])
+    with pytest.raises(ValueError):
+        curve.t[0] = 1.0
+    assert report == report and report != sweep(report.scenario, curve.t)  # by identity, without raising
+    assert len(sweep(scenario(ScenarioKind.QUBIT_ONLY), []).curve) == 0
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, -math.inf])
+@pytest.mark.parametrize("where", [0, 137, -1])
+def test_sweep_checks_every_time(bad, where):
+    grid = np.linspace(0.0, 4.0, 300)
+    grid[where] = bad
+    with pytest.raises(ValueError, match=r"^t must be >= 0, got "):
+        sweep(scenario(ScenarioKind.MULTI_LOCAL), grid)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_gamma_factors_of_an_array_are_per_point(kind):
+    s = scenario(kind, rate_a=0.7, rate_b=1.9)
+    times = np.array([[0.0, 0.1, 1.0], [2.5, 1e300, math.inf]])
+    ga, gb = s.gamma_factors(times)
+    assert ga.shape == gb.shape == times.shape
+    expected = np.array([s.gamma_factors(float(t)) for t in times.ravel()])
+    assert np.stack([ga.ravel(), gb.ravel()], axis=-1).tobytes() == expected.tobytes()
+
+
+def test_sweep_memory_stays_flat():
+    # evolve -> PT -> eigenvalues runs in fixed blocks: one (T, 6, 6) pass would peak near 17 MB
+    s = scenario(ScenarioKind.MULTI_LOCAL, x=0.2, rate_a=1.3, rate_b=0.7)
+    grid = np.linspace(0.0, 4.0, 10001)
+    tracemalloc.start()
+    try:
+        sweep(s, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20, peak

@@ -96,8 +96,34 @@ def state_texts(draw):
     return "\n".join([f"dims {dim_a} {dim_b}", *rows]) + "\n"
 
 
+HUGE = st.one_of(st.sampled_from([0.0, 1.7976931348623157e308, -1.7976931348623157e308, 1.7e308, 1e308]),
+                 st.floats(min_value=1e300, max_value=1.7976931348623157e308),
+                 st.floats(min_value=-1.7976931348623157e308, max_value=-1e300))
+
+
+@st.composite
+def huge_state_texts(draw):
+    """Hermitian, unit trace, with coherences near the float maximum, real and complex.
+
+    Their moduli can overflow where each part is finite; parse_state must
+    refuse them cleanly, without an overflow warning.
+    """
+    dim_a = draw(st.integers(min_value=1, max_value=2))
+    dim_b = draw(st.integers(min_value=2, max_value=3))
+    n = dim_a * dim_b
+    m = np.diag(np.full(n, 1.0 / n)).astype(complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            real = draw(HUGE)
+            imag = draw(st.one_of(st.just(0.0), HUGE))
+            m[i, j] = complex(real, imag)
+            m[j, i] = complex(real, -imag)
+    rows = [" ".join(repr(complex(v)) for v in row) for row in m]
+    return "\n".join([f"dims {dim_a} {dim_b}", *rows]) + "\n"
+
+
 @FUZZ
-@given(text=st.one_of(st.text(max_size=200), matrix_texts(), state_texts()))
+@given(text=st.one_of(st.text(max_size=200), matrix_texts(), state_texts(), huge_state_texts()))
 def test_parse_state_returns_valid_state_or_value_error(text):
     try:
         rho = parse_state(text)

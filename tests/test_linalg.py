@@ -223,3 +223,112 @@ def test_eigenvalues_of_huge_matrices(magnitude):
     got = hermitian_eigenvalues(h)
     assert np.all(np.abs(got - expected) <= 1e-14 * magnitude)
 
+
+
+def test_eigenvalues_of_complex_entries_whose_modulus_overflows():
+    # |1.7e308+1.7e308j| is inf, so a peak taken over |a| skipped the scaling and
+    # symmetrizing overflowed; the spectrum, about +/-2.4e308, overflows to +/-inf
+    z = 1.7e308 + 1.7e308j
+    eigs = hermitian_eigenvalues(np.array([[0.5, z], [np.conj(z), 0.5]]))
+    assert eigs.tolist() == [-np.inf, np.inf]
+
+
+# -- stacks ----------------------------------------------------------------
+
+
+def family_pt(rng):
+    """The PT of an evolved x-state: one off-diagonal pair, the curve's sparse case."""
+    m = corner_matrix(float(rng.uniform(0.0, 0.25)) * float(rng.uniform(0.0, 1.0)))
+    return partial_transpose(m, QUBIT_QUTRIT, "A")
+
+
+def stack_of(rng, kinds, n=6):
+    members = []
+    for kind in kinds:
+        if kind == "sparse":
+            members.append(family_pt(rng))
+        elif kind == "dense":
+            members.append(random_hermitian(rng, n))
+        else:  # diagonal, already converged
+            members.append(np.diag(rng.standard_normal(n)).astype(complex))
+    return np.array(members)
+
+
+STACKS = {
+    "sparse": ["sparse"] * 7,
+    "dense": ["dense"] * 7,
+    "mixed": ["sparse", "dense", "diagonal", "dense", "sparse", "diagonal", "dense"],
+}
+
+
+@pytest.mark.parametrize("kinds", list(STACKS.values()), ids=list(STACKS))
+def test_stack_eigenvalues_match_eigvalsh_and_single_calls(kinds):
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        stack = stack_of(rng, kinds)
+        eigs = hermitian_eigenvalues(stack)
+        assert eigs.shape == (len(kinds), 6)
+        assert np.max(np.abs(eigs - np.linalg.eigvalsh(stack))) < 1e-12
+        singles = np.array([hermitian_eigenvalues(m) for m in stack])
+        assert eigs.tobytes() == singles.tobytes()
+
+
+def test_stack_eigenvalues_match_characteristic_polynomial():
+    rng = np.random.default_rng(20)
+    for n, oracle in ((2, charpoly_eigs_2x2), (3, charpoly_eigs_3x3)):
+        stack = np.array([random_hermitian(rng, n) for _ in range(100)])
+        expected = np.array([oracle(h) for h in stack])
+        assert np.max(np.abs(hermitian_eigenvalues(stack) - expected)) < 1e-8
+
+
+def test_stack_eigenvalues_keep_leading_axes():
+    rng = np.random.default_rng(21)
+    stack = stack_of(rng, STACKS["mixed"][:6]).reshape(2, 3, 6, 6)
+    eigs = hermitian_eigenvalues(stack)
+    assert eigs.shape == (2, 3, 6)
+    assert eigs.tobytes() == np.array([hermitian_eigenvalues(m) for m in stack.reshape(6, 6, 6)]).tobytes()
+
+
+def test_stack_scales_only_the_huge_member():
+    # scaled by 2^-665, an O(1) matrix would count as converged before any
+    # rotation and come back as its own diagonal
+    rng = np.random.default_rng(22)
+    small = random_hermitian(rng, 6)
+    huge = 1e200 * random_hermitian(rng, 6)
+    eigs = hermitian_eigenvalues(np.array([small, huge, family_pt(rng)]))
+    assert eigs[0].tobytes() == hermitian_eigenvalues(small).tobytes()
+    assert eigs[1].tobytes() == hermitian_eigenvalues(huge).tobytes()
+    assert np.max(np.abs(eigs[0] - np.linalg.eigvalsh(small))) < 1e-12
+    assert np.max(np.abs(eigs[1] - np.linalg.eigvalsh(huge))) <= 1e-14 * 1e200 * 6
+
+
+@pytest.mark.parametrize("bad", [[[0.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                                 [[1.0, np.inf], [np.inf, 1.0]]], ids=["asymmetric", "nan", "inf"])
+def test_stack_with_one_bad_member_is_refused(bad):
+    rng = np.random.default_rng(23)
+    stack = np.array([random_hermitian(rng, 2), np.array(bad, dtype=complex), random_hermitian(rng, 2)])
+    with pytest.raises(NonHermitianError):
+        hermitian_eigenvalues(stack)
+
+
+def test_stack_input_unchanged_and_empty_stack():
+    rng = np.random.default_rng(24)
+    stack = stack_of(rng, STACKS["mixed"])
+    before = stack.copy()
+    hermitian_eigenvalues(stack)
+    assert stack.tobytes() == before.tobytes()
+    empty = hermitian_eigenvalues(np.zeros((0, 6, 6), dtype=complex))
+    assert empty.shape == (0, 6) and empty.dtype == np.float64
+    assert partial_transpose(np.zeros((0, 6, 6)), QUBIT_QUTRIT, "A").shape == (0, 6, 6)
+
+
+@pytest.mark.parametrize("subsystem", ["A", "B"])
+def test_partial_transpose_of_a_stack_is_per_matrix(subsystem):
+    rng = np.random.default_rng(25)
+    stack = np.array([random_hermitian(rng, 6) for _ in range(6)]).reshape(2, 3, 6, 6)
+    out = partial_transpose(stack, QUBIT_QUTRIT, subsystem)
+    assert out.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert out[idx].tobytes() == partial_transpose(stack[idx], QUBIT_QUTRIT, subsystem).tobytes()
+    with pytest.raises(DimensionMismatchError):
+        partial_transpose(np.zeros((3, 4, 4)), QUBIT_QUTRIT, subsystem)

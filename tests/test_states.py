@@ -135,6 +135,15 @@ def test_validate_rejects_huge_coherence(corner):
     assert err.value.magnitude == pytest.approx(corner - 0.25)
 
 
+def test_parse_rejects_coherence_whose_modulus_overflows():
+    # the eigensolver's scaling missed this one, so with warnings off it was accepted
+    text = "dims 1 2\n0.5+0j 1.7e308+1.7e308j\n1.7e308-1.7e308j 0.5+0j\n"
+    with pytest.raises(InvalidStateError) as err:
+        parse_state(text)
+    assert err.value.condition == "positivity"
+    assert err.value.magnitude == np.inf
+
+
 def test_validate_accepts_boundary_state():
     validate(ansatz_x(0.25).mat)
 
