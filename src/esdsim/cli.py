@@ -3,13 +3,15 @@
 Modes: curve (default) writes a CSV negativity trajectory, esd-time
 prints the death time, selfcheck runs the numeric cross-checks,
 dump-state writes the evolved state in the plain-text matrix format.
-Exit codes: 0 success, 1 usage error or no death time found in the
-search window, 2 selfcheck failure, 3 I/O error on --out or stdout.
+Exit codes: 0 success, 1 usage error, no death time found in the
+search window or a curve too large to allocate, 2 selfcheck failure,
+3 I/O error on --out or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -54,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_emit(self.format_help(), None))
 
 
+@functools.cache  # built on first use, not at import; argparse keeps no state between parses
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="esd",
@@ -124,8 +127,12 @@ def run(config: RunConfig) -> int:
         return _emit(format_state(evolve(scenario, config.t_max)), config.out)
     try:
         if config.mode == "curve":
-            grid = np.linspace(0.0, config.t_max, config.steps)
-            return _emit(render_csv(sweep(scenario, grid)), config.out)
+            try:
+                csv = render_csv(sweep(scenario, np.linspace(0.0, config.t_max, config.steps)))
+            except MemoryError as exc:  # a --steps grid beyond what can be allocated
+                print(f"esd: cannot allocate the {config.steps}-point curve: {exc}", file=sys.stderr)
+                return 1
+            return _emit(csv, config.out)
         analytic = analytic_esd_time(scenario)
         if isinstance(analytic, EsdOutcome):
             return _emit(f"{analytic.value}\n", config.out)

@@ -28,8 +28,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .channels import decay_factor, dephasing_mask
-from .entanglement import negativity
-from .linalg import QUBIT_QUTRIT, SPECTRAL_TOL, hermitian_eigenvalues, partial_transpose
+from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, SPECTRAL_TOL, _jacobi_matrix, hermitian_eigenvalues, partial_transpose
 from .states import CORNER_SLOT, DensityMatrix, ansatz_x
 
 #: Corner values at or below 1/8 never produce entanglement.
@@ -92,6 +91,8 @@ class Scenario:
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
+        if not math.isfinite(self.effective_rate()):
+            raise ValueError(f"rate_a + rate_b must be finite, got {self.rate_a} + {self.rate_b}")
 
     @property
     def rates(self) -> tuple:
@@ -172,6 +173,20 @@ def analytic_esd_time(scenario: Scenario) -> EsdTime:
     return 2.0 * math.log(8.0 * scenario.x) / rate
 
 
+def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
+    """One root-finder probe: evolve -> partial transpose -> Jacobi, the smallest eigenvalue.
+
+    Bit-equal to negativity(evolve(scenario, t)).min_pt_eigenvalue, without
+    hermitian_eigenvalues' boundary checks, which this input cannot fail.
+    """
+    pt = partial_transpose(evolve(scenario, t).mat, QUBIT_QUTRIT, "A")
+    # the trusted kernel's precondition holds: pt is exactly Hermitian (a
+    # Hermitian state times a real symmetric mask, then a PT, which only
+    # moves entries), no entry exceeds 1/4 and its Frobenius norm is below
+    # 0.56, so the checked entry's off_tol 1e-13 * max(1, norm) is the constant
+    return float(_jacobi_matrix(pt, _JACOBI_OFF_TOL).min())
+
+
 def default_bracket(scenario: Scenario) -> float:
     """Search window generous enough for any x in range: 10x the worst t*."""
     rate = scenario.effective_rate()
@@ -197,14 +212,13 @@ def numeric_esd_time(scenario: Scenario) -> EsdTime:
     finite (rates below about 7.7e-308) or when the iteration cap is
     reached.
     """
-    start = negativity(evolve(scenario, 0.0))
-    if not start.is_entangled:
+    a, fa = 0.0, _min_pt_eigenvalue(scenario, 0.0)
+    if not fa < -SPECTRAL_TOL:  # the negativity's test of entanglement
         return EsdOutcome.NEVER_ENTANGLED
     b = default_bracket(scenario)
     if not math.isfinite(b):
         raise BracketError(f"search window t_max = {b} is not finite; the dephasing rate is too small")
-    a, fa = 0.0, start.min_pt_eigenvalue
-    fb = negativity(evolve(scenario, b)).min_pt_eigenvalue
+    fb = _min_pt_eigenvalue(scenario, b)
     side = 0  # which end moved last: -1 for a, +1 for b
     for _ in range(_MAX_ROOT_ITERATIONS):
         if b - a <= 4.0 * _EPS * max(abs(a), abs(b)):
@@ -214,7 +228,7 @@ def numeric_esd_time(scenario: Scenario) -> EsdTime:
             c = a + 0.5 * (b - a)
             if not a < c < b:  # a and b are adjacent floats
                 return c
-        fc = negativity(evolve(scenario, c)).min_pt_eigenvalue
+        fc = _min_pt_eigenvalue(scenario, c)
         if fc == 0.0:
             return c
         if fc < 0.0:

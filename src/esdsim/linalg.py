@@ -10,6 +10,17 @@ stack and treat each matrix as if it came alone, so a time series runs
 as one batched pass; the eigensolver's stack kernel rotates every
 matrix of the stack at once, each with its own rotation parameters,
 and returns the same bits as one call per matrix.
+
+hermitian_eigenvalues is the checked entry: it refuses non-Hermitian or
+non-finite input, scales entries above 1e150, symmetrizes a copy and
+derives the convergence tolerance from its Frobenius norm. _jacobi_matrix
+is the trusted kernel behind it, for callers whose input is known to be
+fit: it rotates a writable matrix in place and assumes that it is
+exactly Hermitian with entries far below 1e150. Called with
+off_tol = 1e-13 * max(1, Frobenius norm), it returns the checked entry's
+eigenvalues, unsorted, bit for bit. The death-time search in esdsim.esd
+is its one such caller: its partial transposes have Frobenius norm
+below 1, so off_tol is the constant _JACOBI_OFF_TOL.
 """
 
 from __future__ import annotations
@@ -173,13 +184,12 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     _require_square(a)
     n = a.shape[-1]
     stack, exponent, off_tol = _prepared(np.ascontiguousarray(a.reshape(-1, n, n)))
-    skip_tol = off_tol / (2 * n)
     if a.ndim == 2:
         # one matrix keeps the scalar rotation: the stack kernel's per-call
         # overhead would more than double the cost of a single 6x6 matrix
-        diag = _jacobi_matrix(stack[0], off_tol[0], skip_tol[0])
+        diag = _jacobi_matrix(stack[0], off_tol[0])
     else:
-        diag = _jacobi_stack(stack, off_tol, skip_tol)
+        diag = _jacobi_stack(stack, off_tol)
     eigs = np.sort(diag, axis=-1)
     if exponent is not None:
         with np.errstate(over="ignore"):  # a spectrum beyond the float range is +/-inf
@@ -222,9 +232,15 @@ def _off_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * np.sum(np.abs(upper) ** 2, axis=1))
 
 
-def _jacobi_matrix(a: np.ndarray, off_tol: float, skip_tol: float) -> np.ndarray:
-    """Diagonalize one prepared n x n matrix in place; its diagonal, unsorted."""
+def _jacobi_matrix(a: np.ndarray, off_tol: float) -> np.ndarray:
+    """Diagonalize one prepared n x n matrix in place; its diagonal, unsorted.
+
+    Prepared means exactly Hermitian with entries far below 1e150, as
+    _prepared leaves it. Sweeps stop once the off-diagonal norm is below
+    off_tol; a pair below off_tol / (2n) is not rotated.
+    """
     n = a.shape[0]
+    skip_tol = off_tol / (2 * n)
     upper = _strict_upper_flat(n)
     for _ in range(_MAX_JACOBI_SWEEPS):
         off = math.sqrt(2.0 * float(np.sum(np.abs(a.take(upper)) ** 2)))  # _off_norms without its stack overhead
@@ -236,7 +252,7 @@ def _jacobi_matrix(a: np.ndarray, off_tol: float, skip_tol: float) -> np.ndarray
     raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
 
 
-def _jacobi_stack(stack: np.ndarray, off_tol: np.ndarray, skip_tol: np.ndarray) -> np.ndarray:
+def _jacobi_stack(stack: np.ndarray, off_tol: np.ndarray) -> np.ndarray:
     """Diagonalize a prepared (k, n, n) stack; the diagonals, unsorted, shape (k, n).
 
     A sweep runs over the matrices not yet converged, each exactly as
@@ -244,6 +260,7 @@ def _jacobi_stack(stack: np.ndarray, off_tol: np.ndarray, skip_tol: np.ndarray) 
     section 8.5, with per-matrix rotation parameters).
     """
     k, n, _ = stack.shape
+    skip_tol = off_tol / (2 * n)
     active = np.arange(k)
     for _ in range(_MAX_JACOBI_SWEEPS):
         sub = stack[active]

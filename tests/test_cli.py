@@ -123,6 +123,23 @@ def test_search_window_overflow_exit_code(mode, capsys):
     assert "not finite" in captured.err
 
 
+def test_rate_sum_overflow_exit_code(capsys):
+    # each rate is finite but their sum is inf: the search used to report a death time of 0
+    assert main(["esd-time", "--rate-a", "1e308", "--rate-b", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("esd: rate_a + rate_b must be finite")
+
+
+def test_curve_too_many_points_exit_code(capsys):
+    # 10**15 points ask for 7.1 PiB, beyond any address space, so the allocation fails at once
+    assert main(["curve", "--steps", str(10 ** 15)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("esd: cannot allocate ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_esd_time_below_noise_floor(capsys):
     # negativity 5e-11 is under the -1e-10 eigenvalue threshold: the numeric
     # route sees no entanglement while the closed form still gives a time
@@ -263,3 +280,13 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit):
         parse_args(["--help"])
     assert main(["--help"]) == 0
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["--bogus"]) == 1
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    config = parse_args([])
+    assert (config.mode, config.t_max, config.steps, config.out) == ("curve", 4.0, 101, None)
+    assert config.scenario == Scenario(ScenarioKind.MULTI_LOCAL, x=0.25, rate_a=1.0, rate_b=1.0)

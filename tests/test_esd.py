@@ -20,6 +20,7 @@ from esdsim.esd import (
     sweep,
 )
 from esdsim.esd import CURVE_FIELDS
+from esdsim.linalg import QUBIT_QUTRIT, partial_transpose
 from esdsim.states import extract_corner, validate
 
 LN2 = math.log(2.0)
@@ -41,6 +42,15 @@ def test_scenario_validation():
         scenario(ScenarioKind.QUBIT_ONLY, x=0.3)
     with pytest.raises(ValueError):
         scenario(ScenarioKind.QUBIT_ONLY, rate_a=-1.0)
+
+
+def test_scenario_refuses_rates_whose_sum_overflows():
+    # each rate is finite, their sum is not: the death-time window would be 0
+    with pytest.raises(ValueError, match="rate_a \\+ rate_b must be finite"):
+        scenario(ScenarioKind.MULTI_LOCAL, rate_a=1e308, rate_b=1e308)
+    # an idle side's rate does not act, so it cannot overflow the sum
+    assert scenario(ScenarioKind.QUBIT_ONLY, rate_a=1e308, rate_b=1e308).effective_rate() == 1e308
+    assert scenario(ScenarioKind.MULTI_LOCAL, rate_a=1.7e308, rate_b=0.0).effective_rate() == 1.7e308
 
 
 def test_effective_rate_per_kind():
@@ -120,6 +130,25 @@ def test_numeric_esd_time_probes_every_point_through_the_pipeline(evolve_calls):
     assert len(set(evolve_calls)) == len(evolve_calls)
     assert all(0.0 <= t <= evolve_calls[1] for t in evolve_calls)
     assert 0.0 < numeric < evolve_calls[1]
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, evolve_calls):
+    # the probe skips hermitian_eigenvalues' checks: it must give the checked
+    # route's bits, on input that is exactly Hermitian with Frobenius norm <= 1
+    for rate in np.logspace(-9.0, 3.0, 13):
+        for x in (0.13, 0.2, 0.25):
+            s = scenario(kind, x=x, rate_a=float(rate), rate_b=float(rate))
+            del evolve_calls[:]
+            numeric_esd_time(s)
+            times = list(evolve_calls)
+            assert times[:2] == [0.0, esd.default_bracket(s)]
+            for t in times:
+                pt = partial_transpose(evolve(s, t).mat, QUBIT_QUTRIT, "A")
+                assert np.array_equal(pt, pt.conj().T), (rate, x, t)
+                assert np.linalg.norm(pt) <= 1.0, (rate, x, t)
+                checked = negativity(evolve(s, t)).min_pt_eigenvalue
+                assert esd._min_pt_eigenvalue(s, t).hex() == checked.hex(), (rate, x, t)
 
 
 def test_numeric_esd_time_iteration_cap(monkeypatch):

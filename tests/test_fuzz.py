@@ -25,7 +25,8 @@ from esdsim.states import DensityMatrix, parse_state  # noqa: E402
 FUZZ = settings(max_examples=60, deadline=timedelta(seconds=1), derandomize=True, database=None)
 
 RATES = st.one_of(
-    st.sampled_from([0.0, 5e-324, 1e-320, 1e-310, 1e-300, math.nan, math.inf, -math.inf, -1.0]),
+    st.sampled_from([0.0, 5e-324, 1e-320, 1e-310, 1e-300, 1e308, 1.7e308, math.nan, math.inf, -math.inf,
+                     -1.0]),
     st.floats(min_value=-12.0, max_value=6.0).map(lambda e: 10.0 ** e),
 )
 T_MAX = st.one_of(
