@@ -20,7 +20,6 @@ from .entanglement import NegativityResult, is_ppt, negativity, pt_spectrum
 from .esd import (
     BracketError,
     EsdOutcome,
-    EsdReport,
     Scenario,
     ScenarioKind,
     analytic_esd_time,
@@ -62,7 +61,6 @@ __all__ = [
     "DephasingParams",
     "DimensionMismatchError",
     "EsdOutcome",
-    "EsdReport",
     "IncompleteChannelError",
     "InvalidStateError",
     "KrausChannel",

@@ -4,8 +4,8 @@ Modes: curve (default) writes a CSV negativity trajectory, esd-time
 prints the death time, selfcheck runs the numeric cross-checks,
 dump-state writes the evolved state in the plain-text matrix format.
 Exit codes: 0 success, 1 usage error, no death time found in the
-search window or a curve too large to allocate, 2 selfcheck failure,
-3 I/O error on --out or stdout.
+esd-time search window or a curve too large to allocate, 2 selfcheck
+failure, 3 I/O error on --out or stdout.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def parse_args(argv) -> RunConfig:
     """Parse and range-check arguments; raises UsageError on any problem."""
     ns = _build_parser().parse_args(list(argv))
     try:
-        scenario = Scenario(kind=ScenarioKind(ns.scenario), x=ns.x, rate_a=ns.rate_a, rate_b=ns.rate_b)
+        scenario = Scenario(kind=ns.scenario, x=ns.x, rate_a=ns.rate_a, rate_b=ns.rate_b)
     except ValueError as exc:  # x, rate_a or rate_b out of range
         raise UsageError(str(exc)) from exc
     if not (math.isfinite(ns.t_max) and ns.t_max > 0.0):
@@ -95,8 +95,8 @@ def _format_value(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def render_csv(report) -> str:
-    return CSV_HEADER + "\n" + "".join(_CSV_ROW % row for row in report.curve.tolist())
+def render_csv(curve) -> str:
+    return CSV_HEADER + "\n" + "".join(_CSV_ROW % row for row in curve.tolist())
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -125,17 +125,17 @@ def run(config: RunConfig) -> int:
         return _emit("\n".join(lines) + "\n", config.out) or (0 if passed else 2)
     if config.mode == "dump-state":
         return _emit(format_state(evolve(scenario, config.t_max)), config.out)
+    if config.mode == "curve":
+        try:
+            csv = render_csv(sweep(scenario, np.linspace(0.0, config.t_max, config.steps)))
+        except MemoryError as exc:  # a --steps grid beyond what can be allocated
+            print(f"esd: cannot allocate the {config.steps}-point curve: {exc}", file=sys.stderr)
+            return 1
+        return _emit(csv, config.out)
+    analytic = analytic_esd_time(scenario)
+    if isinstance(analytic, EsdOutcome):
+        return _emit(f"{analytic.value}\n", config.out)
     try:
-        if config.mode == "curve":
-            try:
-                csv = render_csv(sweep(scenario, np.linspace(0.0, config.t_max, config.steps)))
-            except MemoryError as exc:  # a --steps grid beyond what can be allocated
-                print(f"esd: cannot allocate the {config.steps}-point curve: {exc}", file=sys.stderr)
-                return 1
-            return _emit(csv, config.out)
-        analytic = analytic_esd_time(scenario)
-        if isinstance(analytic, EsdOutcome):
-            return _emit(f"{analytic.value}\n", config.out)
         numeric = numeric_esd_time(scenario)
     except BracketError as exc:
         print(f"esd: {exc}", file=sys.stderr)

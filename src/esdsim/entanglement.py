@@ -29,6 +29,11 @@ def pt_spectrum(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
     return linalg.hermitian_eigenvalues(linalg.partial_transpose(rho.mat, rho.dims, subsystem))
 
 
+def negativity_of_spectrum(eigs: np.ndarray):
+    """Sum of |eigenvalues| below -linalg.SPECTRAL_TOL over the last axis; the rest count as zero."""
+    return np.where(eigs < -linalg.SPECTRAL_TOL, -eigs, 0.0).sum(axis=-1)
+
+
 def negativity(rho: DensityMatrix, subsystem: str = "A") -> NegativityResult:
     """Sum of |negative PT eigenvalues|; zero iff the spectrum is nonnegative.
 
@@ -38,8 +43,7 @@ def negativity(rho: DensityMatrix, subsystem: str = "A") -> NegativityResult:
     either subsystem gives the same answer.
     """
     eigs = pt_spectrum(rho, subsystem)
-    negative = eigs[eigs < -linalg.SPECTRAL_TOL]
-    value = float(-np.sum(negative)) if negative.size else 0.0
+    value = float(negativity_of_spectrum(eigs))
     return NegativityResult(
         value=value,
         is_entangled=value > 0.0,

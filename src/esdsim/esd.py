@@ -28,6 +28,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .channels import decay_factor, dephasing_mask
+from .entanglement import negativity_of_spectrum
 from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, SPECTRAL_TOL, _jacobi_matrix, hermitian_eigenvalues, partial_transpose
 from .states import CORNER_SLOT, DensityMatrix, ansatz_x
 
@@ -37,7 +38,7 @@ ENTANGLEMENT_THRESHOLD_X = 0.125
 _EPS = sys.float_info.epsilon
 _MAX_ROOT_ITERATIONS = 200
 
-#: The columns of a sampled curve, in CSV order; EsdReport.curve has one float field each.
+#: The columns of a sampled curve, in CSV order; the record array sweep returns has one float field each.
 CURVE_FIELDS = ("t", "gamma_a", "gamma_b", "corner", "negativity_numeric", "negativity_analytic",
                 "min_pt_eigenvalue")
 _CURVE_DTYPE = np.dtype([(name, float) for name in CURVE_FIELDS])
@@ -76,8 +77,9 @@ class Scenario:
     """Which subsystems are noisy, the initial corner x, and the rates.
 
     rate_a is ignored by QUTRIT_ONLY and rate_b by QUBIT_ONLY; both act
-    in MULTI_LOCAL. Construction is the one check of x and the rates and
-    builds the x-state once; gamma_factors is the one check of t.
+    in MULTI_LOCAL. Construction is the one check of kind (a ScenarioKind
+    or its value, stored as the member), x and the rates and builds the
+    x-state once; gamma_factors is the one check of t.
     """
 
     kind: ScenarioKind
@@ -87,6 +89,7 @@ class Scenario:
     initial_state: DensityMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
         object.__setattr__(self, "initial_state", ansatz_x(self.x))  # checks x
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
@@ -244,30 +247,15 @@ def numeric_esd_time(scenario: Scenario) -> EsdTime:
     raise BracketError(f"no convergence in {_MAX_ROOT_ITERATIONS} iterations; last bracket [{a!r}, {b!r}]")
 
 
-@dataclass(frozen=True, eq=False)
-class EsdReport:
-    """A sampled negativity curve plus both death-time determinations.
+def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
+    """Sample the negativity curve on t_grid; no death time is searched for.
 
-    curve is a read-only record array with one row per grid time and one
-    float field per CURVE_FIELDS name, so report.curve.negativity_numeric
-    is a column and report.curve[i].t a value. Reports compare by
-    identity, since an array has no single truth value.
-    """
-
-    scenario: Scenario
-    esd_time: EsdTime
-    analytic_time: EsdTime
-    curve: np.recarray
-
-
-def sweep(scenario: Scenario, t_grid: Sequence[float]) -> EsdReport:
-    """Sample the trajectory on t_grid and determine the death time.
-
-    The numeric pipeline and the closed form run side by side, batched
-    over the grid: each row equals what evolve, negativity and
-    analytic_negativity give at its time alone, bit for bit. esd_time
-    comes from the root finder when the analytic result is finite and
-    mirrors the analytic variant otherwise.
+    Returns a read-only record array with one row per grid time and one
+    float field per CURVE_FIELDS name, so curve.negativity_numeric is a
+    column and curve[i].t a value. The numeric pipeline and the closed
+    form run side by side, batched over the grid: each row equals what
+    evolve, negativity and analytic_negativity give at its time alone,
+    bit for bit.
     """
     times = np.array(t_grid, dtype=float)
     if times.ndim != 1:
@@ -281,14 +269,8 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> EsdReport:
         rho = _dephased(scenario, ga[block], gb[block])
         eigs = hermitian_eigenvalues(partial_transpose(rho, QUBIT_QUTRIT, "A"))
         curve.corner[block] = rho[:, i, j].real
-        # entanglement.negativity, row by row: eigenvalues within the noise floor count as zero
-        curve.negativity_numeric[block] = np.where(eigs < -SPECTRAL_TOL, -eigs, 0.0).sum(axis=-1)
+        curve.negativity_numeric[block] = negativity_of_spectrum(eigs)
         curve.min_pt_eigenvalue[block] = eigs[:, 0]
     curve.negativity_analytic = _closed_negativity(scenario.x * (ga * gb))
     curve.flags.writeable = False
-    analytic_time = analytic_esd_time(scenario)
-    if isinstance(analytic_time, EsdOutcome):
-        esd_time: EsdTime = analytic_time
-    else:
-        esd_time = numeric_esd_time(scenario)
-    return EsdReport(scenario=scenario, esd_time=esd_time, analytic_time=analytic_time, curve=curve)
+    return curve

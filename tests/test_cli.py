@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -116,11 +117,19 @@ def test_long_death_time_finishes(mode, capsys):
 @pytest.mark.parametrize("mode", ["esd-time", "curve"])
 def test_search_window_overflow_exit_code(mode, capsys):
     # a subnormal rate makes the default window 10 * 2 ln 2 / rate infinite
-    assert main([mode, "--scenario", "qubit", "--rate-a", "1e-320", "--steps", "3"]) == 1
+    code = main([mode, "--scenario", "qubit", "--rate-a", "1e-320", "--steps", "3"])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("esd: ")
-    assert "not finite" in captured.err
+    if mode == "esd-time":
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("esd: ")
+        assert "not finite" in captured.err
+    else:  # the curve searches no death time, so the window never arises
+        assert code == 0
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 4 and lines[0] == CSV_HEADER
+        assert all(row.split(",")[1:3] == ["1", "1"] for row in lines[1:])
 
 
 def test_rate_sum_overflow_exit_code(capsys):
@@ -163,6 +172,19 @@ def test_readme_examples_byte_for_byte(capsys):
         "numeric_esd_time 0.6931471805599454\n"
         "difference 1.1102230246251565e-16\n"
     )
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # the values the example's comments promise
+    assert lines[0].startswith("0.02663") and lines[0].endswith(" True")
+    assert lines[1] == "True"
+    assert lines[2].startswith("0.1249999")
+    assert len(lines) == 6 and lines[3] == "0.0 0.25 0.12499999999999997"
 
 
 def test_esd_time_never_entangled(capsys):

@@ -42,6 +42,13 @@ def test_scenario_validation():
         scenario(ScenarioKind.QUBIT_ONLY, x=0.3)
     with pytest.raises(ValueError):
         scenario(ScenarioKind.QUBIT_ONLY, rate_a=-1.0)
+    # a kind's value gives its member, so it acts as that kind and compares equal to it
+    by_value = Scenario("qubit", 0.25)
+    assert by_value.kind is ScenarioKind.QUBIT_ONLY
+    assert by_value == scenario(ScenarioKind.QUBIT_ONLY)
+    assert analytic_esd_time(by_value) == 2.0 * LN2
+    with pytest.raises(ValueError, match="bogus"):
+        Scenario("bogus", 0.25)
 
 
 def test_scenario_refuses_rates_whose_sum_overflows():
@@ -243,33 +250,45 @@ def test_multilocal_dies_first():
 def test_sweep_report_structure():
     s = scenario(ScenarioKind.QUBIT_ONLY)
     grid = np.linspace(0.0, 4.0, 101)
-    report = sweep(s, grid)
-    assert len(report.curve) == 101
-    assert report.analytic_time == pytest.approx(2.0 * LN2, abs=1e-15)
-    assert close_to_death_time(report.esd_time, report.analytic_time)
+    curve = sweep(s, grid)
+    assert len(curve) == 101
+    analytic_time = analytic_esd_time(s)
+    assert analytic_time == pytest.approx(2.0 * LN2, abs=1e-15)
+    esd_time = numeric_esd_time(s)
+    assert close_to_death_time(esd_time, analytic_time)
     # the numeric curve crosses zero between the grid neighbors of t*
-    before = [pt for pt in report.curve if pt.negativity_numeric > 0.0]
+    before = [pt for pt in curve if pt.negativity_numeric > 0.0]
     assert before[-1].t < 2.0 * LN2
-    first_zero = next(pt for pt in report.curve if pt.negativity_numeric == 0.0)
+    first_zero = next(pt for pt in curve if pt.negativity_numeric == 0.0)
     assert first_zero.t > before[-1].t
-    for pt in report.curve:
-        if pt.t >= report.esd_time:
+    for pt in curve:
+        if pt.t >= esd_time:
             assert pt.negativity_numeric == 0.0
         assert abs(pt.corner - 0.25 * pt.gamma_a * pt.gamma_b) < 1e-14
 
 
 def test_sweep_x_zero_is_flat():
-    report = sweep(scenario(ScenarioKind.MULTI_LOCAL, x=0.0), np.linspace(0.0, 4.0, 21))
-    assert report.esd_time is EsdOutcome.NEVER_ENTANGLED
-    assert report.analytic_time is EsdOutcome.NEVER_ENTANGLED
-    assert all(pt.negativity_numeric == 0.0 for pt in report.curve)
-    assert all(pt.negativity_analytic == 0.0 for pt in report.curve)
+    s = scenario(ScenarioKind.MULTI_LOCAL, x=0.0)
+    curve = sweep(s, np.linspace(0.0, 4.0, 21))
+    assert numeric_esd_time(s) is EsdOutcome.NEVER_ENTANGLED
+    assert analytic_esd_time(s) is EsdOutcome.NEVER_ENTANGLED
+    assert all(pt.negativity_numeric == 0.0 for pt in curve)
+    assert all(pt.negativity_analytic == 0.0 for pt in curve)
 
 
 def test_sweep_no_death_variant():
-    report = sweep(scenario(ScenarioKind.QUBIT_ONLY, rate_a=0.0), np.linspace(0.0, 2.0, 5))
-    assert report.esd_time is EsdOutcome.NO_DEATH
-    assert all(pt.negativity_numeric > 0.0 for pt in report.curve)
+    s = scenario(ScenarioKind.QUBIT_ONLY, rate_a=0.0)
+    curve = sweep(s, np.linspace(0.0, 2.0, 5))
+    assert analytic_esd_time(s) is EsdOutcome.NO_DEATH
+    assert all(pt.negativity_numeric > 0.0 for pt in curve)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_sweep_makes_no_root_finder_probe(kind, evolve_calls):
+    # the curve needs no death time: every root-finder probe would call esd.evolve
+    curve = sweep(scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7), np.linspace(0.0, 4.0, 101))
+    assert len(curve) == 101
+    assert evolve_calls == []
 
 
 def test_gamma_factors_idle_subsystem():
@@ -321,8 +340,7 @@ def test_x_and_rates_are_checked_once(kind, monkeypatch):
     monkeypatch.setattr(esd, "ansatz_x", counting_ansatz_x)
     monkeypatch.setattr(channels.DephasingParams, "__post_init__", counting_post_init)
     s = scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7)
-    report = sweep(s, np.linspace(0.0, 4.0, 101))
-    assert close_to_death_time(report.esd_time, analytic_esd_time(s))
+    sweep(s, np.linspace(0.0, 4.0, 101))
     assert close_to_death_time(numeric_esd_time(s), analytic_esd_time(s))
     assert ansatz_calls == [0.2]
     assert params_made == []
@@ -346,22 +364,20 @@ def pointwise_curve(s, grid):
 def test_sweep_equals_pointwise_route_bit_for_bit(kind, rates):
     s = scenario(kind, x=0.2, rate_a=rates[0], rate_b=rates[1])
     grid = np.concatenate([np.linspace(0.0, 6.0, 300), [1e300, math.inf, 0.0, 0.7]])
-    curve = sweep(s, grid).curve
+    curve = sweep(s, grid)
     assert curve.dtype.names == CURVE_FIELDS
     columns = np.stack([curve[name] for name in CURVE_FIELDS], axis=-1)
     assert columns.tobytes() == pointwise_curve(s, grid).tobytes()
 
 
 def test_sweep_curve_is_a_read_only_record_array():
-    report = sweep(scenario(ScenarioKind.MULTI_LOCAL), np.linspace(0.0, 2.0, 600))  # more than one block
-    curve = report.curve
+    curve = sweep(scenario(ScenarioKind.MULTI_LOCAL), np.linspace(0.0, 2.0, 600))  # more than one block
     assert isinstance(curve, np.recarray) and len(curve) == 600
     assert curve[599].t == 2.0 and curve.t[-1] == 2.0
     assert np.array_equal(curve.negativity_numeric, [pt.negativity_numeric for pt in curve])
     with pytest.raises(ValueError):
         curve.t[0] = 1.0
-    assert report == report and report != sweep(report.scenario, curve.t)  # by identity, without raising
-    assert len(sweep(scenario(ScenarioKind.QUBIT_ONLY), []).curve) == 0
+    assert len(sweep(scenario(ScenarioKind.QUBIT_ONLY), [])) == 0
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, -math.inf])
