@@ -21,6 +21,13 @@ off_tol = 1e-13 * max(1, Frobenius norm), it returns the checked entry's
 eigenvalues, unsorted, bit for bit. The death-time search in esdsim.esd
 is its one such caller: its partial transposes have Frobenius norm
 below 1, so off_tol is the constant _JACOBI_OFF_TOL.
+
+_cholesky_certifies is the positivity test of esdsim.states.validate: a
+Cholesky factorization, in pure Python, of the Hermitian part shifted
+by SPECTRAL_TOL / 2. When every pivot is positive it proves the smallest
+eigenvalue above -SPECTRAL_TOL, and no eigensolve is needed; when one is
+not, it proves nothing, and validate runs the Jacobi solve. Like the
+eigensolver, it calls no LAPACK routine.
 """
 
 from __future__ import annotations
@@ -183,8 +190,11 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     a = as_complex_stack(mat)
     _require_square(a)
     n = a.shape[-1]
-    stack, exponent, off_tol = _prepared(np.ascontiguousarray(a.reshape(-1, n, n)))
-    if a.ndim == 2:
+    # an explicit count: with n = 0, reshape cannot infer a -1
+    stack, exponent, off_tol = _prepared(np.ascontiguousarray(a.reshape(math.prod(a.shape[:-2]), n, n)))
+    if not n:  # nothing to rotate, and the kernels' skip tolerance divides by n
+        diag = stack.diagonal(axis1=1, axis2=2).real
+    elif a.ndim == 2:
         # one matrix keeps the scalar rotation: the stack kernel's per-call
         # overhead would more than double the cost of a single 6x6 matrix
         diag = _jacobi_matrix(stack[0], off_tol[0])
@@ -195,6 +205,44 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
         with np.errstate(over="ignore"):  # a spectrum beyond the float range is +/-inf
             eigs = np.ldexp(eigs, exponent[:, None])
     return eigs.reshape(a.shape[:-1])
+
+
+def _cholesky_certifies(mat: np.ndarray) -> bool:
+    """True when H + (SPECTRAL_TOL / 2) I, H = (A + A^dagger) / 2, factors as L L^dagger with positive pivots.
+
+    A is a finite n x n matrix. The factorization runs in pure Python over
+    mat.tolist(): at 6x6, numpy's per-call overhead would cost more than
+    the arithmetic, and float arithmetic raises no warning. Each pivot is
+    at most H's finite diagonal entry plus the shift, so a pivot that is
+    not > 0 (negative, or NaN after an overflow) stops the factorization
+    and the answer is False, which proves nothing either way.
+
+    True is a proof. By the backward error bound for Cholesky (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3) the
+    computed factor is exact for H + shift I + E with
+    ||E||_2 <= O(n u) ||L||_F^2 = O(n u) (tr H + n shift), u = 2^-53. So
+    lambda_min(H) > -SPECTRAL_TOL / 2 - O(n u) tr H; for unit trace that
+    is -5e-11 - O(1e-15), and the Jacobi solve of the same H, accurate to
+    1e-13 at that norm, would return a value above -SPECTRAL_TOL.
+    """
+    a = mat.tolist()
+    shift = 0.5 * SPECTRAL_TOL
+    factor = []  # rows of L; row i holds L[i][:i] and then the real pivot root L[i][i]
+    for i, row in enumerate(a):
+        li = []
+        for j, lj in enumerate(factor):
+            s = 0.5 * (row[j] + a[j][i].conjugate())
+            for lik, ljk in zip(li, lj):  # k < j: li holds exactly j entries here
+                s -= lik * ljk.conjugate()
+            li.append(s / lj[j])
+        d = row[i].real + shift
+        for z in li:
+            d -= z.real * z.real + z.imag * z.imag
+        if not d > 0.0:
+            return False
+        li.append(math.sqrt(d))
+        factor.append(li)
+    return True
 
 
 def _prepared(stack: np.ndarray):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from esdsim import linalg  # noqa: E402
 from esdsim.cli import main  # noqa: E402
 from esdsim.esd import ScenarioKind  # noqa: E402
-from esdsim.states import DensityMatrix, parse_state  # noqa: E402
+from esdsim.states import DensityMatrix, InvalidStateError, parse_state  # noqa: E402
 
 FUZZ = settings(max_examples=60, deadline=timedelta(seconds=1), derandomize=True, database=None)
 
@@ -104,15 +104,25 @@ HUGE = st.one_of(st.sampled_from([0.0, 1.7976931348623157e308, -1.79769313486231
 
 @st.composite
 def huge_state_texts(draw):
-    """Hermitian, unit trace, with coherences near the float maximum, real and complex.
+    """Hermitian, with coherences and diagonal entries near the float maximum, real and complex.
 
-    Their moduli can overflow where each part is finite; parse_state must
-    refuse them cleanly, without an overflow warning.
+    The diagonal is 1/n throughout; or a huge pair +v, -v, the rest
+    summing to 1; or huge throughout, so that the trace may overflow to
+    inf or NaN. Moduli can overflow where each part is finite; parse_state
+    must refuse such states cleanly, without an overflow warning.
     """
     dim_a = draw(st.integers(min_value=1, max_value=2))
     dim_b = draw(st.integers(min_value=2, max_value=3))
     n = dim_a * dim_b
     m = np.diag(np.full(n, 1.0 / n)).astype(complex)
+    diagonal = draw(st.sampled_from(["pair", "huge", "unit"]))
+    if diagonal == "pair":
+        m[0, 0] = draw(HUGE)
+        m[1, 1] = -m[0, 0]
+        m[2:, 2:] *= n / max(n - 2, 1)
+    elif diagonal == "huge":
+        for i in range(n):
+            m[i, i] = draw(HUGE)
     for i in range(n):
         for j in range(i + 1, n):
             real = draw(HUGE)
@@ -123,12 +133,27 @@ def huge_state_texts(draw):
     return "\n".join([f"dims {dim_a} {dim_b}", *rows]) + "\n"
 
 
+def _scaled_hermitian_part(text: str) -> tuple[np.ndarray, float]:
+    """The text's matrix as (A + A^dagger) / 2 / s, with s = 2^k >= 1 bringing its parts to <= 1, and 1 / s."""
+    rows = [line.split() for line in text.splitlines() if line.strip()][1:]
+    mat = np.array([[complex(tok) for tok in row] for row in rows])
+    inverse = np.ldexp(1.0, -max(0, int(np.frexp(np.abs(mat.view(np.float64)).max())[1])))
+    mat = mat * inverse  # exact, and keeps the sum below from overflowing
+    return 0.5 * mat + 0.5 * mat.conj().T, inverse
+
+
 @FUZZ
 @given(text=st.one_of(st.text(max_size=200), matrix_texts(), state_texts(), huge_state_texts()))
 def test_parse_state_returns_valid_state_or_value_error(text):
     try:
         rho = parse_state(text)
-    except ValueError:  # InvalidStateError, DimensionMismatchError and parse errors
+    except InvalidStateError as err:
+        if err.condition == "positivity":
+            # the converse oracle: LAPACK agrees that the spectrum dips below the noise floor
+            h, inverse = _scaled_hermitian_part(text)
+            assert np.linalg.eigvalsh(h)[0] < (-1e-10 + 1e-12) * inverse
+        return
+    except ValueError:  # DimensionMismatchError and parse errors
         return
     assert isinstance(rho, DensityMatrix)
     mat = rho.mat

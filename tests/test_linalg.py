@@ -319,6 +319,10 @@ def test_stack_input_unchanged_and_empty_stack():
     assert stack.tobytes() == before.tobytes()
     empty = hermitian_eigenvalues(np.zeros((0, 6, 6), dtype=complex))
     assert empty.shape == (0, 6) and empty.dtype == np.float64
+    # 0x0 matrices: an empty spectrum each, not a reshape error
+    for shape in ((0, 0), (3, 0, 0)):
+        empty = hermitian_eigenvalues(np.zeros(shape, dtype=complex))
+        assert empty.shape == shape[:-1] and empty.dtype == np.float64
     assert partial_transpose(np.zeros((0, 6, 6)), QUBIT_QUTRIT, "A").shape == (0, 6, 6)
 
 

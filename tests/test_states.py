@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from esdsim import states
-from esdsim.linalg import QUBIT_QUTRIT, hermitian_eigenvalues
+from esdsim import linalg, states
+from esdsim.linalg import QUBIT_QUTRIT, SPECTRAL_TOL, hermitian_eigenvalues
 from esdsim.states import (
     ANSATZ_DIAGONAL,
     JOINT_COHERENCE_SLOTS,
@@ -19,7 +19,7 @@ from esdsim.states import (
     validate,
 )
 
-from numeric_oracles import random_pattern_state
+from numeric_oracles import random_pattern_state, random_unitary
 
 
 def test_ansatz_x_layout():
@@ -142,6 +142,57 @@ def test_parse_rejects_coherence_whose_modulus_overflows():
         parse_state(text)
     assert err.value.condition == "positivity"
     assert err.value.magnitude == np.inf
+
+
+@pytest.mark.parametrize("diagonal", [(1.7e308, 1.7e308, -1.7e308), (1.7e308, 1.7e308, -1.7e308, -1.7e308, 0.5, 0.5)],
+                         ids=["sum-inf", "sum-nan"])
+def test_parse_refuses_overflowing_trace(diagonal):
+    # np.trace overflowed with a RuntimeWarning, and a NaN sum passed the trace check
+    rows = [" ".join(repr(complex(v)) for v in row) for row in np.diag(diagonal)]
+    with pytest.raises(InvalidStateError) as err:
+        parse_state("\n".join([f"dims 1 {len(diagonal)}", *rows]) + "\n")
+    assert err.value.condition == "trace"
+    assert not np.isfinite(err.value.magnitude)  # inf or NaN, as numpy's summation order gives it
+
+
+def test_validate_runs_the_eigensolve_only_to_refuse(monkeypatch):
+    calls = []
+    solve = linalg.hermitian_eigenvalues
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", lambda mat: calls.append(mat) or solve(mat))
+    validate(random_density_matrix(np.random.default_rng(26)).mat)
+    assert calls == []  # dense
+    ansatz_general(ANSATZ_DIAGONAL, [0.1, 0.1, 0.0, 0.1, 0.0, 0.0])
+    assert calls == []  # jointly coherent
+    with pytest.raises(InvalidStateError) as err:
+        ansatz_general(ANSATZ_DIAGONAL, [0.3, 0.3, 0.3, 0.3, 0.3, 0.3])
+    assert err.value.condition == "positivity"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lowest", [-2e-10, -1e-10 * (1 + 1e-6), -1e-10 * (1 - 1e-6), -5e-11 * (1 + 1e-3),
+                                    -5e-11 * (1 - 1e-3), -1e-12, 0.0, 1e-12])
+def test_validate_decides_positivity_as_the_jacobi_solve_does(lowest):
+    # Q diag(lambda) Q^dagger around the noise floor and the certificate's shift
+    rng = np.random.default_rng(27)
+    for _ in range(25):
+        q = random_unitary(rng, 6)
+        spectrum = rng.uniform(0.05, 1.0, 6)
+        spectrum *= (1.0 - lowest) / spectrum[1:].sum()
+        spectrum[0] = lowest
+        m = (q * spectrum) @ q.conj().T
+        m = 0.5 * (m + m.conj().T)
+        jacobi = float(hermitian_eigenvalues(m)[0])
+        if jacobi >= -SPECTRAL_TOL:
+            assert validate(m).mat.tobytes() == m.tobytes()
+        else:
+            with pytest.raises(InvalidStateError) as err:
+                validate(m)
+            assert err.value.condition == "positivity"
+            assert err.value.magnitude.hex() == (-jacobi).hex()
+        if lowest <= -2e-10:
+            assert jacobi < -SPECTRAL_TOL
+        if lowest >= -1e-12:
+            assert linalg._cholesky_certifies(m)
 
 
 def test_validate_accepts_boundary_state():
