@@ -186,7 +186,8 @@ def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
     # the trusted kernel's precondition holds: pt is exactly Hermitian (a
     # Hermitian state times a real symmetric mask, then a PT, which only
     # moves entries), no entry exceeds 1/4 and its Frobenius norm is below
-    # 0.56, so the checked entry's off_tol 1e-13 * max(1, norm) is the constant
+    # 0.56, so the checked entry's off_tol 1e-13 * max(1, norm) is the
+    # constant; the kernel reads pt into Python lists and leaves it as it is
     return float(_jacobi_matrix(pt, _JACOBI_OFF_TOL).min())
 
 

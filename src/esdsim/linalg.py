@@ -3,7 +3,7 @@
 Everything operates on plain numpy arrays of complex128 in row-major
 layout. The eigensolver is a self-contained cyclic Jacobi iteration, so
 the whole numeric path stays inspectable end to end; matrices here are
-tiny (6x6 at most) and robustness matters more than speed.
+tiny (6x6 at most).
 
 partial_transpose and hermitian_eigenvalues also take a (..., n, n)
 stack and treat each matrix as if it came alone, so a time series runs
@@ -15,12 +15,43 @@ hermitian_eigenvalues is the checked entry: it refuses non-Hermitian or
 non-finite input, scales entries above 1e150, symmetrizes a copy and
 derives the convergence tolerance from its Frobenius norm. _jacobi_matrix
 is the trusted kernel behind it, for callers whose input is known to be
-fit: it rotates a writable matrix in place and assumes that it is
-exactly Hermitian with entries far below 1e150. Called with
+fit: it only reads its matrix and assumes that it is exactly Hermitian
+with entries far below 1e150. Called with
 off_tol = 1e-13 * max(1, Frobenius norm), it returns the checked entry's
 eigenvalues, unsorted, bit for bit. The death-time search in esdsim.esd
 is its one such caller: its partial transposes have Frobenius norm
 below 1, so off_tol is the constant _JACOBI_OFF_TOL.
+
+Both Jacobi kernels do the same real arithmetic, one float operation at
+a time: _jacobi_matrix in pure Python on lists of the real and imaginary
+parts, _jacobi_rotate_stack and _off_norms with one numpy operation on
+float arrays per float operation. No complex multiply runs through
+numpy, whose SIMD loops fuse its multiply and add on some hosts, so the
+eigenvalues' bits do not depend on the host's SIMD dispatch. With b the
+entry a[p][q] and r = |b| (libm's hypot), one rotation of the pair
+(p, q) is:
+
+    phase  = (b.re * (1 / r), b.im * (1 / r))
+    tau    = (a[q][q] - a[p][p]) / (2 r)
+    t      = sign(tau) / (|tau| + sqrt(1 + tau^2)),  sign(-0.0) = +1
+    c, s   = 1 / sqrt(1 + t^2), t c
+    S, C   = s conj(phase), c conj(phase)
+    k not in {p, q}:  a[k][p], a[k][q] <- c x - S y, s x + C y, with
+                      x = a[k][p] and y = a[k][q]; a[p][k] and a[q][k]
+                      take the conjugates
+    2x2 block:        the same column step for k = p, q, then the row
+                      step a[p][.] <- c a[p][.] - conj(S) a[q][.] and
+                      a[q][.] <- s a[p][.] + conj(C) a[q][.], of which
+                      only the real diagonal is kept; a[p][q] = a[q][p] = 0
+
+where a real times a complex number is two real products and a complex
+product (u + iv)(x + iy) is (ux - vy) + i(uy + vx), each product and
+each sum rounded on its own. The conjugates are exact, because each
+formula commutes with conjugation and the matrix is exactly Hermitian.
+A pair whose r is not above off_tol / (2n) is skipped. A sweep visits
+the pairs in row-major order, and sweeps stop when sqrt(2 acc) is below
+off_tol, acc summing re^2 + im^2 over the strict upper triangle in
+row-major order, one term after another.
 
 _cholesky_certifies is the positivity test of esdsim.states.validate: a
 Cholesky factorization, in pure Python, of the Hermitian part shifted
@@ -192,11 +223,11 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     n = a.shape[-1]
     # an explicit count: with n = 0, reshape cannot infer a -1
     stack, exponent, off_tol = _prepared(np.ascontiguousarray(a.reshape(math.prod(a.shape[:-2]), n, n)))
-    if not n:  # nothing to rotate, and the kernels' skip tolerance divides by n
+    if n < 2:  # nothing to rotate: a 1x1 or 0x0 matrix is its own diagonal
         diag = stack.diagonal(axis1=1, axis2=2).real
     elif a.ndim == 2:
-        # one matrix keeps the scalar rotation: the stack kernel's per-call
-        # overhead would more than double the cost of a single 6x6 matrix
+        # one matrix takes the pure-Python kernel: the stack kernel's per-call
+        # overhead would cost several times as much on a single 6x6 matrix
         diag = _jacobi_matrix(stack[0], off_tol[0])
     else:
         diag = _jacobi_stack(stack, off_tol)
@@ -274,34 +305,79 @@ def _prepared(stack: np.ndarray):
 
 
 def _off_norms(stack: np.ndarray) -> np.ndarray:
-    """Off-diagonal Frobenius norm of each matrix of a (k, n, n) stack."""
+    """Off-diagonal Frobenius norm of each matrix of a (k, n, n) stack, n >= 2.
+
+    re^2 + im^2 is summed over the strict upper triangle in row-major
+    order, one term after another, as _jacobi_matrix sums it.
+    """
     k, n, _ = stack.shape
     upper = stack.reshape(k, n * n)[:, _strict_upper_flat(n)]
-    return np.sqrt(2.0 * np.sum(np.abs(upper) ** 2, axis=1))
+    re, im = upper.real, upper.imag
+    return np.sqrt(2.0 * np.cumsum(re * re + im * im, axis=1)[:, -1])
 
 
 def _jacobi_matrix(a: np.ndarray, off_tol: float) -> np.ndarray:
-    """Diagonalize one prepared n x n matrix in place; its diagonal, unsorted.
+    """Diagonalize one prepared n x n matrix; its diagonal, unsorted, as float64.
 
     Prepared means exactly Hermitian with entries far below 1e150, as
-    _prepared leaves it. Sweeps stop once the off-diagonal norm is below
-    off_tol; a pair below off_tol / (2n) is not rotated.
+    _prepared leaves it. The iteration runs in pure Python on lists of
+    the real and imaginary parts, so a is only read: at 6x6, numpy's
+    per-call overhead would cost more than the arithmetic. Sweeps stop
+    once the off-diagonal norm is below off_tol; a pair below
+    off_tol / (2n) is not rotated. The rotation is the one the module
+    docstring states, and _jacobi_rotate_stack's.
     """
     n = a.shape[0]
+    re, im = a.real.tolist(), a.imag.tolist()
+    rows = list(zip(range(n), re, im))
     skip_tol = off_tol / (2 * n)
-    upper = _strict_upper_flat(n)
     for _ in range(_MAX_JACOBI_SWEEPS):
-        off = math.sqrt(2.0 * float(np.sum(np.abs(a.take(upper)) ** 2)))  # _off_norms without its stack overhead
-        if off < off_tol:
-            return a.diagonal().real
+        acc = 0.0
         for p in range(n - 1):
+            rp, ip = re[p], im[p]
             for q in range(p + 1, n):
-                _jacobi_rotate(a, p, q, skip_tol)
+                acc += rp[q] * rp[q] + ip[q] * ip[q]
+        if math.sqrt(2.0 * acc) < off_tol:
+            return np.array([re[i][i] for i in range(n)])
+        for p in range(n - 1):
+            rp, ip = re[p], im[p]
+            for q in range(p + 1, n):
+                rq, iq = re[q], im[q]
+                ar, ai = rp[q], ip[q]
+                r = abs(complex(ar, ai))  # libm hypot, as np.hypot in the stack kernel
+                if not r > skip_tol:
+                    continue
+                inv = 1.0 / r
+                phr, phi = ar * inv, ai * inv
+                tau = (rq[q] - rp[p]) / (2.0 * r)
+                # smaller root of t^2 + 2*tau*t - 1 = 0, the numerically stable choice
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                sr, si, cr, ci = s * phr, -(s * phi), c * phr, -(c * phi)
+                for k, rk, ik in rows:
+                    xr, xi, yr, yi = rk[p], ik[p], rk[q], ik[q]
+                    kpr = c * xr - (sr * yr - si * yi)
+                    kpi = c * xi - (sr * yi + si * yr)
+                    kqr = s * xr + (cr * yr - ci * yi)
+                    kqi = s * xi + (cr * yi + ci * yr)
+                    if k == p:
+                        ppr, pqr = kpr, kqr
+                    elif k == q:
+                        qpr, qpi, qqr, qqi = kpr, kpi, kqr, kqi
+                    else:  # column p and q of row k, and their conjugates in rows p and q
+                        rk[p] = rp[k] = kpr
+                        rk[q] = rq[k] = kqr
+                        ik[p], ip[k], ik[q], iq[k] = kpi, -kpi, kqi, -kqi
+                # the row step on the 2x2 block, real parts only: s*phase = conj(S), c*phase = conj(C)
+                rp[p] = c * ppr - (sr * qpr + si * qpi)
+                rq[q] = s * pqr + (cr * qqr + ci * qqi)
+                rp[q] = ip[q] = rq[p] = iq[p] = 0.0
     raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
 
 
 def _jacobi_stack(stack: np.ndarray, off_tol: np.ndarray) -> np.ndarray:
-    """Diagonalize a prepared (k, n, n) stack; the diagonals, unsorted, shape (k, n).
+    """Diagonalize a prepared (k, n, n) stack, n >= 2; the diagonals, unsorted, shape (k, n).
 
     A sweep runs over the matrices not yet converged, each exactly as
     _jacobi_matrix would run it (Golub & Van Loan, Matrix Computations,
@@ -334,70 +410,42 @@ def _strict_upper_flat(n: int) -> np.ndarray:
     return idx
 
 
-def _jacobi_rotate(a: np.ndarray, p: int, q: int, skip_tol: float) -> None:
-    """Annihilate a[p, q] in place by a two-level unitary conjugation."""
-    alpha = a[p, q]
-    r = abs(alpha)
-    if r <= skip_tol:
-        return
-    phase = alpha / r
-    app = a[p, p].real
-    aqq = a[q, q].real
-    tau = (aqq - app) / (2.0 * r)
-    # smaller root of t^2 + 2*tau*t - 1 = 0, the numerically stable choice
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    # restricted to rows/cols (p, q) the unitary is
-    #   [[c, s], [-s*conj(phase), c*conj(phase)]]
-    colp = a[:, p].copy()
-    colq = a[:, q].copy()
-    a[:, p] = c * colp - (s * np.conj(phase)) * colq
-    a[:, q] = s * colp + (c * np.conj(phase)) * colq
-    rowp = a[p, :].copy()
-    rowq = a[q, :].copy()
-    a[p, :] = c * rowp - (s * phase) * rowq
-    a[q, :] = s * rowp + (c * phase) * rowq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-
 def _jacobi_rotate_stack(a: np.ndarray, p: int, q: int, skip_tol: np.ndarray) -> None:
-    """_jacobi_rotate on each matrix of a (k, n, n) stack, with its own rotation and skip_tol."""
+    """_jacobi_matrix's rotation of (p, q), in place, on each matrix of a (k, n, n) stack.
+
+    Each matrix gets its own rotation and skip_tol. The arithmetic runs
+    on the float views a.real and a.imag, one array operation for each
+    float operation of _jacobi_matrix, so no complex multiply is fused.
+    """
     alpha = a[:, p, q]
-    r = np.hypot(alpha.real, alpha.imag)  # abs() of a complex scalar, bit for bit; np.abs is not
+    r = np.hypot(alpha.real, alpha.imag)  # libm hypot, as abs() of a Python complex; np.abs is not
     hit = r > skip_tol
     if not hit.any():
         return
     whole = hit.all()
     sub = a if whole else a[hit]
-    alpha, r = alpha[hit], r[hit]
-    phase = alpha / r
-    app = sub[:, p, p].real
-    aqq = sub[:, q, q].real
-    tau = (aqq - app) / (2.0 * r)
-    root = np.sqrt(1.0 + tau * tau)
-    # both roots of the scalar branch in one expression: tau >= 0 holds for -0.0 as well
-    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
-    c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-    s = (t * c[:, 0])[:, None]
-    phase = phase[:, None]
-    colp = sub[:, :, p].copy()
-    colq = sub[:, :, q].copy()
-    sub[:, :, p] = c * colp - (s * np.conj(phase)) * colq
-    sub[:, :, q] = s * colp + (c * np.conj(phase)) * colq
-    rowp = sub[:, p, :].copy()
-    rowq = sub[:, q, :].copy()
-    sub[:, p, :] = c * rowp - (s * phase) * rowq
-    sub[:, q, :] = s * rowp + (c * phase) * rowq
-    sub[:, p, q] = 0.0
-    sub[:, q, p] = 0.0
-    sub[:, p, p] = sub[:, p, p].real
-    sub[:, q, q] = sub[:, q, q].real
+    if not whole:
+        alpha, r = alpha[hit], r[hit]
+    inv = 1.0 / r
+    phr, phi = alpha.real * inv, alpha.imag * inv
+    re, im = sub.real, sub.imag
+    tau = (re[:, q, q] - re[:, p, p]) / (2.0 * r)
+    # both branches of the scalar sign test in one expression: tau >= 0 holds for -0.0 as well
+    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    sr, si, cr, ci = s * phr, -(s * phi), c * phr, -(c * phi)
+    xr, xi, yr, yi = re[:, :, p], im[:, :, p], re[:, :, q], im[:, :, q]
+    c2, s2, sr2, si2, cr2, ci2 = c[:, None], s[:, None], sr[:, None], si[:, None], cr[:, None], ci[:, None]
+    kpr = c2 * xr - (sr2 * yr - si2 * yi)
+    kpi = c2 * xi - (sr2 * yi + si2 * yr)
+    kqr = s2 * xr + (cr2 * yr - ci2 * yi)
+    kqi = s2 * xi + (cr2 * yi + ci2 * yr)
+    app = c * kpr[:, p] - (sr * kpr[:, q] + si * kpi[:, q])
+    aqq = s * kqr[:, p] + (cr * kqr[:, q] + ci * kqi[:, q])
+    re[:, :, p], im[:, :, p], re[:, :, q], im[:, :, q] = kpr, kpi, kqr, kqi
+    re[:, p, :], im[:, p, :], re[:, q, :], im[:, q, :] = kpr, -kpi, kqr, -kqi
+    sub[:, p, q] = sub[:, q, p] = 0.0
+    sub[:, p, p], sub[:, q, q] = app, aqq
     if not whole:
         a[hit] = sub

@@ -1,6 +1,15 @@
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import esdsim
 from esdsim import linalg
 from esdsim.linalg import (
     QUBIT_QUTRIT,
@@ -13,6 +22,7 @@ from esdsim.linalg import (
     partial_transpose,
 )
 
+from esdsim.esd import EsdOutcome, Scenario, ScenarioKind, evolve, numeric_esd_time
 from esdsim.states import random_density_matrix
 
 from numeric_oracles import charpoly_eigs_2x2, charpoly_eigs_3x3, random_hermitian, random_unitary
@@ -242,11 +252,20 @@ def family_pt(rng):
     return partial_transpose(m, QUBIT_QUTRIT, "A")
 
 
+def one_pair(rng, n):
+    """A real diagonal and one complex off-diagonal pair, (0, n - 1); only the diagonal at n = 1."""
+    m = np.diag(rng.standard_normal(n)).astype(complex)
+    if n > 1:
+        m[0, -1] = complex(*rng.standard_normal(2))
+        m[-1, 0] = np.conj(m[0, -1])
+    return m
+
+
 def stack_of(rng, kinds, n=6):
     members = []
     for kind in kinds:
         if kind == "sparse":
-            members.append(family_pt(rng))
+            members.append(family_pt(rng) if n == 6 else one_pair(rng, n))
         elif kind == "dense":
             members.append(random_hermitian(rng, n))
         else:  # diagonal, already converged
@@ -264,13 +283,88 @@ STACKS = {
 @pytest.mark.parametrize("kinds", list(STACKS.values()), ids=list(STACKS))
 def test_stack_eigenvalues_match_eigvalsh_and_single_calls(kinds):
     rng = np.random.default_rng(19)
-    for _ in range(5):
-        stack = stack_of(rng, kinds)
-        eigs = hermitian_eigenvalues(stack)
-        assert eigs.shape == (len(kinds), 6)
-        assert np.max(np.abs(eigs - np.linalg.eigvalsh(stack))) < 1e-12
-        singles = np.array([hermitian_eigenvalues(m) for m in stack])
-        assert eigs.tobytes() == singles.tobytes()
+    for n in (6, 1, 2, 3):
+        for _ in range(5):
+            stack = stack_of(rng, kinds, n)
+            eigs = hermitian_eigenvalues(stack)
+            assert eigs.shape == (len(kinds), n)
+            assert np.max(np.abs(eigs - np.linalg.eigvalsh(stack))) < 1e-12
+            singles = np.array([hermitian_eigenvalues(m) for m in stack])
+            assert eigs.tobytes() == singles.tobytes()
+
+
+@pytest.mark.parametrize("read_only", [False, True])
+def test_jacobi_kernel_only_reads_its_matrix(read_only):
+    rng = np.random.default_rng(26)
+    prepared, _, off_tol = linalg._prepared(random_hermitian(rng, 6)[None])
+    m = prepared[0]
+    m.flags.writeable = not read_only
+    before = m.copy()
+    diag = linalg._jacobi_matrix(m, off_tol[0])
+    assert m.tobytes() == before.tobytes()
+    assert diag.dtype == np.float64 and diag.shape == (6,)
+    assert np.sort(diag).tobytes() == hermitian_eigenvalues(before).tobytes()
+
+
+# The same seeded dense partial transposes, one matrix at a time and as a
+# stack, hashed; run in this process and in one on numpy's baseline loops.
+_DENSE_DIGEST = """
+import hashlib
+import numpy as np
+from esdsim.linalg import QUBIT_QUTRIT, hermitian_eigenvalues, partial_transpose
+from esdsim.states import random_density_matrix
+rng = np.random.default_rng(27)
+rhos = [random_density_matrix(rng).mat for _ in range(20)]
+pts = np.array([partial_transpose(rho, QUBIT_QUTRIT, side) for rho in rhos for side in "AB"])
+singles = np.array([hermitian_eigenvalues(m) for m in pts])
+print(hashlib.sha256(singles.tobytes() + hermitian_eigenvalues(pts).tobytes()).hexdigest())
+"""
+
+#: numpy skips, with an ImportWarning, the names its build does not dispatch,
+#: so this list serves any host.
+_SIMD_OFF = "X86_V4 X86_V3 AVX512_ICL AVX512_SPR AVX512_SKX AVX512F AVX2 FMA3"
+
+
+def test_dense_eigenvalues_do_not_depend_on_simd_dispatch():
+    # numpy's AVX2 and AVX-512 complex multiply fuses its multiply and add and
+    # the baseline loop does not; the kernels' real arithmetic must not care
+    src = str(Path(esdsim.__file__).parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_SIMD_OFF,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    baseline = subprocess.run([sys.executable, "-c", _DENSE_DIGEST], capture_output=True, text=True,
+                              check=True, env=env).stdout
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(_DENSE_DIGEST, {})
+    assert len(baseline.strip()) == 64
+    assert here.getvalue() == baseline
+
+
+#: sha256 of the family grid below. The family's eigenvalues do not depend on
+#: the host's SIMD dispatch, so any change here changes curve and death-time bits.
+FAMILY_BITS = "1c5da0a0ef3124494db849834a5d88cc65d7f510d2705935d090e59d2fb0de0e"
+
+
+def test_family_eigenvalue_bits_are_pinned():
+    digest = hashlib.sha256()
+    rates = (1e-9, 1.0, 1e3)
+    for kind in ScenarioKind:
+        for x in (0.0, 0.125, 0.126, 0.2, 0.25):
+            for rate in rates:
+                scenario = Scenario(kind, x, rate, rate)
+                times = [0.0] + [t / rate for t in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0, 1e2, 1e4, 1e6)]
+                states = np.array([evolve(scenario, t).mat for t in times])
+                for side in "AB":
+                    pts = partial_transpose(states, QUBIT_QUTRIT, side)
+                    for m in pts:
+                        digest.update(hermitian_eigenvalues(m).tobytes())
+                    digest.update(hermitian_eigenvalues(pts).tobytes())
+        for x in (0.126, 0.2, 0.25):
+            for rate in rates:
+                t_star = numeric_esd_time(Scenario(kind, x, rate, rate))
+                assert not isinstance(t_star, EsdOutcome)
+                digest.update(t_star.hex().encode())
+    assert digest.hexdigest() == FAMILY_BITS
 
 
 def test_stack_eigenvalues_match_characteristic_polynomial():
