@@ -25,8 +25,19 @@ class NegativityResult:
 
 
 def pt_spectrum(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
-    """Eigenvalues of the partial transpose over the chosen factor, ascending."""
-    return linalg.hermitian_eigenvalues(linalg.partial_transpose(rho.mat, rho.dims, subsystem))
+    """Eigenvalues of the partial transpose over the chosen factor, ascending, as a read-only array.
+
+    One Jacobi solve serves both factors, made on the first call for rho
+    and kept by it. The two spectra are the same bits, not merely close:
+    PT_B(m) = PT_A(m)^T, the checked eigensolver's symmetrized copy of a
+    transpose is the exact complex conjugate of the original's (float
+    addition commutes), and every formula of the Jacobi kernels commutes
+    with conjugation (see esdsim.linalg). A solve that raises, such as
+    NonHermitianError on a hand-built state, raises again on every call.
+    """
+    if subsystem not in ("A", "B"):
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    return rho._pt_spectrum
 
 
 def negativity_of_spectrum(eigs: np.ndarray):
@@ -40,7 +51,9 @@ def negativity(rho: DensityMatrix, subsystem: str = "A") -> NegativityResult:
     Eigenvalues within linalg.SPECTRAL_TOL (the eigensolver's noise
     floor, 1e-10) of zero are treated as zero, so value == 0.0 exactly
     for PPT states and is_entangled is simply value > 0. Transposing
-    either subsystem gives the same answer.
+    either subsystem gives the same answer, bit for bit, from the one
+    spectrum pt_spectrum keeps per state: negativity on side B after
+    side A, or is_ppt after either, makes no second solve.
     """
     eigs = pt_spectrum(rho, subsystem)
     value = float(negativity_of_spectrum(eigs))

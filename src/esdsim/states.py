@@ -11,6 +11,7 @@ scenarios in :mod:`esdsim.esd`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -58,8 +59,15 @@ class DensityMatrix:
 
     Instances produced by this package satisfy Hermiticity within 1e-12,
     unit trace within 1e-12 and positive semidefiniteness down to -1e-10;
-    use :func:`validate` to build one from untrusted input. The stored
-    array is marked read-only.
+    use :func:`validate` to build one from untrusted input.
+
+    The stored array is read-only and owns its data: an input that does
+    not (a view, whose base another name may still write) is copied
+    first. The partial-transpose spectrum that
+    :func:`esdsim.entanglement.pt_spectrum` serves for either factor is
+    computed lazily, once per instance, and kept; a solve that raises
+    is not kept. A pickled or copied instance is rebuilt through the
+    constructor, read-only again and without the spectrum.
     """
 
     mat: np.ndarray
@@ -67,7 +75,20 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         self.dims.check(self.mat)
+        if not self.mat.flags.owndata:
+            object.__setattr__(self, "mat", self.mat.copy())
         self.mat.setflags(write=False)
+
+    def __reduce__(self):
+        # unpickled and deep-copied arrays come back writable; __post_init__ marks them again
+        return type(self), (self.mat, self.dims)
+
+    @cached_property
+    def _pt_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of the side-A partial transpose, read-only; side B's are the same bits."""
+        eigs = linalg.hermitian_eigenvalues(linalg.partial_transpose(self.mat, self.dims, "A"))
+        eigs.setflags(write=False)
+        return eigs
 
     @property
     def dim(self) -> int:
@@ -203,13 +224,9 @@ def format_state(rho: DensityMatrix) -> str:
     which round-trips float64 exactly.
     """
     lines = [f"dims {rho.dims.dim_a} {rho.dims.dim_b}"]
-    for row in rho.mat:
-        lines.append(" ".join(_format_entry(z) for z in row))
+    for row in rho.mat.tolist():  # Python scalars format faster than numpy's
+        lines.append(" ".join(["%.17g%+.17gj" % (z.real, z.imag) for z in row]))
     return "\n".join(lines) + "\n"
-
-
-def _format_entry(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
 def parse_state(text: str) -> DensityMatrix:

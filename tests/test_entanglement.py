@@ -1,11 +1,13 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from esdsim import esd
+from esdsim import esd, linalg
 from esdsim.entanglement import is_ppt, negativity, pt_spectrum
-from esdsim.linalg import QUBIT_QUTRIT, kron
+from esdsim.linalg import QUBIT_QUTRIT, NonHermitianError, kron
 from esdsim.states import DensityMatrix, ansatz_x, random_density_matrix, validate
 
 from numeric_oracles import eigvalsh_negativity, random_unitary
@@ -93,3 +95,74 @@ def test_negativity_range_on_family():
     values = [negativity(ansatz_x(float(x))).value for x in np.linspace(0.0, 0.25, 26)]
     assert min(values) == 0.0
     assert abs(max(values) - 0.125) < 1e-14
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the checked eigensolver's calls, wherever the package makes them."""
+    calls = []
+    real = linalg.hermitian_eigenvalues
+
+    def counting(mat):
+        calls.append(np.shape(mat))
+        return real(mat)
+
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", counting)
+    return calls
+
+
+def test_one_solve_serves_both_sides(solves):
+    rho = random_density_matrix(np.random.default_rng(44))
+    neg_a = negativity(rho, "A")
+    neg_b = negativity(rho, "B")
+    ppt = is_ppt(rho, "B")
+    assert solves == [(6, 6)]
+    assert neg_a == neg_b
+    assert ppt == (not neg_a.is_entangled)
+    assert pt_spectrum(rho, "A") is pt_spectrum(rho, "B")
+
+
+def test_pt_spectrum_cannot_be_written():
+    rho = ansatz_x(0.25)
+    spec = pt_spectrum(rho)
+    with pytest.raises(ValueError):
+        spec[0] = 1.0
+    assert pt_spectrum(rho, "B")[0] == spec[0]
+    assert abs(negativity(rho).value - 0.125) < 1e-14
+
+
+def test_pt_spectrum_rejects_unknown_subsystem():
+    with pytest.raises(ValueError, match=r"^subsystem must be 'A' or 'B', got 'C'$"):
+        pt_spectrum(ansatz_x(0.2), "C")
+
+
+def test_failed_solve_is_not_kept(solves):
+    # DensityMatrix checks only the shape, so a hand-built one can be non-Hermitian
+    m = ansatz_x(0.2).mat.copy()
+    m[0, 5] += 1e-9
+    rho = DensityMatrix(m, QUBIT_QUTRIT)
+    for side in ("A", "B", "A"):
+        with pytest.raises(NonHermitianError):
+            negativity(rho, side)
+    assert len(solves) == 3
+
+
+def test_state_over_a_view_keeps_its_matrix_and_negativity():
+    base = ansatz_x(0.25).mat.copy()
+    rho = DensityMatrix(base[:], QUBIT_QUTRIT)
+    before = negativity(rho).value
+    base[0, 5] = base[5, 0] = 0.0
+    assert rho.mat[0, 5] == 0.25
+    assert negativity(rho, "B").value == before
+    assert negativity(DensityMatrix(rho.mat, QUBIT_QUTRIT)).value == before
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda rho: pickle.loads(pickle.dumps(rho))])
+def test_copies_are_read_only_and_solve_afresh(clone, solves):
+    rho = ansatz_x(0.25)
+    value = negativity(rho).value
+    twin = clone(rho)
+    assert not twin.mat.flags.writeable
+    assert np.array_equal(twin.mat, rho.mat) and twin.dims == rho.dims and repr(twin) == repr(rho)
+    assert negativity(twin).value == value
+    assert len(solves) == 2

@@ -81,18 +81,21 @@ def matrix_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+def _draw_gram(draw, n):
+    """G G^dagger / tr for a drawn complex n x n G (left as it is when the trace is 0)."""
+    entries = draw(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2 * n * n, max_size=2 * n * n))
+    g = np.array(entries[: n * n]).reshape(n, n) + 1j * np.array(entries[n * n:]).reshape(n, n)
+    rho = g @ g.conj().T
+    trace = np.trace(rho).real
+    return rho / trace if trace > 0.0 else rho
+
+
 @st.composite
 def state_texts(draw):
     """A Gram matrix G G^dagger / tr, written with repr: valid up to rounding."""
     dim_a = draw(st.integers(min_value=1, max_value=2))
     dim_b = draw(st.integers(min_value=1, max_value=3))
-    n = dim_a * dim_b
-    entries = draw(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2 * n * n, max_size=2 * n * n))
-    g = np.array(entries[: n * n]).reshape(n, n) + 1j * np.array(entries[n * n:]).reshape(n, n)
-    rho = g @ g.conj().T
-    trace = np.trace(rho).real
-    if trace > 0.0:
-        rho = rho / trace
+    rho = _draw_gram(draw, dim_a * dim_b)
     rows = [" ".join(repr(complex(v)) for v in row) for row in rho]
     return "\n".join([f"dims {dim_a} {dim_b}", *rows]) + "\n"
 
@@ -162,3 +165,22 @@ def test_parse_state_returns_valid_state_or_value_error(text):
     assert abs(np.trace(mat) - 1.0) <= 1e-12
     # LAPACK as the outside oracle for positivity, with eigensolver slack
     assert np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0] >= -1e-10 - 1e-12
+
+
+@st.composite
+def gram_states(draw):
+    """G G^dagger / tr over drawn factor dimensions, symmetrized so that it is exactly Hermitian."""
+    dims = linalg.BipartiteDims(draw(st.integers(min_value=1, max_value=3)),
+                                draw(st.integers(min_value=1, max_value=3)))
+    rho = _draw_gram(draw, dims.total)
+    return 0.5 * (rho + rho.conj().T), dims
+
+
+@FUZZ
+@given(state=gram_states())
+def test_pt_sides_share_spectrum_bits(state):
+    # the proof DensityMatrix's one cached partial-transpose spectrum rests on
+    mat, dims = state
+    ea = linalg.hermitian_eigenvalues(linalg.partial_transpose(mat, dims, "A"))
+    eb = linalg.hermitian_eigenvalues(linalg.partial_transpose(mat, dims, "B"))
+    assert ea.tobytes() == eb.tobytes()

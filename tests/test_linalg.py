@@ -23,7 +23,7 @@ from esdsim.linalg import (
 )
 
 from esdsim.esd import EsdOutcome, Scenario, ScenarioKind, evolve, numeric_esd_time
-from esdsim.states import random_density_matrix
+from esdsim.states import JOINT_COHERENCE_SLOTS, ansatz_x, random_density_matrix
 
 from numeric_oracles import charpoly_eigs_2x2, charpoly_eigs_3x3, random_hermitian, random_unitary
 
@@ -111,13 +111,42 @@ def test_partial_transpose_corner_negative_eigenvalue():
     assert abs(eigs[0] + 0.125) < 1e-14
 
 
-def test_pt_sides_share_spectrum():
+def _pt_side_inputs():
+    """Named matrices whose two partial transposes must give the same eigenvalue bits."""
     rng = np.random.default_rng(12)
-    for _ in range(10):
-        m = random_hermitian(rng, 6)
-        ea = hermitian_eigenvalues(partial_transpose(m, QUBIT_QUTRIT, "A"))
-        eb = hermitian_eigenvalues(partial_transpose(m, QUBIT_QUTRIT, "B"))
-        assert np.max(np.abs(ea - eb)) < 1e-10
+    for i in range(10):
+        yield f"hermitian-{i}", random_hermitian(rng, 6), QUBIT_QUTRIT
+    for i in range(20):
+        yield f"gram-{i}", random_density_matrix(rng).mat, QUBIT_QUTRIT
+    for i in range(10):
+        m = np.diag(rng.uniform(0.5, 1.5, 6)).astype(complex)
+        for a, b in JOINT_COHERENCE_SLOTS:
+            m[a, b] = complex(*rng.uniform(-0.3, 0.3, 2))
+            m[b, a] = m[a, b].conjugate()
+        yield f"joint-coherence-{i}", m / np.trace(m).real, QUBIT_QUTRIT
+    for x in (0.0, 0.125, 0.25):
+        yield f"family-{x}", ansatz_x(x).mat, QUBIT_QUTRIT
+    for i in range(5):
+        huge = random_density_matrix(rng).mat * 3e200
+        yield f"scaled-{i}", 0.5 * (huge + huge.conj().T), QUBIT_QUTRIT  # exactly Hermitian
+    for i in range(5):
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        skew = g - g.conj().T
+        skewed = random_density_matrix(rng).mat + 1e-13 / np.abs(skew).max() * skew
+        yield f"anti-hermitian-part-{i}", skewed, QUBIT_QUTRIT
+    for dims in (BipartiteDims(2, 2), BipartiteDims(3, 3)):
+        for i in range(5):
+            yield f"dims-{dims.dim_a}x{dims.dim_b}-{i}", random_density_matrix(rng, dims).mat, dims
+
+
+def test_pt_sides_share_spectrum():
+    # PT_B(m) = PT_A(m)^T; the checked entry's symmetrized copy of a transpose is
+    # the exact conjugate of the original's, and both Jacobi kernels commute with
+    # conjugation, so the two sides give the same bits (states cache one of them)
+    for name, m, dims in _pt_side_inputs():
+        ea = hermitian_eigenvalues(partial_transpose(m, dims, "A"))
+        eb = hermitian_eigenvalues(partial_transpose(m, dims, "B"))
+        assert ea.tobytes() == eb.tobytes(), name
 
 
 def test_partial_transpose_dimension_mismatch():

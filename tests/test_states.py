@@ -257,6 +257,28 @@ def test_format_layout():
     assert lines[1].split()[0] == "0.25+0j"
 
 
+def test_format_bytes_of_edge_entries():
+    # the expected text is what the per-entry f"{z.real:.17g}{z.imag:+.17g}j" rendering gave
+    inf, nan = float("inf"), float("nan")
+    m = np.zeros((6, 6), dtype=complex)
+    m[0] = [complex(-0.0, -0.0), complex(5e-324, -5e-324), complex(1e308, -1e308),
+            complex(inf, -inf), complex(nan, -nan), complex(0.1, 1 / 3)]
+    m[1] = [complex(-inf, nan), -5e-324, 1.7976931348623157e308, complex(-0.0, -0.0), 1e-300j, 2.5]
+    zeros = "0+0j 0+0j 0+0j 0+0j 0+0j 0+0j\n"
+    assert format_state(DensityMatrix(m, QUBIT_QUTRIT)) == (
+        "dims 2 3\n"
+        "-0-0j 4.9406564584124654e-324-4.9406564584124654e-324j 1e+308-1e+308j inf-infj nan+nanj"
+        " 0.10000000000000001+0.33333333333333331j\n"
+        "-inf+nanj -4.9406564584124654e-324+0j 1.7976931348623157e+308+0j -0-0j 0+1e-300j 2.5+0j\n"
+        + zeros * 4)
+    real = np.array([[-0.0, 5e-324], [inf, nan]])
+    assert format_state(DensityMatrix(real, linalg.BipartiteDims(1, 2))) == (
+        "dims 1 2\n-0+0j 4.9406564584124654e-324+0j\ninf+0j nan+0j\n")
+    single = np.array([[0.1, 1 / 3], [-3e38, 2.0]], dtype=np.float32)
+    assert format_state(DensityMatrix(single, linalg.BipartiteDims(2, 1))) == (
+        "dims 2 1\n0.10000000149011612+0j 0.3333333432674408+0j\n-3.0000000054977558e+38+0j 2+0j\n")
+
+
 def test_parse_rejects_malformed_input():
     with pytest.raises(ValueError):
         parse_state("")
