@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import decay_factor, dephasing_mask
 from .entanglement import negativity_of_spectrum
-from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, SPECTRAL_TOL, _jacobi_matrix, hermitian_eigenvalues, partial_transpose
+from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, SPECTRAL_TOL, _eigenvalues, partial_transpose
 from .states import CORNER_SLOT, DensityMatrix, ansatz_x
 
 #: Corner values at or below 1/8 never produce entanglement.
@@ -176,19 +176,21 @@ def analytic_esd_time(scenario: Scenario) -> EsdTime:
     return 2.0 * math.log(8.0 * scenario.x) / rate
 
 
-def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
-    """One root-finder probe: evolve -> partial transpose -> Jacobi, the smallest eigenvalue.
+def _pt_eigenvalues(rho: np.ndarray) -> np.ndarray:
+    """Ascending side-A partial-transpose eigenvalues of a dephased x-state, or of each of a stack of them.
 
-    Bit-equal to negativity(evolve(scenario, t)).min_pt_eigenvalue, without
-    hermitian_eigenvalues' boundary checks, which this input cannot fail.
+    hermitian_eigenvalues' bits without its checks, which this input
+    cannot fail. It is exactly Hermitian (a Hermitian state times a real
+    symmetric mask, then a PT, which only moves entries), so symmetrizing
+    leaves it unchanged; no entry exceeds 1/4, so none is scaled; and its
+    Frobenius norm is below 0.56, so off_tol 1e-13 * max(1, norm) is 1e-13.
     """
-    pt = partial_transpose(evolve(scenario, t).mat, QUBIT_QUTRIT, "A")
-    # the trusted kernel's precondition holds: pt is exactly Hermitian (a
-    # Hermitian state times a real symmetric mask, then a PT, which only
-    # moves entries), no entry exceeds 1/4 and its Frobenius norm is below
-    # 0.56, so the checked entry's off_tol 1e-13 * max(1, norm) is the
-    # constant; the kernel reads pt into Python lists and leaves it as it is
-    return float(_jacobi_matrix(pt, _JACOBI_OFF_TOL).min())
+    return _eigenvalues(partial_transpose(rho, QUBIT_QUTRIT, "A"), _JACOBI_OFF_TOL)
+
+
+def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
+    """One probe, evolve -> PT -> Jacobi: bit-equal to negativity(evolve(scenario, t)).min_pt_eigenvalue."""
+    return float(_pt_eigenvalues(evolve(scenario, t).mat)[0])
 
 
 def default_bracket(scenario: Scenario) -> float:
@@ -268,7 +270,7 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
     for start in range(0, len(times), _SWEEP_BLOCK):
         block = slice(start, start + _SWEEP_BLOCK)
         rho = _dephased(scenario, ga[block], gb[block])
-        eigs = hermitian_eigenvalues(partial_transpose(rho, QUBIT_QUTRIT, "A"))
+        eigs = _pt_eigenvalues(rho)
         curve.corner[block] = rho[:, i, j].real
         curve.negativity_numeric[block] = negativity_of_spectrum(eigs)
         curve.min_pt_eigenvalue[block] = eigs[:, 0]

@@ -13,14 +13,9 @@ and returns the same bits as one call per matrix.
 
 hermitian_eigenvalues is the checked entry: it refuses non-Hermitian or
 non-finite input, scales entries above 1e150, symmetrizes a copy and
-derives the convergence tolerance from its Frobenius norm. _jacobi_matrix
-is the trusted kernel behind it, for callers whose input is known to be
-fit: it only reads its matrix and assumes that it is exactly Hermitian
-with entries far below 1e150. Called with
-off_tol = 1e-13 * max(1, Frobenius norm), it returns the checked entry's
-eigenvalues, unsorted, bit for bit. The death-time search in esdsim.esd
-is its one such caller: its partial transposes have Frobenius norm
-below 1, so off_tol is the constant _JACOBI_OFF_TOL.
+derives the convergence tolerance from its Frobenius norm, then calls
+the trusted entry _eigenvalues, which alone picks the kernel and sorts
+(esdsim.esd._pt_eigenvalues says why its input may skip the checks).
 
 Both Jacobi kernels do the same real arithmetic, one float operation at
 a time: _jacobi_matrix in pure Python on lists of the real and imaginary
@@ -138,11 +133,6 @@ def as_complex_stack(mat) -> np.ndarray:
     return arr
 
 
-def _require_square(mat: np.ndarray) -> None:
-    if mat.shape[-2] != mat.shape[-1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
-
-
 def max_abs_diff(a, b) -> float:
     """Entrywise max-norm distance between two matrices."""
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
@@ -219,23 +209,36 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     non-Hermitian member fails the whole call.
     """
     a = as_complex_stack(mat)
-    _require_square(a)
     n = a.shape[-1]
+    if a.shape[-2] != n:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     # an explicit count: with n = 0, reshape cannot infer a -1
     stack, exponent, off_tol = _prepared(np.ascontiguousarray(a.reshape(math.prod(a.shape[:-2]), n, n)))
-    if n < 2:  # nothing to rotate: a 1x1 or 0x0 matrix is its own diagonal
-        diag = stack.diagonal(axis1=1, axis2=2).real
-    elif a.ndim == 2:
-        # one matrix takes the pure-Python kernel: the stack kernel's per-call
-        # overhead would cost several times as much on a single 6x6 matrix
-        diag = _jacobi_matrix(stack[0], off_tol[0])
-    else:
-        diag = _jacobi_stack(stack, off_tol)
-    eigs = np.sort(diag, axis=-1)
+    if a.ndim == 2:
+        stack, off_tol = stack[0], off_tol[0]
+    eigs = _eigenvalues(stack, off_tol)
     if exponent is not None:
         with np.errstate(over="ignore"):  # a spectrum beyond the float range is +/-inf
             eigs = np.ldexp(eigs, exponent[:, None])
     return eigs.reshape(a.shape[:-1])
+
+
+def _eigenvalues(a: np.ndarray, off_tol) -> np.ndarray:
+    """Ascending eigenvalues of a trusted n x n matrix, shape (n,), or of a (k, n, n) stack, shape (k, n).
+
+    Trusted, and not checked: exactly Hermitian, entries far below 1e150,
+    as _prepared leaves it. off_tol is one float, or one per matrix of a
+    stack. A stack is overwritten; one matrix is only read.
+    """
+    n = a.shape[-1]
+    if n < 2:  # nothing to rotate: a 1x1 or 0x0 matrix is its own diagonal
+        diag = a.diagonal(axis1=-2, axis2=-1).real
+    elif a.ndim == 2:
+        # pure Python: the stack kernel's per-call overhead would cost several times as much at 6x6
+        diag = _jacobi_matrix(a, off_tol)
+    else:
+        diag = _jacobi_stack(a, np.broadcast_to(off_tol, a.shape[:1]))
+    return np.sort(diag, axis=-1)
 
 
 def _cholesky_certifies(mat: np.ndarray) -> bool:
@@ -317,15 +320,12 @@ def _off_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def _jacobi_matrix(a: np.ndarray, off_tol: float) -> np.ndarray:
-    """Diagonalize one prepared n x n matrix; its diagonal, unsorted, as float64.
+    """Diagonalize one trusted n x n matrix (see _eigenvalues); its diagonal, unsorted, as float64.
 
-    Prepared means exactly Hermitian with entries far below 1e150, as
-    _prepared leaves it. The iteration runs in pure Python on lists of
-    the real and imaginary parts, so a is only read: at 6x6, numpy's
-    per-call overhead would cost more than the arithmetic. Sweeps stop
-    once the off-diagonal norm is below off_tol; a pair below
-    off_tol / (2n) is not rotated. The rotation is the one the module
-    docstring states, and _jacobi_rotate_stack's.
+    The iteration runs in pure Python on lists of the real and imaginary
+    parts, so a is only read: at 6x6, numpy's per-call overhead would
+    cost more than the arithmetic. The rotation, skip and stopping rules
+    are the module docstring's, and _jacobi_rotate_stack's.
     """
     n = a.shape[0]
     re, im = a.real.tolist(), a.imag.tolist()

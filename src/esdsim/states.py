@@ -61,9 +61,8 @@ class DensityMatrix:
     unit trace within 1e-12 and positive semidefiniteness down to -1e-10;
     use :func:`validate` to build one from untrusted input.
 
-    The stored array is read-only and owns its data: an input that does
-    not (a view, whose base another name may still write) is copied
-    first. The partial-transpose spectrum that
+    The stored array is a read-only copy of the input, so no other name
+    can write it. The partial-transpose spectrum that
     :func:`esdsim.entanglement.pt_spectrum` serves for either factor is
     computed lazily, once per instance, and kept; a solve that raises
     is not kept. A pickled or copied instance is rebuilt through the
@@ -75,8 +74,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         self.dims.check(self.mat)
-        if not self.mat.flags.owndata:
-            object.__setattr__(self, "mat", self.mat.copy())
+        object.__setattr__(self, "mat", self.mat.copy())
         self.mat.setflags(write=False)
 
     def __reduce__(self):
@@ -114,7 +112,7 @@ def validate(mat, dims: BipartiteDims = QUBIT_QUTRIT) -> DensityMatrix:
     certificate cannot. Either way the decision is the one the Jacobi
     solve would make.
     """
-    arr = linalg.as_complex_matrix(mat).copy()
+    arr = linalg.as_complex_matrix(mat)
     dims.check(arr)
     non_finite = int(np.count_nonzero(~np.isfinite(arr)))
     if non_finite:

@@ -157,6 +157,17 @@ def test_state_over_a_view_keeps_its_matrix_and_negativity():
     assert negativity(DensityMatrix(rho.mat, QUBIT_QUTRIT)).value == before
 
 
+def test_state_over_an_array_with_a_view_elsewhere_keeps_its_negativity():
+    # the array owns its data, but a view of it can still write it after the spectrum is kept
+    base = ansatz_x(0.25).mat.copy()
+    view = base[:]
+    rho = DensityMatrix(base, QUBIT_QUTRIT)
+    before = negativity(rho).value
+    view[0, 5] = view[5, 0] = 0.0
+    assert rho.mat[0, 5] == 0.25
+    assert negativity(rho).value == before == negativity(DensityMatrix(rho.mat, QUBIT_QUTRIT)).value
+
+
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda rho: pickle.loads(pickle.dumps(rho))])
 def test_copies_are_read_only_and_solve_afresh(clone, solves):
     rho = ansatz_x(0.25)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from esdsim import channels, esd
+from esdsim import channels, esd, linalg
 from esdsim.entanglement import negativity, pt_spectrum
 from esdsim.esd import (
     BracketError,
@@ -20,7 +20,7 @@ from esdsim.esd import (
     sweep,
 )
 from esdsim.esd import CURVE_FIELDS
-from esdsim.linalg import QUBIT_QUTRIT, partial_transpose
+from esdsim.linalg import hermitian_eigenvalues
 from esdsim.states import extract_corner, validate
 
 LN2 = math.log(2.0)
@@ -140,22 +140,54 @@ def test_numeric_esd_time_probes_every_point_through_the_pipeline(evolve_calls):
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
-def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, evolve_calls):
-    # the probe skips hermitian_eigenvalues' checks: it must give the checked
-    # route's bits, on input that is exactly Hermitian with Frobenius norm <= 1
-    for rate in np.logspace(-9.0, 3.0, 13):
-        for x in (0.13, 0.2, 0.25):
+def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, evolve_calls, monkeypatch):
+    # the probe and sweep skip hermitian_eigenvalues' checks: they must give the
+    # checked route's bits, on input that is exactly Hermitian with Frobenius norm <= 1
+    trusted_inputs = []
+    trusted = esd._eigenvalues
+
+    def recording(a, off_tol):
+        trusted_inputs.append(a.copy())  # a stack is overwritten
+        return trusted(a, off_tol)
+
+    monkeypatch.setattr(esd, "_eigenvalues", recording)
+    for rate in (0.0, *np.logspace(-9.0, 3.0, 13)):
+        for x in (0.0, 0.125, 0.13, 0.2, 0.25):
             s = scenario(kind, x=x, rate_a=float(rate), rate_b=float(rate))
-            del evolve_calls[:]
-            numeric_esd_time(s)
+            del evolve_calls[:], trusted_inputs[:]
+            if rate or x <= esd.ENTANGLEMENT_THRESHOLD_X:  # else no noise acts and there is no window
+                numeric_esd_time(s)
             times = list(evolve_calls)
-            assert times[:2] == [0.0, esd.default_bracket(s)]
+            if x > esd.ENTANGLEMENT_THRESHOLD_X and rate:
+                assert times[:2] == [0.0, esd.default_bracket(s)]
             for t in times:
-                pt = partial_transpose(evolve(s, t).mat, QUBIT_QUTRIT, "A")
-                assert np.array_equal(pt, pt.conj().T), (rate, x, t)
-                assert np.linalg.norm(pt) <= 1.0, (rate, x, t)
                 checked = negativity(evolve(s, t)).min_pt_eigenvalue
                 assert esd._min_pt_eigenvalue(s, t).hex() == checked.hex(), (rate, x, t)
+            curve = sweep(s, [*times, 0.0, *np.geomspace(1e-12, 1e12, 25), math.inf])
+            assert len(trusted_inputs) == 2 * len(times) + 1
+            for pts in trusted_inputs:
+                assert np.array_equal(pts, np.swapaxes(pts, -1, -2).conj()), (rate, x)
+                assert np.all(np.linalg.norm(pts, axis=(-2, -1)) <= 1.0), (rate, x)
+            stack = trusted_inputs[-1]
+            assert stack.shape == (len(times) + 27, 6, 6)
+            assert hermitian_eigenvalues(stack)[:, 0].tobytes() == curve.min_pt_eigenvalue.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_sweep_makes_no_checked_eigensolve(kind, monkeypatch):
+    # every sweep block goes to the trusted entry, not through the checked one
+    calls = []
+
+    def counted(name):
+        real = getattr(linalg, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("hermitian_eigenvalues", "_prepared"):  # the checked entry, and its checks
+        monkeypatch.setattr(linalg, name, counted(name))
+    for x in (0.0, 0.2, 0.25):
+        curve = sweep(scenario(kind, x=x, rate_a=1.3, rate_b=0.7), np.linspace(0.0, 4.0, 600))
+        assert len(curve) == 600
+    assert calls == []
 
 
 def test_numeric_esd_time_iteration_cap(monkeypatch):

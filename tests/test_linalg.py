@@ -335,6 +335,25 @@ def test_jacobi_kernel_only_reads_its_matrix(read_only):
     assert np.sort(diag).tobytes() == hermitian_eigenvalues(before).tobytes()
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_trusted_entry_gives_the_checked_bits_alone_and_stacked(n):
+    # _eigenvalues is the one kernel dispatch behind both entries: on prepared
+    # input, one matrix, a stack and the checked entry give the same bytes
+    rng = np.random.default_rng(40 + n)
+    stack = stack_of(rng, STACKS["mixed"], n)
+    for mats in (stack, stack / 64.0):  # the second has Frobenius norms below 1
+        prepared, exponent, off_tol = linalg._prepared(mats)
+        assert exponent is None
+        checked = hermitian_eigenvalues(mats)
+        singles = [linalg._eigenvalues(m, tol) for m, tol in zip(prepared, off_tol)]
+        assert np.array(singles).reshape(checked.shape).tobytes() == checked.tobytes()
+        assert linalg._eigenvalues(prepared.copy(), off_tol).tobytes() == checked.tobytes()
+        singles_checked = [hermitian_eigenvalues(m) for m in mats]
+        assert np.array(singles_checked).reshape(checked.shape).tobytes() == checked.tobytes()
+    assert np.all(off_tol == linalg._JACOBI_OFF_TOL)
+    assert linalg._eigenvalues(prepared, linalg._JACOBI_OFF_TOL).tobytes() == checked.tobytes()
+
+
 # The same seeded dense partial transposes, one matrix at a time and as a
 # stack, hashed; run in this process and in one on numpy's baseline loops.
 _DENSE_DIGEST = """
