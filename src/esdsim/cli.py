@@ -127,7 +127,11 @@ def run(config: RunConfig) -> int:
         return _emit(format_state(evolve(scenario, config.t_max)), config.out)
     if config.mode == "curve":
         try:
-            csv = render_csv(sweep(scenario, np.linspace(0.0, config.t_max, config.steps)))
+            try:
+                t_grid = np.linspace(0.0, config.t_max, config.steps)
+            except ValueError as exc:  # numpy refuses a grid past its own size limit before allocating
+                raise MemoryError(exc) from None
+            csv = render_csv(sweep(scenario, t_grid))
         except MemoryError as exc:  # a --steps grid beyond what can be allocated
             print(f"esd: cannot allocate the {config.steps}-point curve: {exc}", file=sys.stderr)
             return 1

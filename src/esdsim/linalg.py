@@ -6,12 +6,13 @@ the whole numeric path stays inspectable end to end; matrices here are
 tiny (6x6 at most).
 
 partial_transpose and hermitian_eigenvalues also take a (..., n, n)
-stack and treat each matrix as if it came alone, so a time series runs
-as one batched pass; the eigensolver's stack kernel rotates every
-matrix of the stack at once, each with its own rotation parameters,
-and returns the same bits as one call per matrix.
+stack and treat each matrix as if it came alone. The stack kernel,
+_jacobi_stack, rotates every matrix of a stack at once, each with its
+own rotation parameters, and returns the same bits as one call per
+matrix; esdsim.esd.sweep runs a time series through it as one pass.
 
-hermitian_eigenvalues is the checked entry: it refuses non-Hermitian or
+hermitian_eigenvalues is the checked entry, for one matrix at a time (a
+stack is solved member by member): it refuses non-Hermitian or
 non-finite input, scales entries above 1e150, symmetrizes a copy and
 derives the convergence tolerance from its Frobenius norm, then calls
 the trusted entry _eigenvalues, which alone picks the kernel and sorts
@@ -142,7 +143,7 @@ def hermiticity_defect(mat) -> float:
     """max |m - m^dagger| over all entries; NaN or inf, without a warning, on non-finite entries or overflow."""
     arr = as_complex_matrix(mat)
     with np.errstate(invalid="ignore", over="ignore"):
-        return float(np.max(np.abs(arr - arr.conj().T)))
+        return float(np.max(np.abs(arr - arr.conj().T), initial=0.0))  # 0.0 for a 0x0 matrix
 
 
 def kron(a, b) -> np.ndarray:
@@ -203,32 +204,43 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     spectrum beyond the float range comes back as +/-inf). Convergence
     is quadratic; six sweeps typically suffice at these sizes.
 
-    A stack is checked, scaled and iterated matrix by matrix with the
-    same (p, q) order and formulas as a single matrix, so each row of the
-    result equals the eigenvalues of its matrix alone, bit for bit; one
-    non-Hermitian member fails the whole call.
+    A stack is checked, scaled and solved one matrix at a time, so each
+    row of the result equals the eigenvalues of its matrix alone, bit for
+    bit; the first non-Hermitian member fails the whole call.
     """
     a = as_complex_stack(mat)
     n = a.shape[-1]
     if a.shape[-2] != n:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    # an explicit count: with n = 0, reshape cannot infer a -1
-    stack, exponent, off_tol = _prepared(np.ascontiguousarray(a.reshape(math.prod(a.shape[:-2]), n, n)))
-    if a.ndim == 2:
-        stack, off_tol = stack[0], off_tol[0]
-    eigs = _eigenvalues(stack, off_tol)
-    if exponent is not None:
-        with np.errstate(over="ignore"):  # a spectrum beyond the float range is +/-inf
-            eigs = np.ldexp(eigs, exponent[:, None])
-    return eigs.reshape(a.shape[:-1])
+    spectra = []
+    # one matrix is a stack of one; an explicit count: with n = 0, reshape cannot infer a -1
+    for m in a.reshape(math.prod(a.shape[:-2]), n, n):
+        defect = hermiticity_defect(m)
+        if not defect <= HERMITIAN_TOL:  # also refuses NaN/inf entries
+            raise NonHermitianError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
+        m = np.ascontiguousarray(m)
+        # keep |m|^2 finite: iterate on m / 2^k, with k from max(|re|, |im|), which
+        # is finite where |m| may overflow
+        peak = np.abs(m.view(np.float64)).max(initial=0.0)
+        exponent = int(np.frexp(peak)[1]) if peak > _JACOBI_SCALE_LIMIT else 0
+        if exponent:
+            m = m * np.ldexp(1.0, -exponent)
+        m = 0.5 * (m + m.conj().T)  # symmetrize roundoff before iterating
+        fro = float(np.sqrt(np.sum(np.abs(m) ** 2)))
+        eigs = _eigenvalues(m, _JACOBI_OFF_TOL * max(1.0, fro))
+        if exponent:
+            with np.errstate(over="ignore"):  # a spectrum beyond the float range is +/-inf
+                eigs = np.ldexp(eigs, exponent)
+        spectra.append(eigs)
+    return np.array(spectra, dtype=np.float64).reshape(a.shape[:-1])
 
 
-def _eigenvalues(a: np.ndarray, off_tol) -> np.ndarray:
+def _eigenvalues(a: np.ndarray, off_tol: float) -> np.ndarray:
     """Ascending eigenvalues of a trusted n x n matrix, shape (n,), or of a (k, n, n) stack, shape (k, n).
 
     Trusted, and not checked: exactly Hermitian, entries far below 1e150,
-    as _prepared leaves it. off_tol is one float, or one per matrix of a
-    stack. A stack is overwritten; one matrix is only read.
+    as hermitian_eigenvalues leaves it. off_tol is the stopping tolerance
+    of every matrix. A stack is overwritten; one matrix is only read.
     """
     n = a.shape[-1]
     if n < 2:  # nothing to rotate: a 1x1 or 0x0 matrix is its own diagonal
@@ -237,7 +249,7 @@ def _eigenvalues(a: np.ndarray, off_tol) -> np.ndarray:
         # pure Python: the stack kernel's per-call overhead would cost several times as much at 6x6
         diag = _jacobi_matrix(a, off_tol)
     else:
-        diag = _jacobi_stack(a, np.broadcast_to(off_tol, a.shape[:1]))
+        diag = _jacobi_stack(a, off_tol)
     return np.sort(diag, axis=-1)
 
 
@@ -277,34 +289,6 @@ def _cholesky_certifies(mat: np.ndarray) -> bool:
         li.append(math.sqrt(d))
         factor.append(li)
     return True
-
-
-def _prepared(stack: np.ndarray):
-    """Check a contiguous (k, n, n) stack, then scale and symmetrize a copy of it.
-
-    Returns the copy, each matrix's power-of-two exponent (None when no
-    matrix is scaled, else 0 for those that are not) and its
-    off-diagonal tolerance.
-    """
-    # whole-stack maxima first: the per-matrix ones are only needed when a check trips
-    with np.errstate(invalid="ignore", over="ignore"):
-        defect = np.abs(stack - stack.conj().transpose(0, 2, 1))
-    if not defect.max(initial=0.0) <= HERMITIAN_TOL:  # also refuses NaN/inf entries
-        worst = np.max(defect, axis=(1, 2))
-        raise NonHermitianError(
-            f"matrix is not Hermitian: max |m - m^dagger| = {worst[~(worst <= HERMITIAN_TOL)][0]:.3e}")
-    # keep |a|^2 finite: iterate on a / 2^k, with k from max(|re|, |im|), which
-    # is finite where |a| may overflow
-    parts = np.abs(stack.view(np.float64))
-    exponent = None
-    if parts.max(initial=0.0) > _JACOBI_SCALE_LIMIT:
-        peak = np.max(parts, axis=(1, 2))
-        big = peak > _JACOBI_SCALE_LIMIT
-        exponent = np.where(big, np.frexp(peak)[1], 0)
-        stack = np.where(big[:, None, None], stack * np.ldexp(1.0, -exponent)[:, None, None], stack)
-    stack = 0.5 * (stack + stack.conj().transpose(0, 2, 1))  # symmetrize roundoff before iterating
-    fro = np.sqrt(np.sum(np.abs(stack) ** 2, axis=(1, 2)))
-    return stack, exponent, _JACOBI_OFF_TOL * np.maximum(1.0, fro)
 
 
 def _off_norms(stack: np.ndarray) -> np.ndarray:
@@ -376,25 +360,25 @@ def _jacobi_matrix(a: np.ndarray, off_tol: float) -> np.ndarray:
     raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
 
 
-def _jacobi_stack(stack: np.ndarray, off_tol: np.ndarray) -> np.ndarray:
-    """Diagonalize a prepared (k, n, n) stack, n >= 2; the diagonals, unsorted, shape (k, n).
+def _jacobi_stack(stack: np.ndarray, off_tol: float) -> np.ndarray:
+    """Diagonalize a trusted (k, n, n) stack (see _eigenvalues), n >= 2; the diagonals, unsorted, shape (k, n).
 
     A sweep runs over the matrices not yet converged, each exactly as
-    _jacobi_matrix would run it (Golub & Van Loan, Matrix Computations,
-    section 8.5, with per-matrix rotation parameters).
+    _jacobi_matrix would run it with the same off_tol (Golub & Van Loan,
+    Matrix Computations, section 8.5, with per-matrix rotation parameters).
     """
     k, n, _ = stack.shape
     skip_tol = off_tol / (2 * n)
     active = np.arange(k)
     for _ in range(_MAX_JACOBI_SWEEPS):
         sub = stack[active]
-        going = ~(_off_norms(sub) < off_tol[active])
+        going = ~(_off_norms(sub) < off_tol)
         active, sub = active[going], sub[going]
         if not active.size:
             return stack.diagonal(axis1=1, axis2=2).real
         for p in range(n - 1):
             for q in range(p + 1, n):
-                _jacobi_rotate_stack(sub, p, q, skip_tol[active])
+                _jacobi_rotate_stack(sub, p, q, skip_tol)
         stack[active] = sub
     raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
 
@@ -410,10 +394,10 @@ def _strict_upper_flat(n: int) -> np.ndarray:
     return idx
 
 
-def _jacobi_rotate_stack(a: np.ndarray, p: int, q: int, skip_tol: np.ndarray) -> None:
+def _jacobi_rotate_stack(a: np.ndarray, p: int, q: int, skip_tol: float) -> None:
     """_jacobi_matrix's rotation of (p, q), in place, on each matrix of a (k, n, n) stack.
 
-    Each matrix gets its own rotation and skip_tol. The arithmetic runs
+    Each matrix gets its own rotation, and the one skip_tol. The arithmetic runs
     on the float views a.real and a.imag, one array operation for each
     float operation of _jacobi_matrix, so no complex multiply is fused.
     """

@@ -2,12 +2,21 @@
 
 The eigenvalue oracles work straight from the characteristic polynomial
 with closed-form root formulas, so they share no code path with the
-package's iterative eigensolver.
+package's iterative eigensolver. The death-time oracle runs in stdlib
+decimal arithmetic, sharing no code with the package, numpy or libm.
 """
 
+import decimal
 import math
 
 import numpy as np
+
+
+def exact_esd_time(x, rates):
+    """The death time 2 ln(8x) / sum(rates) to 50 digits, taking the float inputs as exact."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return 2 * (8 * decimal.Decimal(x)).ln() / sum(decimal.Decimal(r) for r in rates)
 
 
 def charpoly_eigs_2x2(h):

@@ -141,12 +141,15 @@ def test_rate_sum_overflow_exit_code(capsys):
 
 
 def test_curve_too_many_points_exit_code(capsys):
-    # 10**15 points ask for 7.1 PiB, beyond any address space, so the allocation fails at once
-    assert main(["curve", "--steps", str(10 ** 15)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("esd: cannot allocate ")
-    assert len(captured.err.splitlines()) == 1
+    # 10**15 points ask for 7.1 PiB, beyond any address space, so the allocation fails at
+    # once; numpy refuses 2**62 ("array is too big") and 10**20 ("Maximum allowed size
+    # exceeded") with a ValueError before it allocates anything
+    for steps in (10 ** 15, 2 ** 62, 10 ** 20):
+        assert main(["curve", "--steps", str(steps)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"esd: cannot allocate the {steps}-point curve: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_esd_time_below_noise_floor(capsys):

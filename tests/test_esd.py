@@ -1,6 +1,8 @@
 import math
+import sys
 import time
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from esdsim.esd import (
 from esdsim.esd import CURVE_FIELDS
 from esdsim.linalg import hermitian_eigenvalues
 from esdsim.states import extract_corner, validate
+
+from numeric_oracles import exact_esd_time
 
 LN2 = math.log(2.0)
 
@@ -129,6 +133,23 @@ def test_numeric_esd_time_regression_over_rates(kind, evolve_calls):
     assert time.perf_counter() - started < 10.0
 
 
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_death_time_routes_against_the_exact_root(kind):
+    # the closed form is within 2 ulp of the exact root; the root finder is as close
+    # as the probe allows: its eigenvalue f(t) = 1/8 - x g(t) is good to about
+    # eps/8, and its slope at the root is f'(t*) = rate/16, plus 4 ulp of closing
+    for rate in np.logspace(-9.0, 3.0, 13):
+        for x in (0.1251, 0.126, 0.13, 0.15, 0.2, 0.25):
+            s = scenario(kind, x=x, rate_a=float(rate), rate_b=float(rate))
+            exact = exact_esd_time(s.x, s.rates)
+            ulp = math.ulp(float(exact))
+            analytic_error = abs(Decimal(analytic_esd_time(s)) - exact)
+            assert analytic_error <= 2 * Decimal(ulp), (rate, x, analytic_error / Decimal(ulp))
+            numeric_error = abs(Decimal(numeric_esd_time(s)) - exact)
+            bound = sys.float_info.epsilon / (8.0 * s.effective_rate() / 16.0) + 4.0 * ulp
+            assert numeric_error <= Decimal(bound), (rate, x, numeric_error / Decimal(ulp))
+
+
 def test_numeric_esd_time_probes_every_point_through_the_pipeline(evolve_calls):
     s = scenario(ScenarioKind.MULTI_LOCAL)
     numeric = numeric_esd_time(s)
@@ -182,7 +203,7 @@ def test_sweep_makes_no_checked_eigensolve(kind, monkeypatch):
         real = getattr(linalg, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    for name in ("hermitian_eigenvalues", "_prepared"):  # the checked entry, and its checks
+    for name in ("hermitian_eigenvalues", "hermiticity_defect"):  # the checked entry, and its check
         monkeypatch.setattr(linalg, name, counted(name))
     for x in (0.0, 0.2, 0.25):
         curve = sweep(scenario(kind, x=x, rate_a=1.3, rate_b=0.7), np.linspace(0.0, 4.0, 600))

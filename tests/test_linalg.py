@@ -149,6 +149,10 @@ def test_pt_sides_share_spectrum():
         assert ea.tobytes() == eb.tobytes(), name
 
 
+def test_hermiticity_defect_of_an_empty_matrix():
+    assert linalg.hermiticity_defect(np.zeros((0, 0))) == 0.0
+
+
 def test_partial_transpose_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         partial_transpose(np.eye(4), QUBIT_QUTRIT, "A")
@@ -322,14 +326,28 @@ def test_stack_eigenvalues_match_eigvalsh_and_single_calls(kinds):
             assert eigs.tobytes() == singles.tobytes()
 
 
+def trusted(mats):
+    """mats made fit for the trusted entry by hand: symmetrized, then divided
+    by a power of two (exactly) so that each Frobenius norm is at most 1.
+
+    The checked entry leaves such input as it is and solves it at
+    _JACOBI_OFF_TOL, so both entries must give the same bits on it.
+    """
+    h = 0.5 * (mats + np.swapaxes(mats, -1, -2).conj())
+    peak = float(np.max(np.linalg.norm(h, axis=(-2, -1)), initial=0.0))
+    h = h * 2.0 ** -int(np.frexp(peak)[1])
+    assert np.array_equal(h, np.swapaxes(h, -1, -2).conj())
+    assert np.all(np.linalg.norm(h, axis=(-2, -1)) <= 1.0)
+    return h
+
+
 @pytest.mark.parametrize("read_only", [False, True])
 def test_jacobi_kernel_only_reads_its_matrix(read_only):
     rng = np.random.default_rng(26)
-    prepared, _, off_tol = linalg._prepared(random_hermitian(rng, 6)[None])
-    m = prepared[0]
+    m = trusted(random_hermitian(rng, 6))
     m.flags.writeable = not read_only
     before = m.copy()
-    diag = linalg._jacobi_matrix(m, off_tol[0])
+    diag = linalg._jacobi_matrix(m, linalg._JACOBI_OFF_TOL)
     assert m.tobytes() == before.tobytes()
     assert diag.dtype == np.float64 and diag.shape == (6,)
     assert np.sort(diag).tobytes() == hermitian_eigenvalues(before).tobytes()
@@ -337,35 +355,33 @@ def test_jacobi_kernel_only_reads_its_matrix(read_only):
 
 @pytest.mark.parametrize("n", range(7))
 def test_trusted_entry_gives_the_checked_bits_alone_and_stacked(n):
-    # _eigenvalues is the one kernel dispatch behind both entries: on prepared
+    # _eigenvalues is the one kernel dispatch behind both entries: on trusted
     # input, one matrix, a stack and the checked entry give the same bytes
     rng = np.random.default_rng(40 + n)
-    stack = stack_of(rng, STACKS["mixed"], n)
-    for mats in (stack, stack / 64.0):  # the second has Frobenius norms below 1
-        prepared, exponent, off_tol = linalg._prepared(mats)
-        assert exponent is None
+    stack = trusted(stack_of(rng, STACKS["mixed"], n))
+    for mats in (stack, stack / 64.0):
         checked = hermitian_eigenvalues(mats)
-        singles = [linalg._eigenvalues(m, tol) for m, tol in zip(prepared, off_tol)]
+        singles = [linalg._eigenvalues(m, linalg._JACOBI_OFF_TOL) for m in mats]
         assert np.array(singles).reshape(checked.shape).tobytes() == checked.tobytes()
-        assert linalg._eigenvalues(prepared.copy(), off_tol).tobytes() == checked.tobytes()
+        assert linalg._eigenvalues(mats.copy(), linalg._JACOBI_OFF_TOL).tobytes() == checked.tobytes()
         singles_checked = [hermitian_eigenvalues(m) for m in mats]
         assert np.array(singles_checked).reshape(checked.shape).tobytes() == checked.tobytes()
-    assert np.all(off_tol == linalg._JACOBI_OFF_TOL)
-    assert linalg._eigenvalues(prepared, linalg._JACOBI_OFF_TOL).tobytes() == checked.tobytes()
 
 
-# The same seeded dense partial transposes, one matrix at a time and as a
-# stack, hashed; run in this process and in one on numpy's baseline loops.
+# The same seeded dense partial transposes, symmetrized, one matrix at a time
+# through the checked entry and as a stack through the stack kernel, hashed;
+# run in this process and in one on numpy's baseline loops.
 _DENSE_DIGEST = """
 import hashlib
 import numpy as np
-from esdsim.linalg import QUBIT_QUTRIT, hermitian_eigenvalues, partial_transpose
+from esdsim.linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, _eigenvalues, hermitian_eigenvalues, partial_transpose
 from esdsim.states import random_density_matrix
 rng = np.random.default_rng(27)
 rhos = [random_density_matrix(rng).mat for _ in range(20)]
 pts = np.array([partial_transpose(rho, QUBIT_QUTRIT, side) for rho in rhos for side in "AB"])
+pts = 0.5 * (pts + np.swapaxes(pts, -1, -2).conj())  # exactly Hermitian, as the stack kernel needs
 singles = np.array([hermitian_eigenvalues(m) for m in pts])
-print(hashlib.sha256(singles.tobytes() + hermitian_eigenvalues(pts).tobytes()).hexdigest())
+print(hashlib.sha256(singles.tobytes() + _eigenvalues(pts.copy(), _JACOBI_OFF_TOL).tobytes()).hexdigest())
 """
 
 #: numpy skips, with an ImportWarning, the names its build does not dispatch,
@@ -406,7 +422,7 @@ def test_family_eigenvalue_bits_are_pinned():
                     pts = partial_transpose(states, QUBIT_QUTRIT, side)
                     for m in pts:
                         digest.update(hermitian_eigenvalues(m).tobytes())
-                    digest.update(hermitian_eigenvalues(pts).tobytes())
+                    digest.update(linalg._eigenvalues(pts.copy(), linalg._JACOBI_OFF_TOL).tobytes())
         for x in (0.126, 0.2, 0.25):
             for rate in rates:
                 t_star = numeric_esd_time(Scenario(kind, x, rate, rate))
