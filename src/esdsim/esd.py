@@ -10,11 +10,11 @@ only decays asymptotically. Closed forms used here:
     negativity    max{0, x*g(t) - 1/8}
     death time    t* = 2*ln(8x) / rate_eff   (from g(t*) = 1/(8x))
 
-where rate_eff is the sum of the active dephasing rates. The death-time
-expression is derived by inverting the exponential decay factors; the
-numeric root finder below double-checks it rather than trusting it, by
-locating the sign change of the smallest partial-transpose eigenvalue
-(1 - 8*x*g(t))/8, which is continuous and crosses zero at t*.
+where rate_eff is the sum of the active dephasing rates. The death-time expression
+inverts the exponential decay factors; the numeric root finder below double-checks
+it rather than trusting it, by locating the sign change of the smallest
+partial-transpose eigenvalue (1 - 8*x*g(t))/8, which is continuous and crosses
+zero at t*. Its probes and sweep take PT_A(rho(t)) as PT_A(rho0) o M(t).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .channels import decay_factor, dephasing_mask
 from .entanglement import negativity_of_spectrum
 from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, SPECTRAL_TOL, _eigenvalues, partial_transpose
-from .states import CORNER_SLOT, DensityMatrix, ansatz_x
+from .states import DensityMatrix, ansatz_x
 
 #: Corner values at or below 1/8 never produce entanglement.
 ENTANGLEMENT_THRESHOLD_X = 0.125
@@ -43,8 +43,7 @@ CURVE_FIELDS = ("t", "gamma_a", "gamma_b", "corner", "negativity_numeric", "nega
                 "min_pt_eigenvalue")
 _CURVE_DTYPE = np.dtype([(name, float) for name in CURVE_FIELDS])
 
-# sweep runs evolve -> partial transpose -> eigenvalues on this many grid
-# points at a time, so its working memory does not grow with the grid
+# sweep solves this many grid points at a time, so its working memory does not grow with the grid
 _SWEEP_BLOCK = 256
 
 
@@ -78,8 +77,8 @@ class Scenario:
 
     rate_a is ignored by QUTRIT_ONLY and rate_b by QUBIT_ONLY; both act
     in MULTI_LOCAL. Construction is the one check of kind (a ScenarioKind
-    or its value, stored as the member), x and the rates and builds the
-    x-state once; gamma_factors is the one check of t.
+    or its value, stored as the member), x and the rates, and builds the x-state
+    and its read-only side-A partial transpose once; gamma_factors checks t.
     """
 
     kind: ScenarioKind
@@ -87,15 +86,21 @@ class Scenario:
     rate_a: float = 1.0
     rate_b: float = 1.0
     initial_state: DensityMatrix = field(init=False, repr=False, compare=False)
+    _initial_pt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
         object.__setattr__(self, "initial_state", ansatz_x(self.x))  # checks x
+        object.__setattr__(self, "_initial_pt", partial_transpose(self.initial_state.mat, QUBIT_QUTRIT, "A"))
+        self._initial_pt.setflags(write=False)
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
         if not math.isfinite(self.effective_rate()):
             raise ValueError(f"rate_a + rate_b must be finite, got {self.rate_a} + {self.rate_b}")
+
+    def __reduce__(self):  # a copied array comes back writable; __post_init__ builds a read-only one
+        return type(self), (self.kind, self.x, self.rate_a, self.rate_b)
 
     @property
     def rates(self) -> tuple:
@@ -131,11 +136,6 @@ class Scenario:
         return math.prod(self.gamma_factors(t))
 
 
-def _dephased(scenario: Scenario, gamma_a, gamma_b) -> np.ndarray:
-    """The x-state times the dephasing mask of the factors: a 6x6 matrix, or a stack for arrays."""
-    return scenario.initial_state.mat * dephasing_mask(gamma_a, gamma_b)
-
-
 def evolve(scenario: Scenario, t: float) -> DensityMatrix:
     """Evolve the x-state to time t by one entrywise dephasing mask.
 
@@ -143,7 +143,7 @@ def evolve(scenario: Scenario, t: float) -> DensityMatrix:
     decay factor 1. It equals the Kraus route of :mod:`esdsim.channels`,
     which stays the general API and the tests' reference for the mask.
     """
-    return DensityMatrix(_dephased(scenario, *scenario.gamma_factors(t)), QUBIT_QUTRIT)
+    return DensityMatrix(scenario.initial_state.mat * dephasing_mask(*scenario.gamma_factors(t)), QUBIT_QUTRIT)
 
 
 def _closed_negativity(xg):
@@ -176,21 +176,24 @@ def analytic_esd_time(scenario: Scenario) -> EsdTime:
     return 2.0 * math.log(8.0 * scenario.x) / rate
 
 
-def _pt_eigenvalues(rho: np.ndarray) -> np.ndarray:
-    """Ascending side-A partial-transpose eigenvalues of a dephased x-state, or of each of a stack of them.
+def _pt_eigenvalues(scenario: Scenario, gamma_a, gamma_b) -> np.ndarray:
+    """Ascending side-A partial-transpose eigenvalues of the x-state dephased by the factors; a row each for arrays.
 
-    hermitian_eigenvalues' bits without its checks, which this input
-    cannot fail. It is exactly Hermitian (a Hermitian state times a real
-    symmetric mask, then a PT, which only moves entries), so symmetrizing
-    leaves it unchanged; no entry exceeds 1/4, so none is scaled; and its
-    Frobenius norm is below 0.56, so off_tol 1e-13 * max(1, norm) is 1e-13.
+    M = M_A(gamma_a) (x) M_B(gamma_b) has a symmetric M_A, so PT_A(M) = M
+    entry for entry, and PT_A(rho0 o M) = PT_A(rho0) o M multiplies the
+    same floats: this is evolve's state's PT, bit for bit, and it gets
+    hermitian_eigenvalues' bits without its checks, which it cannot fail.
+    It is exactly Hermitian (a Hermitian state times a real symmetric
+    mask, then a PT, which only moves entries), so symmetrizing leaves it
+    unchanged; no entry exceeds 1/4, so none is scaled; and its Frobenius
+    norm is below 0.56, so off_tol 1e-13 * max(1, norm) is 1e-13.
     """
-    return _eigenvalues(partial_transpose(rho, QUBIT_QUTRIT, "A"), _JACOBI_OFF_TOL)
+    return _eigenvalues(scenario._initial_pt * dephasing_mask(gamma_a, gamma_b), _JACOBI_OFF_TOL)
 
 
 def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
-    """One probe, evolve -> PT -> Jacobi: bit-equal to negativity(evolve(scenario, t)).min_pt_eigenvalue."""
-    return float(_pt_eigenvalues(evolve(scenario, t).mat)[0])
+    """One probe, PT_A(rho0) o mask -> Jacobi: bit-equal to negativity(evolve(scenario, t)).min_pt_eigenvalue."""
+    return float(_pt_eigenvalues(scenario, *scenario.gamma_factors(t))[0])
 
 
 def default_bracket(scenario: Scenario) -> float:
@@ -204,8 +207,8 @@ def default_bracket(scenario: Scenario) -> float:
 def numeric_esd_time(scenario: Scenario) -> EsdTime:
     """Find the death time as the root of the smallest PT eigenvalue.
 
-    Every probe runs the full evolve -> partial transpose -> eigenvalue
-    pipeline, so this is an independent check on the closed form. The
+    Every probe dephases, transposes and solves with evolve's bits (see
+    _pt_eigenvalues), so this is an independent check on the closed form. The
     bracket [0, default_bracket(scenario)] is closed by Illinois regula
     falsi (Dowell & Jarratt, BIT 11, 1971) until its width is at most
     4*eps*max(|a|, |b|), i.e. to machine precision; the midpoint of the
@@ -258,7 +261,7 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
     column and curve[i].t a value. The numeric pipeline and the closed
     form run side by side, batched over the grid: each row equals what
     evolve, negativity and analytic_negativity give at its time alone,
-    bit for bit.
+    bit for bit; the corner, x * (gamma_a * gamma_b), is the closed form's x*g(t).
     """
     times = np.array(t_grid, dtype=float)
     if times.ndim != 1:
@@ -266,14 +269,12 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
     ga, gb = scenario.gamma_factors(times)
     curve = np.empty(len(times), dtype=_CURVE_DTYPE).view(np.recarray)
     curve.t, curve.gamma_a, curve.gamma_b = times, ga, gb
-    i, j = CORNER_SLOT
     for start in range(0, len(times), _SWEEP_BLOCK):
         block = slice(start, start + _SWEEP_BLOCK)
-        rho = _dephased(scenario, ga[block], gb[block])
-        eigs = _pt_eigenvalues(rho)
-        curve.corner[block] = rho[:, i, j].real
+        eigs = _pt_eigenvalues(scenario, ga[block], gb[block])
         curve.negativity_numeric[block] = negativity_of_spectrum(eigs)
         curve.min_pt_eigenvalue[block] = eigs[:, 0]
-    curve.negativity_analytic = _closed_negativity(scenario.x * (ga * gb))
+    curve.corner = scenario.x * (ga * gb)
+    curve.negativity_analytic = _closed_negativity(curve.corner)
     curve.flags.writeable = False
     return curve

@@ -97,10 +97,9 @@ class BipartiteDims:
     dim_b: int
 
     def __post_init__(self) -> None:
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise ValueError(
-                f"factor dimensions must be positive, got ({self.dim_a}, {self.dim_b})"
-            )
+        a, b = self.dim_a, self.dim_b
+        if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)) and a >= 1 and b >= 1):
+            raise ValueError(f"factor dimensions must be positive integers, got ({a}, {b})")
 
     @property
     def total(self) -> int:

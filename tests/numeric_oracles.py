@@ -2,8 +2,8 @@
 
 The eigenvalue oracles work straight from the characteristic polynomial
 with closed-form root formulas, so they share no code path with the
-package's iterative eigensolver. The death-time oracle runs in stdlib
-decimal arithmetic, sharing no code with the package, numpy or libm.
+package's iterative eigensolver. The death-time and corner oracles run in
+stdlib decimal arithmetic, sharing no code with the package, numpy or libm.
 """
 
 import decimal
@@ -17,6 +17,13 @@ def exact_esd_time(x, rates):
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         return 2 * (8 * decimal.Decimal(x)).ln() / sum(decimal.Decimal(r) for r in rates)
+
+
+def exact_corner(x, gamma_a, gamma_b):
+    """The evolved corner x * gamma_a * gamma_b to 60 digits, taking the float inputs as exact."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return decimal.Decimal(x) * decimal.Decimal(gamma_a) * decimal.Decimal(gamma_b)
 
 
 def charpoly_eigs_2x2(h):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from esdsim.channels import (
     dephasing_qutrit,
     identity_channel,
 )
-from esdsim.linalg import DimensionMismatchError, hermitian_eigenvalues, max_abs_diff
+from esdsim.esd import Scenario, ScenarioKind
+from esdsim.linalg import QUBIT_QUTRIT, DimensionMismatchError, hermitian_eigenvalues, max_abs_diff, partial_transpose
 from esdsim.states import ansatz_x, random_density_matrix, validate
 
 from numeric_oracles import random_pattern_state
@@ -149,6 +152,34 @@ def test_dephasing_mask_of_arrays_is_per_pair():
     qubit = np.array([[1.0, 0.9], [0.9, 1.0]])
     qutrit = np.array([[1.0, 0.3, 0.3], [0.3, 1.0, 0.09], [0.3, 0.09, 1.0]])
     assert max_abs_diff(masks[0, 1], np.kron(qubit, qutrit)) < 1e-16
+
+
+MASK_GAMMAS = (0.0, 5e-324, 1e-160, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_dephasing_mask_is_its_own_partial_transpose(side):
+    # M_A and M_B are symmetric, so PT(rho0 o M) = PT(rho0) o M with the same floats
+    for ga in MASK_GAMMAS:
+        for gb in MASK_GAMMAS:
+            mask = dephasing_mask(ga, gb)
+            assert partial_transpose(mask, QUBIT_QUTRIT, side).tobytes() == mask.astype(complex).tobytes()
+    ga, gb = np.meshgrid(MASK_GAMMAS, MASK_GAMMAS)
+    stack = dephasing_mask(ga.ravel(), gb.ravel())
+    assert stack.shape == (len(MASK_GAMMAS) ** 2, 6, 6)
+    assert partial_transpose(stack, QUBIT_QUTRIT, side).tobytes() == stack.astype(complex).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_scenario_keeps_the_read_only_partial_transpose_of_its_state(kind):
+    s = Scenario(kind, 0.2, 1.3, 0.7)
+    pt = s._initial_pt
+    assert pt.tobytes() == partial_transpose(s.initial_state.mat, QUBIT_QUTRIT, "A").tobytes()
+    with pytest.raises(ValueError):
+        pt[0, 0] = 1.0
+    for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert copied == s and not copied._initial_pt.flags.writeable
+        assert copied._initial_pt.tobytes() == pt.tobytes()
 
 
 def test_multilocal_corner_product():

@@ -25,7 +25,7 @@ from esdsim.esd import CURVE_FIELDS
 from esdsim.linalg import hermitian_eigenvalues
 from esdsim.states import extract_corner, validate
 
-from numeric_oracles import exact_esd_time
+from numeric_oracles import exact_corner, exact_esd_time
 
 LN2 = math.log(2.0)
 
@@ -105,20 +105,21 @@ def test_numeric_esd_time_matches_analytic():
 
 
 @pytest.fixture
-def evolve_calls(monkeypatch):
-    """Count the pipeline probes the death-time search makes."""
+def probe_calls(monkeypatch):
+    """Count the probes the death-time search makes: each dephases, transposes and solves."""
     calls = []
+    probe = esd._min_pt_eigenvalue
 
-    def counting_evolve(scenario, t):
+    def counting_probe(scenario, t):
         calls.append(t)
-        return evolve(scenario, t)
+        return probe(scenario, t)
 
-    monkeypatch.setattr(esd, "evolve", counting_evolve)
+    monkeypatch.setattr(esd, "_min_pt_eigenvalue", counting_probe)
     return calls
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
-def test_numeric_esd_time_regression_over_rates(kind, evolve_calls):
+def test_numeric_esd_time_regression_over_rates(kind, probe_calls):
     # the thresholded bisection hung for t* above about 1e6 and was biased
     # by 1e-10 over the eigenvalue's slope; the root finder must do neither
     started = time.perf_counter()
@@ -126,10 +127,10 @@ def test_numeric_esd_time_regression_over_rates(kind, evolve_calls):
         for x in (0.13, 0.15, 0.2, 0.25):
             s = scenario(kind, x=x, rate_a=float(rate), rate_b=float(rate))
             analytic = analytic_esd_time(s)
-            del evolve_calls[:]
+            del probe_calls[:]
             numeric = numeric_esd_time(s)
             assert close_to_death_time(numeric, analytic), (rate, x, numeric, analytic)
-            assert len(evolve_calls) <= 16, (rate, x, len(evolve_calls))
+            assert len(probe_calls) <= 16, (rate, x, len(probe_calls))
     assert time.perf_counter() - started < 10.0
 
 
@@ -150,18 +151,18 @@ def test_death_time_routes_against_the_exact_root(kind):
             assert numeric_error <= Decimal(bound), (rate, x, numeric_error / Decimal(ulp))
 
 
-def test_numeric_esd_time_probes_every_point_through_the_pipeline(evolve_calls):
+def test_numeric_esd_time_probes_every_point_through_the_pipeline(probe_calls):
     s = scenario(ScenarioKind.MULTI_LOCAL)
     numeric = numeric_esd_time(s)
     # both bracket ends are probed once and reused
-    assert evolve_calls[:2] == [0.0, esd.default_bracket(s)]
-    assert len(set(evolve_calls)) == len(evolve_calls)
-    assert all(0.0 <= t <= evolve_calls[1] for t in evolve_calls)
-    assert 0.0 < numeric < evolve_calls[1]
+    assert probe_calls[:2] == [0.0, esd.default_bracket(s)]
+    assert len(set(probe_calls)) == len(probe_calls)
+    assert all(0.0 <= t <= probe_calls[1] for t in probe_calls)
+    assert 0.0 < numeric < probe_calls[1]
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
-def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, evolve_calls, monkeypatch):
+def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, probe_calls, monkeypatch):
     # the probe and sweep skip hermitian_eigenvalues' checks: they must give the
     # checked route's bits, on input that is exactly Hermitian with Frobenius norm <= 1
     trusted_inputs = []
@@ -175,10 +176,10 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, evol
     for rate in (0.0, *np.logspace(-9.0, 3.0, 13)):
         for x in (0.0, 0.125, 0.13, 0.2, 0.25):
             s = scenario(kind, x=x, rate_a=float(rate), rate_b=float(rate))
-            del evolve_calls[:], trusted_inputs[:]
+            del probe_calls[:], trusted_inputs[:]
             if rate or x <= esd.ENTANGLEMENT_THRESHOLD_X:  # else no noise acts and there is no window
                 numeric_esd_time(s)
-            times = list(evolve_calls)
+            times = list(probe_calls)
             if x > esd.ENTANGLEMENT_THRESHOLD_X and rate:
                 assert times[:2] == [0.0, esd.default_bracket(s)]
             for t in times:
@@ -209,6 +210,26 @@ def test_sweep_makes_no_checked_eigensolve(kind, monkeypatch):
         curve = sweep(scenario(kind, x=x, rate_a=1.3, rate_b=0.7), np.linspace(0.0, 4.0, 600))
         assert len(curve) == 600
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_death_time_and_sweep_transpose_no_evolved_state(kind, monkeypatch):
+    # the x-state is transposed once, when the Scenario is built; the probes and the
+    # sweep blocks scale that partial transpose by the mask and wrap no DensityMatrix
+    calls = []
+
+    def counted(name):
+        real = getattr(esd, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    s = scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7)
+    for name in ("partial_transpose", "DensityMatrix"):
+        monkeypatch.setattr(esd, name, counted(name))
+    assert close_to_death_time(numeric_esd_time(s), analytic_esd_time(s))
+    assert len(sweep(s, np.linspace(0.0, 4.0, 600))) == 600
+    assert calls == []
+    evolve(scenario(kind), 1.0)  # the counters see the calls they count
+    assert calls == ["partial_transpose", "DensityMatrix"]
 
 
 def test_numeric_esd_time_iteration_cap(monkeypatch):
@@ -337,11 +358,11 @@ def test_sweep_no_death_variant():
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
-def test_sweep_makes_no_root_finder_probe(kind, evolve_calls):
-    # the curve needs no death time: every root-finder probe would call esd.evolve
+def test_sweep_makes_no_root_finder_probe(kind, probe_calls):
+    # the curve needs no death time: every root-finder probe would call esd._min_pt_eigenvalue
     curve = sweep(scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7), np.linspace(0.0, 4.0, 101))
     assert len(curve) == 101
-    assert evolve_calls == []
+    assert probe_calls == []
 
 
 def test_gamma_factors_idle_subsystem():
@@ -423,6 +444,37 @@ def test_sweep_equals_pointwise_route_bit_for_bit(kind, rates):
     assert columns.tobytes() == pointwise_curve(s, grid).tobytes()
 
 
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_curve_rows_against_the_exact_corner(kind):
+    # each row against its own float factors taken as exact: min_pt_eigenvalue is
+    # 1/8 - x ga gb and negativity_numeric max(0, x ga gb - 1/8), within eps/2 (4 eps/8;
+    # the worst over this grid is 6.6e-17, 2.4 eps/8), and an exact negativity in
+    # (0, 1e-10] reads exactly 0 by the noise-floor rule; the extra times put x g(t) at
+    # 1/8 + delta, on both sides of that floor
+    tol = Decimal(sys.float_info.epsilon / 2)
+    eighth, floor = Decimal(1) / 8, Decimal(linalg.SPECTRAL_TOL)
+    floored = 0
+    for rate in np.logspace(-9.0, 3.0, 13):
+        for x in (0.0, 0.1, 0.125, 0.1251, 0.13, 0.2, 0.25):
+            s = scenario(kind, x=x, rate_a=float(rate), rate_b=0.7 * float(rate))
+            r = s.effective_rate()
+            grid = [*np.linspace(0.0, 4.0 * LN2 / r, 401)]
+            if x > esd.ENTANGLEMENT_THRESHOLD_X:
+                grid += [2.0 * math.log(x / (0.125 + delta)) / r for delta in (1.1e-10, 9e-11, 5e-11, 1e-12)]
+            curve = sweep(s, grid)
+            for t, ga, gb, lam, neg in zip(*(curve[name].tolist() for name in (
+                    "t", "gamma_a", "gamma_b", "min_pt_eigenvalue", "negativity_numeric"))):
+                xg = exact_corner(s.x, ga, gb)
+                assert abs(Decimal(lam) - (eighth - xg)) <= tol, (rate, x, t, lam)
+                exact = max(Decimal(0), xg - eighth)
+                if 0 < exact <= floor:
+                    floored += 1
+                    assert neg == 0.0, (rate, x, t, neg)
+                else:
+                    assert abs(Decimal(neg) - exact) <= tol, (rate, x, t, neg)
+    assert floored > 0
+
+
 def test_sweep_curve_is_a_read_only_record_array():
     curve = sweep(scenario(ScenarioKind.MULTI_LOCAL), np.linspace(0.0, 2.0, 600))  # more than one block
     assert isinstance(curve, np.recarray) and len(curve) == 600
@@ -453,7 +505,7 @@ def test_gamma_factors_of_an_array_are_per_point(kind):
 
 
 def test_sweep_memory_stays_flat():
-    # evolve -> PT -> eigenvalues runs in fixed blocks: one (T, 6, 6) pass would peak near 17 MB
+    # mask -> PT_A(rho0) o mask -> eigenvalues runs in fixed blocks: one (T, 6, 6) pass would peak near 17 MB
     s = scenario(ScenarioKind.MULTI_LOCAL, x=0.2, rate_a=1.3, rate_b=0.7)
     grid = np.linspace(0.0, 4.0, 10001)
     tracemalloc.start()

@@ -39,6 +39,21 @@ def test_bipartite_dims_rejects_nonpositive():
         BipartiteDims(0, 3)
 
 
+@pytest.mark.parametrize("dims", [(2.5, 3), (2.0, 3.0), (2, 3.0), (np.float64(2.0), 3), (2, "3"), (None, 3)])
+def test_bipartite_dims_rejects_non_integers(dims):
+    # 2.5 x 3 made every matrix the wrong size ("expected a 7.5x7.5 matrix"), and
+    # 2.0 x 3.0 passed check on a 6x6 matrix and then failed inside reshape
+    with pytest.raises(ValueError, match="must be positive integers"):
+        BipartiteDims(*dims)
+
+
+def test_bipartite_dims_accepts_numpy_integers():
+    dims = BipartiteDims(np.int64(2), np.int32(3))
+    assert dims == QUBIT_QUTRIT and dims.total == 6
+    rho = ansatz_x(0.2).mat
+    assert partial_transpose(rho, dims, "A").tobytes() == partial_transpose(rho, QUBIT_QUTRIT, "A").tobytes()
+
+
 def test_kron_identity_blocks():
     assert linalg.max_abs_diff(kron(np.eye(2), np.eye(3)), np.eye(6)) == 0.0
 
