@@ -5,18 +5,16 @@ layout. The eigensolver is a self-contained cyclic Jacobi iteration, so
 the whole numeric path stays inspectable end to end; matrices here are
 tiny (6x6 at most).
 
-partial_transpose and hermitian_eigenvalues also take a (..., n, n)
-stack and treat each matrix as if it came alone. The stack kernel,
-_jacobi_stack, rotates every matrix of a stack at once, each with its
-own rotation parameters, and returns the same bits as one call per
-matrix; esdsim.esd.sweep runs a time series through it as one pass.
-
-hermitian_eigenvalues is the checked entry, for one matrix at a time (a
-stack is solved member by member): it refuses non-Hermitian or
-non-finite input, scales entries above 1e150, symmetrizes a copy and
-derives the convergence tolerance from its Frobenius norm, then calls
-the trusted entry _eigenvalues, which alone picks the kernel and sorts
-(esdsim.esd._pt_eigenvalues says why its input may skip the checks).
+hermitian_eigenvalues is the checked entry, for one matrix: it refuses
+non-Hermitian or non-finite input, scales entries above 1e150,
+symmetrizes a copy and derives the convergence tolerance from its
+Frobenius norm, then calls the trusted entry _eigenvalues, which alone
+picks the kernel and sorts. _eigenvalues alone also takes a (k, n, n)
+stack: the stack kernel, _jacobi_stack, rotates every matrix of it at
+once, each with its own rotation parameters, and returns the same bits
+as one call per matrix. Its one caller, esdsim.esd._pt_eigenvalues,
+passes a death-time probe's matrix or a sweep block's stack, and says
+why that input may skip the checks.
 
 Both Jacobi kernels do the same real arithmetic, one float operation at
 a time: _jacobi_matrix in pure Python on lists of the real and imaginary
@@ -105,9 +103,9 @@ class BipartiteDims:
     def total(self) -> int:
         return self.dim_a * self.dim_b
 
-    def check(self, mat: np.ndarray, stacked: bool = False) -> None:
-        """Raise DimensionMismatchError unless mat is total x total (stacked: (..., total, total))."""
-        if (mat.shape[-2:] if stacked else mat.shape) != (self.total, self.total):
+    def check(self, mat: np.ndarray) -> None:
+        """Raise DimensionMismatchError unless mat is total x total."""
+        if mat.shape != (self.total, self.total):
             raise DimensionMismatchError(
                 f"expected a {self.total}x{self.total} matrix for dims "
                 f"({self.dim_a}, {self.dim_b}), got shape {mat.shape}"
@@ -122,14 +120,6 @@ def as_complex_matrix(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    return arr
-
-
-def as_complex_stack(mat) -> np.ndarray:
-    """Coerce input to a complex128 matrix or (..., rows, cols) stack of matrices."""
-    arr = np.asarray(mat, dtype=complex)
-    if arr.ndim < 2:
-        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={arr.ndim}")
     return arr
 
 
@@ -156,24 +146,23 @@ def kron(a, b) -> np.ndarray:
 
 
 def partial_transpose(mat, dims: BipartiteDims, subsystem: str) -> np.ndarray:
-    """Transpose the indices of one factor only, of a matrix or of each matrix of a (..., n, n) stack.
+    """Transpose the indices of one factor only.
 
     For subsystem "A": out[(a,b),(a',b')] = m[(a',b),(a,b')], and the
     mirror image for "B". Trace and Hermiticity are preserved; positivity
     is not, which is the whole point.
     """
-    arr = as_complex_stack(mat)
-    dims.check(arr, stacked=True)
+    arr = as_complex_matrix(mat)
+    dims.check(arr)
     da, db = dims.dim_a, dims.dim_b
-    lead = arr.shape[:-2]
-    blocks = arr.reshape(*lead, da, db, da, db)
+    blocks = arr.reshape(da, db, da, db)
     if subsystem == "A":
-        blocks = blocks.swapaxes(-4, -2)
+        blocks = blocks.swapaxes(0, 2)
     elif subsystem == "B":
-        blocks = blocks.swapaxes(-3, -1)
+        blocks = blocks.swapaxes(1, 3)
     else:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return blocks.reshape(*lead, da * db, da * db).copy()
+    return blocks.reshape(da * db, da * db).copy()
 
 
 def partial_trace(mat, dims: BipartiteDims, keep: str) -> np.ndarray:
@@ -192,7 +181,7 @@ def partial_trace(mat, dims: BipartiteDims, keep: str) -> np.ndarray:
 
 
 def hermitian_eigenvalues(mat) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending; of each matrix of a (..., n, n) stack, shape (..., n).
+    """All eigenvalues of a Hermitian matrix, ascending.
 
     Cyclic Jacobi iteration: each step conjugates by a two-level unitary
     (a plane rotation times a phase) chosen to annihilate one off-diagonal
@@ -203,35 +192,28 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     spectrum beyond the float range comes back as +/-inf). Convergence
     is quadratic; six sweeps typically suffice at these sizes.
 
-    A stack is checked, scaled and solved one matrix at a time, so each
-    row of the result equals the eigenvalues of its matrix alone, bit for
-    bit; the first non-Hermitian member fails the whole call.
+    One matrix per call: a stack raises ValueError, as anything not 2-D does.
     """
-    a = as_complex_stack(mat)
-    n = a.shape[-1]
-    if a.shape[-2] != n:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    spectra = []
-    # one matrix is a stack of one; an explicit count: with n = 0, reshape cannot infer a -1
-    for m in a.reshape(math.prod(a.shape[:-2]), n, n):
-        defect = hermiticity_defect(m)
-        if not defect <= HERMITIAN_TOL:  # also refuses NaN/inf entries
-            raise NonHermitianError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
-        m = np.ascontiguousarray(m)
-        # keep |m|^2 finite: iterate on m / 2^k, with k from max(|re|, |im|), which
-        # is finite where |m| may overflow
-        peak = np.abs(m.view(np.float64)).max(initial=0.0)
-        exponent = int(np.frexp(peak)[1]) if peak > _JACOBI_SCALE_LIMIT else 0
-        if exponent:
-            m = m * np.ldexp(1.0, -exponent)
-        m = 0.5 * (m + m.conj().T)  # symmetrize roundoff before iterating
-        fro = float(np.sqrt(np.sum(np.abs(m) ** 2)))
-        eigs = _eigenvalues(m, _JACOBI_OFF_TOL * max(1.0, fro))
-        if exponent:
-            with np.errstate(over="ignore"):  # a spectrum beyond the float range is +/-inf
-                eigs = np.ldexp(eigs, exponent)
-        spectra.append(eigs)
-    return np.array(spectra, dtype=np.float64).reshape(a.shape[:-1])
+    m = as_complex_matrix(mat)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    defect = hermiticity_defect(m)
+    if not defect <= HERMITIAN_TOL:  # also refuses NaN/inf entries
+        raise NonHermitianError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
+    m = np.ascontiguousarray(m)
+    # keep |m|^2 finite: iterate on m / 2^k, with k from max(|re|, |im|), which
+    # is finite where |m| may overflow
+    peak = np.abs(m.view(np.float64)).max(initial=0.0)
+    exponent = int(np.frexp(peak)[1]) if peak > _JACOBI_SCALE_LIMIT else 0
+    if exponent:
+        m = m * np.ldexp(1.0, -exponent)
+    m = 0.5 * (m + m.conj().T)  # symmetrize roundoff before iterating
+    fro = float(np.sqrt(np.sum(np.abs(m) ** 2)))
+    eigs = _eigenvalues(m, _JACOBI_OFF_TOL * max(1.0, fro))
+    if exponent:
+        with np.errstate(over="ignore"):  # a spectrum beyond the float range is +/-inf
+            eigs = np.ldexp(eigs, exponent)
+    return eigs
 
 
 def _eigenvalues(a: np.ndarray, off_tol: float) -> np.ndarray:
@@ -239,7 +221,9 @@ def _eigenvalues(a: np.ndarray, off_tol: float) -> np.ndarray:
 
     Trusted, and not checked: exactly Hermitian, entries far below 1e150,
     as hermitian_eigenvalues leaves it. off_tol is the stopping tolerance
-    of every matrix. A stack is overwritten; one matrix is only read.
+    of every matrix. The input's shape picks the kernel: pure Python for
+    one matrix, which it only reads, and numpy for a stack, which it
+    overwrites.
     """
     n = a.shape[-1]
     if n < 2:  # nothing to rotate: a 1x1 or 0x0 matrix is its own diagonal

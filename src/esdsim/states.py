@@ -61,20 +61,21 @@ class DensityMatrix:
     unit trace within 1e-12 and positive semidefiniteness down to -1e-10;
     use :func:`validate` to build one from untrusted input.
 
-    The stored array is a read-only copy of the input, so no other name
-    can write it. The partial-transpose spectrum that
-    :func:`esdsim.entanglement.pt_spectrum` serves for either factor is
-    computed lazily, once per instance, and kept; a solve that raises
-    is not kept. A pickled or copied instance is rebuilt through the
-    constructor, read-only again and without the spectrum.
+    The stored array is a read-only complex128 copy of the input (an
+    array or nested lists), so no other name can write it. The
+    partial-transpose spectrum that :func:`esdsim.entanglement.pt_spectrum`
+    serves for either factor is computed lazily, once per instance, and
+    kept; a solve that raises is not kept. A pickled or copied instance
+    is rebuilt through the constructor, read-only again and without the
+    spectrum.
     """
 
     mat: np.ndarray
     dims: BipartiteDims
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mat", linalg.as_complex_matrix(self.mat).copy())
         self.dims.check(self.mat)
-        object.__setattr__(self, "mat", self.mat.copy())
         self.mat.setflags(write=False)
 
     def __reduce__(self):

@@ -167,7 +167,8 @@ def test_dephasing_mask_is_its_own_partial_transpose(side):
     ga, gb = np.meshgrid(MASK_GAMMAS, MASK_GAMMAS)
     stack = dephasing_mask(ga.ravel(), gb.ravel())
     assert stack.shape == (len(MASK_GAMMAS) ** 2, 6, 6)
-    assert partial_transpose(stack, QUBIT_QUTRIT, side).tobytes() == stack.astype(complex).tobytes()
+    for mask in stack:
+        assert partial_transpose(mask, QUBIT_QUTRIT, side).tobytes() == mask.astype(complex).tobytes()
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))

@@ -241,6 +241,28 @@ def test_density_matrix_is_read_only():
         rho.mat[0, 0] = 9.0
 
 
+def test_density_matrix_from_nested_lists_is_the_same_state():
+    # a list has no .shape, so the constructor must coerce before it checks
+    rho = ansatz_x(0.2)
+    from_lists = DensityMatrix(rho.mat.tolist(), QUBIT_QUTRIT)
+    assert from_lists.mat.dtype == np.complex128 and not from_lists.mat.flags.writeable
+    assert from_lists.mat.tobytes() == rho.mat.tobytes()
+    real_lists = DensityMatrix(rho.mat.real.tolist(), QUBIT_QUTRIT)
+    assert real_lists.mat.tobytes() == rho.mat.tobytes()
+    assert hermitian_eigenvalues(from_lists.mat).tobytes() == hermitian_eigenvalues(rho.mat).tobytes()
+
+
+@pytest.mark.parametrize("bad", [[0.25] * 6, 0.5, np.zeros((1, 6, 6))], ids=["1-D", "0-D", "3-D"])
+def test_density_matrix_refuses_input_that_is_not_a_matrix(bad):
+    with pytest.raises(ValueError, match="expected a 2-D matrix"):
+        DensityMatrix(bad, QUBIT_QUTRIT)
+
+
+def test_density_matrix_refuses_the_wrong_size_from_lists():
+    with pytest.raises(linalg.DimensionMismatchError):
+        DensityMatrix(np.eye(4).tolist(), QUBIT_QUTRIT)
+
+
 def test_format_parse_roundtrip_exact():
     rng = np.random.default_rng(22)
     for rho in (ansatz_x(0.25), random_density_matrix(rng)):
