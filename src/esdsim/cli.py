@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import selfcheck
 from .esd import (CURVE_FIELDS, BracketError, EsdOutcome, Scenario, ScenarioKind, analytic_esd_time, evolve,
                   numeric_esd_time, sweep)
 from .states import format_state
@@ -120,6 +119,8 @@ def _emit(text: str, out: str | None) -> int:
 def run(config: RunConfig) -> int:
     scenario = config.scenario
     if config.mode == "selfcheck":
+        from . import selfcheck  # imported by its own mode only, so that the other modes start faster
+
         lines = []
         passed = selfcheck.run(write=lines.append)
         return _emit("\n".join(lines) + "\n", config.out) or (0 if passed else 2)

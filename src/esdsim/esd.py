@@ -44,7 +44,7 @@ CURVE_FIELDS = ("t", "gamma_a", "gamma_b", "corner", "negativity_numeric", "nega
 _CURVE_DTYPE = np.dtype([(name, float) for name in CURVE_FIELDS])
 
 # sweep solves this many grid points at a time, so its working memory does not grow with the grid
-_SWEEP_BLOCK = 256
+_SWEEP_BLOCK = 1024
 
 
 class ScenarioKind(enum.Enum):
@@ -116,7 +116,7 @@ class Scenario:
         """(gamma_a, gamma_b) at time t >= 0 (else ValueError); rate 0 keeps factor 1.
 
         For an array of times the factors are arrays of its shape, each
-        entry computed by decay_factor as for that time alone, and every
+        entry bit-equal to decay_factor's for that time alone, and every
         entry is checked.
         """
         rate_a, rate_b = self.rates
@@ -124,10 +124,13 @@ class Scenario:
             bad = ~(t >= 0.0)
             if bad.any():
                 raise ValueError(f"t must be >= 0, got {t[bad][0]}")
-            # math.exp point by point: np.exp differs from it in the last bit
-            times = t.ravel().tolist()
-            return tuple(np.fromiter((decay_factor(rate, s) for s in times), float, len(times)).reshape(t.shape)
-                         for rate in (rate_a, rate_b))
+            # decay_factor's exp(-0.5 * t * rate), its product rounded as Python rounds it: it may
+            # overflow to -inf, whose exp is 0.0, and at t = 0 it is a zero, whose exp is 1.0. An
+            # idle side gets ones. math.exp runs point by point: np.exp differs from it in the last bit.
+            half = -0.5 * t.ravel()
+            with np.errstate(over="ignore"):
+                return tuple(np.fromiter(map(math.exp, (half * rate).tolist()), float, t.size).reshape(t.shape)
+                             if rate else np.ones(t.shape) for rate in (rate_a, rate_b))
         if not t >= 0.0:
             raise ValueError(f"t must be >= 0, got {t}")
         return decay_factor(rate_a, t), decay_factor(rate_b, t)

@@ -10,20 +10,22 @@ non-Hermitian or non-finite input, scales entries above 1e150,
 symmetrizes a copy and derives the convergence tolerance from its
 Frobenius norm, then calls the trusted entry _eigenvalues, which alone
 picks the kernel and sorts. _eigenvalues alone also takes a (k, n, n)
-stack: the stack kernel, _jacobi_stack, rotates every matrix of it at
-once, each with its own rotation parameters, and returns the same bits
-as one call per matrix. Its one caller, esdsim.esd._pt_eigenvalues,
-passes a death-time probe's matrix or a sweep block's stack, and says
-why that input may skip the checks.
+stack. The stack kernel, _jacobi_stack, copies it once into two float
+planes, its real and its imaginary parts laid out (n, n, k), so that
+each entry of every matrix is one contiguous k-vector; it rotates every
+matrix at once on them, each with its own rotation parameters, and
+returns the same bits as one call per matrix. Its one caller,
+esdsim.esd._pt_eigenvalues, passes a death-time probe's matrix or a
+sweep block's stack, and says why that input may skip the checks.
 
-Both Jacobi kernels do the same real arithmetic, one float operation at
-a time: _jacobi_matrix in pure Python on lists of the real and imaginary
-parts, _jacobi_rotate_stack and _off_norms with one numpy operation on
-float arrays per float operation. No complex multiply runs through
-numpy, whose SIMD loops fuse its multiply and add on some hosts, so the
-eigenvalues' bits do not depend on the host's SIMD dispatch. With b the
-entry a[p][q] and r = |b| (libm's hypot), one rotation of the pair
-(p, q) is:
+Both Jacobi kernels only read their input, and do the same real
+arithmetic, one float operation at a time: _jacobi_matrix in pure Python
+on lists of the real and imaginary parts, _jacobi_stack and
+_jacobi_rotate_stack with one numpy operation on the planes' k-vectors
+per float operation. No complex multiply runs through numpy, whose SIMD
+loops fuse its multiply and add on some hosts, so the eigenvalues' bits
+do not depend on the host's SIMD dispatch. With b the entry a[p][q] and
+r = |b| (libm's hypot), one rotation of the pair (p, q) is:
 
     phase  = (b.re * (1 / r), b.im * (1 / r))
     tau    = (a[q][q] - a[p][p]) / (2 r)
@@ -57,7 +59,6 @@ eigensolver, it calls no LAPACK routine.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -222,8 +223,7 @@ def _eigenvalues(a: np.ndarray, off_tol: float) -> np.ndarray:
     Trusted, and not checked: exactly Hermitian, entries far below 1e150,
     as hermitian_eigenvalues leaves it. off_tol is the stopping tolerance
     of every matrix. The input's shape picks the kernel: pure Python for
-    one matrix, which it only reads, and numpy for a stack, which it
-    overwrites.
+    one matrix, and numpy on float planes for a stack. Both only read it.
     """
     n = a.shape[-1]
     if n < 2:  # nothing to rotate: a 1x1 or 0x0 matrix is its own diagonal
@@ -272,18 +272,6 @@ def _cholesky_certifies(mat: np.ndarray) -> bool:
         li.append(math.sqrt(d))
         factor.append(li)
     return True
-
-
-def _off_norms(stack: np.ndarray) -> np.ndarray:
-    """Off-diagonal Frobenius norm of each matrix of a (k, n, n) stack, n >= 2.
-
-    re^2 + im^2 is summed over the strict upper triangle in row-major
-    order, one term after another, as _jacobi_matrix sums it.
-    """
-    k, n, _ = stack.shape
-    upper = stack.reshape(k, n * n)[:, _strict_upper_flat(n)]
-    re, im = upper.real, upper.imag
-    return np.sqrt(2.0 * np.cumsum(re * re + im * im, axis=1)[:, -1])
 
 
 def _jacobi_matrix(a: np.ndarray, off_tol: float) -> np.ndarray:
@@ -346,73 +334,74 @@ def _jacobi_matrix(a: np.ndarray, off_tol: float) -> np.ndarray:
 def _jacobi_stack(stack: np.ndarray, off_tol: float) -> np.ndarray:
     """Diagonalize a trusted (k, n, n) stack (see _eigenvalues), n >= 2; the diagonals, unsorted, shape (k, n).
 
-    A sweep runs over the matrices not yet converged, each exactly as
-    _jacobi_matrix would run it with the same off_tol (Golub & Van Loan,
-    Matrix Computations, section 8.5, with per-matrix rotation parameters).
+    The stack is only read: it is copied once into two float planes, the
+    real and the imaginary parts, laid out (n, n, k), so that each entry
+    of every matrix is one contiguous k-vector. A sweep runs over the
+    matrices not yet converged, each exactly as _jacobi_matrix would run
+    it with the same off_tol (Golub & Van Loan, Matrix Computations,
+    section 8.5, with per-matrix rotation parameters); a converged matrix
+    leaves the planes with its diagonal.
     """
     k, n, _ = stack.shape
-    skip_tol = off_tol / (2 * n)
+    re = np.ascontiguousarray(stack.real.transpose(1, 2, 0))
+    im = np.ascontiguousarray(stack.imag.transpose(1, 2, 0))
+    diag = np.empty((k, n))
     active = np.arange(k)
+    skip_tol = off_tol / (2 * n)
     for _ in range(_MAX_JACOBI_SWEEPS):
-        sub = stack[active]
-        going = ~(_off_norms(sub) < off_tol)
-        active, sub = active[going], sub[going]
+        acc = 0.0
+        for p in range(n - 1):
+            row_re, row_im = re[p, p + 1:], im[p, p + 1:]
+            for term in row_re * row_re + row_im * row_im:  # re^2 + im^2 of (p, q), q > p
+                acc += term
+        going = ~(np.sqrt(2.0 * acc) < off_tol)
+        if not going.all():
+            diag[active] = re.diagonal()  # final for the converged rows; a later sweep rewrites the others
+            active, re, im = active[going], re[..., going], im[..., going]
         if not active.size:
-            return stack.diagonal(axis1=1, axis2=2).real
+            return diag
         for p in range(n - 1):
             for q in range(p + 1, n):
-                _jacobi_rotate_stack(sub, p, q, skip_tol)
-        stack[active] = sub
+                _jacobi_rotate_stack(re, im, p, q, skip_tol)
     raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
 
 
-@functools.lru_cache(maxsize=None)
-def _strict_upper_flat(n: int) -> np.ndarray:
-    """Flat indices of the entries above the diagonal of an n x n matrix.
+def _jacobi_rotate_stack(re: np.ndarray, im: np.ndarray, p: int, q: int, skip_tol: float) -> None:
+    """_jacobi_matrix's rotation of (p, q), in place, on each matrix of the (n, n, k) float planes re and im.
 
-    Cached per size: building them costs more than a sweep's norm.
+    Each matrix gets its own rotation, and the one skip_tol. One array
+    operation runs for each float operation of _jacobi_matrix, on
+    k-vectors, so no complex multiply is fused. The matrices whose pair
+    is skipped are left out, and the others rotated as planes of their own.
     """
-    idx = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))
-    idx.flags.writeable = False
-    return idx
-
-
-def _jacobi_rotate_stack(a: np.ndarray, p: int, q: int, skip_tol: float) -> None:
-    """_jacobi_matrix's rotation of (p, q), in place, on each matrix of a (k, n, n) stack.
-
-    Each matrix gets its own rotation, and the one skip_tol. The arithmetic runs
-    on the float views a.real and a.imag, one array operation for each
-    float operation of _jacobi_matrix, so no complex multiply is fused.
-    """
-    alpha = a[:, p, q]
-    r = np.hypot(alpha.real, alpha.imag)  # libm hypot, as abs() of a Python complex; np.abs is not
-    hit = r > skip_tol
-    if not hit.any():
+    ar, ai = re[p, q], im[p, q]
+    if not (ar.any() or ai.any()):  # a pair that is zero in every matrix: no hypot to take
         return
-    whole = hit.all()
-    sub = a if whole else a[hit]
-    if not whole:
-        alpha, r = alpha[hit], r[hit]
+    r = np.hypot(ar, ai)  # libm hypot, as abs() of a Python complex; np.abs is not
+    hit = r > skip_tol
+    if not hit.all():
+        if hit.any():
+            sub_re, sub_im = re[..., hit], im[..., hit]
+            _jacobi_rotate_stack(sub_re, sub_im, p, q, skip_tol)
+            re[..., hit], im[..., hit] = sub_re, sub_im
+        return
     inv = 1.0 / r
-    phr, phi = alpha.real * inv, alpha.imag * inv
-    re, im = sub.real, sub.imag
-    tau = (re[:, q, q] - re[:, p, p]) / (2.0 * r)
+    phr, phi = ar * inv, ai * inv
+    tau = (re[q, q] - re[p, p]) / (2.0 * r)
     # both branches of the scalar sign test in one expression: tau >= 0 holds for -0.0 as well
     t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c
     sr, si, cr, ci = s * phr, -(s * phi), c * phr, -(c * phi)
-    xr, xi, yr, yi = re[:, :, p], im[:, :, p], re[:, :, q], im[:, :, q]
-    c2, s2, sr2, si2, cr2, ci2 = c[:, None], s[:, None], sr[:, None], si[:, None], cr[:, None], ci[:, None]
-    kpr = c2 * xr - (sr2 * yr - si2 * yi)
-    kpi = c2 * xi - (sr2 * yi + si2 * yr)
-    kqr = s2 * xr + (cr2 * yr - ci2 * yi)
-    kqi = s2 * xi + (cr2 * yi + ci2 * yr)
-    app = c * kpr[:, p] - (sr * kpr[:, q] + si * kpi[:, q])
-    aqq = s * kqr[:, p] + (cr * kqr[:, q] + ci * kqi[:, q])
-    re[:, :, p], im[:, :, p], re[:, :, q], im[:, :, q] = kpr, kpi, kqr, kqi
-    re[:, p, :], im[:, p, :], re[:, q, :], im[:, q, :] = kpr, -kpi, kqr, -kqi
-    sub[:, p, q] = sub[:, q, p] = 0.0
-    sub[:, p, p], sub[:, q, q] = app, aqq
-    if not whole:
-        a[hit] = sub
+    xr, xi, yr, yi = re[:, p], im[:, p], re[:, q], im[:, q]
+    kpr = c * xr - (sr * yr - si * yi)
+    kpi = c * xi - (sr * yi + si * yr)
+    kqr = s * xr + (cr * yr - ci * yi)
+    kqi = s * xi + (cr * yi + ci * yr)
+    app = c * kpr[p] - (sr * kpr[q] + si * kpi[q])
+    aqq = s * kqr[p] + (cr * kqr[q] + ci * kqi[q])
+    re[:, p], im[:, p], re[:, q], im[:, q] = kpr, kpi, kqr, kqi
+    re[p], im[p], re[q], im[q] = kpr, -kpi, kqr, -kqi
+    block = slice(p, q + 1, q - p)  # rows and columns p and q
+    re[block, block] = im[block, block] = 0.0
+    re[p, p], re[q, q] = app, aqq

@@ -437,8 +437,9 @@ def pointwise_curve(s, grid):
 @pytest.mark.parametrize("rates", [(1.0, 1.0), (0.0, 2.5), (0.3, 0.0), (0.0, 0.0), (1e-9, 7e2)],
                          ids=lambda r: f"{r[0]:g}-{r[1]:g}")
 def test_sweep_equals_pointwise_route_bit_for_bit(kind, rates):
+    # more than one block and a partial last one; the pointwise route costs about 70 us a point
     s = scenario(kind, x=0.2, rate_a=rates[0], rate_b=rates[1])
-    grid = np.concatenate([np.linspace(0.0, 6.0, 300), [1e300, math.inf, 0.0, 0.7]])
+    grid = np.concatenate([np.linspace(0.0, 6.0, esd._SWEEP_BLOCK + 44), [1e300, math.inf, 0.0, 0.7]])
     curve = sweep(s, grid)
     assert curve.dtype.names == CURVE_FIELDS
     columns = np.stack([curve[name] for name in CURVE_FIELDS], axis=-1)
@@ -497,12 +498,14 @@ def test_sweep_checks_every_time(bad, where):
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_gamma_factors_of_an_array_are_per_point(kind):
-    s = scenario(kind, rate_a=0.7, rate_b=1.9)
-    times = np.array([[0.0, 0.1, 1.0], [2.5, 1e300, math.inf]])
-    ga, gb = s.gamma_factors(times)
-    assert ga.shape == gb.shape == times.shape
-    expected = np.array([s.gamma_factors(float(t)) for t in times.ravel()])
-    assert np.stack([ga.ravel(), gb.ravel()], axis=-1).tobytes() == expected.tobytes()
+    # (-0.5 t) rate overflows to -inf at 1e308 x 1.7e308: silently, as in Python floats, and exp gives 0.0
+    times = np.array([[0.0, -0.0, 5e-324, 0.1, 1.0], [2.5, 1e300, 1.7e308, math.inf, 0.7]])
+    for rate_a, rate_b in [(0.7, 1.9), (5e-324, 1e-9), (1.0, 1e308), (1e308, 0.0), (0.0, 1.0)]:
+        s = scenario(kind, rate_a=rate_a, rate_b=rate_b)
+        ga, gb = s.gamma_factors(times)
+        assert ga.shape == gb.shape == times.shape
+        expected = np.array([[channels.decay_factor(rate, float(t)) for rate in s.rates] for t in times.ravel()])
+        assert np.stack([ga.ravel(), gb.ravel()], axis=-1).tobytes() == expected.tobytes(), (rate_a, rate_b)
 
 
 def test_sweep_memory_stays_flat():

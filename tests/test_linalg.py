@@ -360,6 +360,7 @@ def test_stack_eigenvalues_match_eigvalsh_and_single_calls(kinds):
 
 @pytest.mark.parametrize("read_only", [False, True])
 def test_jacobi_kernel_only_reads_its_matrix(read_only):
+    # both kernels: one matrix, and a (k, 6, 6) stack through the trusted entry, each row as its matrix alone
     rng = np.random.default_rng(26)
     m = trusted(random_hermitian(rng, 6))
     m.flags.writeable = not read_only
@@ -368,6 +369,12 @@ def test_jacobi_kernel_only_reads_its_matrix(read_only):
     assert m.tobytes() == before.tobytes()
     assert diag.dtype == np.float64 and diag.shape == (6,)
     assert np.sort(diag).tobytes() == hermitian_eigenvalues(before).tobytes()
+    stack = trusted(stack_of(rng, STACKS["mixed"]))
+    stack.flags.writeable = not read_only
+    before = stack.copy()
+    eigs = linalg._eigenvalues(stack, linalg._JACOBI_OFF_TOL)
+    assert stack.tobytes() == before.tobytes()
+    assert eigs.tobytes() == np.array([linalg._eigenvalues(m, linalg._JACOBI_OFF_TOL) for m in before]).tobytes()
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -455,9 +462,11 @@ def test_stack_eigenvalues_match_characteristic_polynomial():
 
 
 def test_eigenvalues_of_an_empty_matrix():
-    # a 0x0 matrix has an empty spectrum, not a reshape error
+    # a 0x0 matrix has an empty spectrum, not a reshape error, and an empty stack an empty one per matrix
     empty = hermitian_eigenvalues(np.zeros((0, 0), dtype=complex))
     assert empty.shape == (0,) and empty.dtype == np.float64
+    empty = linalg._eigenvalues(np.zeros((0, 6, 6), dtype=complex), linalg._JACOBI_OFF_TOL)
+    assert empty.shape == (0, 6) and empty.dtype == np.float64
 
 
 @pytest.mark.parametrize("shape", [(0, 6, 6), (1, 6, 6), (2, 3, 6, 6)], ids=["empty", "one", "2x3"])
