@@ -47,7 +47,7 @@ class IncompleteChannelError(ValueError):
 
 def decay_factor(rate: float, t: float) -> float:
     """gamma(t) = exp(-t * rate / 2), exactly 1 when rate or t is 0; the caller checks both."""
-    return 1.0 if rate == 0.0 or t == 0.0 else math.exp(-0.5 * t * rate)
+    return 1.0 if rate == 0.0 else math.exp(-0.5 * t * rate)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class DephasingParams:
     @property
     def omega(self) -> float:
         g = self.gamma
-        return math.sqrt(max(0.0, 1.0 - g * g))
+        return math.sqrt(1.0 - g * g)
 
 
 @dataclass(frozen=True)

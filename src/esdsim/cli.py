@@ -90,10 +90,6 @@ def parse_args(argv) -> RunConfig:
     return RunConfig(mode=ns.mode, scenario=scenario, t_max=ns.t_max, steps=ns.steps, out=ns.out)
 
 
-def _format_value(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def render_csv(curve) -> str:
     return CSV_HEADER + "\n" + "".join(_CSV_ROW % row for row in curve.tolist())
 
@@ -121,8 +117,7 @@ def run(config: RunConfig) -> int:
     if config.mode == "selfcheck":
         from . import selfcheck  # imported by its own mode only, so that the other modes start faster
 
-        lines = []
-        passed = selfcheck.run(write=lines.append)
+        passed, lines = selfcheck.run()
         return _emit("\n".join(lines) + "\n", config.out) or (0 if passed else 2)
     if config.mode == "dump-state":
         return _emit(format_state(evolve(scenario, config.t_max)), config.out)
@@ -145,12 +140,12 @@ def run(config: RunConfig) -> int:
     except BracketError as exc:
         print(f"esd: {exc}", file=sys.stderr)
         return 1
-    lines = [f"analytic_esd_time {_format_value(analytic)}"]
+    lines = ["analytic_esd_time %.17g" % analytic]
     if isinstance(numeric, EsdOutcome):  # x within the eigenvalue noise floor of 1/8
         lines.append(f"numeric_esd_time {numeric.value}")
     else:
-        lines.append(f"numeric_esd_time {_format_value(numeric)}")
-        lines.append(f"difference {_format_value(abs(numeric - analytic))}")
+        lines.append("numeric_esd_time %.17g" % numeric)
+        lines.append("difference %.17g" % abs(numeric - analytic))
     return _emit("\n".join(lines) + "\n", config.out)
 
 

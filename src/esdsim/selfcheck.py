@@ -1,12 +1,11 @@
 """Built-in numeric cross-checks, runnable as ``esd selfcheck``.
 
 Each check pits the numeric pipeline against an independent closed form
-or symmetry. Deterministic: random draws use a fixed seed.
+or symmetry; the negativity curves come from sweep, as ``esd curve``
+computes them. Deterministic: random draws use a fixed seed.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -31,10 +30,8 @@ def _check_completeness():
 def _check_negativity_curves():
     worst = 0.0
     for kind in esd.ScenarioKind:
-        scenario = esd.Scenario(kind=kind, x=0.25, rate_a=1.0, rate_b=1.0)
-        for t in np.linspace(0.0, 5.0, 50):
-            numeric = negativity(esd.evolve(scenario, float(t))).value
-            worst = max(worst, abs(numeric - esd.analytic_negativity(scenario, float(t))))
+        curve = esd.sweep(esd.Scenario(kind=kind, x=0.25, rate_a=1.0, rate_b=1.0), np.linspace(0.0, 5.0, 50))
+        worst = max(worst, float(np.max(np.abs(curve.negativity_numeric - curve.negativity_analytic))))
     return worst <= 1e-10, f"max |numeric - analytic| = {worst:.3e}"
 
 
@@ -105,12 +102,13 @@ CHECKS = (
 )
 
 
-def run(write=print) -> bool:
-    """Run every check, write one PASS/FAIL line each, return overall result."""
+def run() -> tuple:
+    """Run every check; return (overall result, one PASS/FAIL line each and a summary line)."""
     all_ok = True
+    lines = []
     for name, fn in CHECKS:
         ok, detail = fn()
-        write(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         all_ok = all_ok and ok
-    write(f"selfcheck {'passed' if all_ok else 'FAILED'} ({len(CHECKS)} checks)")
-    return all_ok
+    lines.append(f"selfcheck {'passed' if all_ok else 'FAILED'} ({len(CHECKS)} checks)")
+    return all_ok, lines

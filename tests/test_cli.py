@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import esdsim
-from esdsim import cli
+from esdsim import cli, esd
 from esdsim.cli import CSV_HEADER, UsageError, main, parse_args
 from esdsim.entanglement import negativity
 from esdsim.esd import Scenario, ScenarioKind
@@ -205,6 +205,21 @@ def test_selfcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+
+
+def test_selfcheck_checks_the_curves_that_sweep_computes(monkeypatch, capsys):
+    # the negativity-curves line must reach the kernel behind every esd curve row
+    kinds = []
+    original = esd.sweep
+
+    def counting(scenario, t_grid):
+        kinds.append(scenario.kind)
+        return original(scenario, t_grid)
+
+    monkeypatch.setattr(esd, "sweep", counting)
+    assert main(["selfcheck"]) == 0
+    assert "[PASS] negativity-curves" in capsys.readouterr().out
+    assert kinds == list(ScenarioKind)
 
 
 def test_dump_state_roundtrip(tmp_path):
