@@ -98,7 +98,7 @@ class KrausChannel:
 
     def require_complete(self) -> None:
         defect = self.completeness_defect()
-        if defect > COMPLETENESS_TOL:
+        if not defect <= COMPLETENESS_TOL:  # also refuses NaN operators
             raise IncompleteChannelError(
                 f"Kraus operators sum to identity with defect {defect:.3e} "
                 f"(tolerance {COMPLETENESS_TOL})"

@@ -36,7 +36,7 @@ def test_criterion_1_pt_spectrum_closed_form():
         numeric = pt_spectrum(esd.evolve(scenario, t))
         xg = x * math.exp(-0.5 * t * rate)
         expected = np.sort([0.25, 0.25, 0.125, 0.125, (1.0 + 8.0 * xg) / 8.0, (1.0 - 8.0 * xg) / 8.0])
-        worst = max(worst, float(np.max(np.abs(numeric - expected))))
+        worst = np.maximum(worst, float(np.max(np.abs(numeric - expected))))
     _verdict("criterion-1 pt-spectrum-closed-form", worst < 1e-10,
              f"max spectrum deviation {worst:.3e} over 50 draws (tol 1e-10)")
 
@@ -52,7 +52,7 @@ def test_criterion_2_negativity_formula_all_scenarios():
             g = math.exp(-0.5 * t * rate)
             expected = max(0.0, 0.25 * g - 0.125)
             numeric = negativity(esd.evolve(scenario, t)).value
-            worst = max(worst, abs(numeric - expected))
+            worst = np.maximum(worst, abs(numeric - expected))
     _verdict("criterion-2 negativity-closed-form", worst < 1e-10,
              f"max |numeric - analytic| = {worst:.3e} over 3 scenarios x 200 points (tol 1e-10)")
 
@@ -81,7 +81,7 @@ def test_criterion_4_multilocal_death_time_and_corner():
         t = float(t)
         corner = extract_corner(esd.evolve(scenario, t))
         ga, gb = scenario.gamma_factors(t)
-        worst_corner = max(worst_corner, abs(corner - 0.25 * ga * gb))
+        worst_corner = np.maximum(worst_corner, abs(corner - 0.25 * ga * gb))
     ok = time_error <= 1e-12 * max(1.0, LN2) and worst_corner < 1e-14
     _verdict("criterion-4 multilocal-death-time", ok,
              f"|t_numeric - ln2| = {time_error:.3e} (tol 1e-12 x max(1, t*)), max corner deviation {worst_corner:.3e} (tol 1e-14)")
@@ -93,8 +93,8 @@ def test_criterion_5_channel_sanity():
     worst_defect = 0.0
     for t in rng.uniform(0.0, 6.0, size=20):
         p = DephasingParams(float(rng.uniform(0.1, 3.0)), float(t))
-        worst_defect = max(worst_defect, dephasing_qubit(p).completeness_defect())
-        worst_defect = max(worst_defect, dephasing_qutrit(p).completeness_defect())
+        worst_defect = np.maximum(worst_defect, dephasing_qubit(p).completeness_defect())
+        worst_defect = np.maximum(worst_defect, dephasing_qutrit(p).completeness_defect())
     preserved = True
     for _ in range(100):
         rho = random_density_matrix(rng)
@@ -119,7 +119,7 @@ def test_criterion_5_channel_sanity():
             channels.apply(ca, channels.apply(cb, rho)),
             channels.apply_multilocal(ca, cb, rho),
         ):
-            worst_pattern = max(worst_pattern, states.coherence_pattern_defect(out.mat))
+            worst_pattern = np.maximum(worst_pattern, states.coherence_pattern_defect(out.mat))
     ok = worst_defect <= 1e-12 and preserved and worst_pattern < 1e-14
     _verdict("criterion-5 channel-sanity", ok,
              f"completeness defect {worst_defect:.3e} (tol 1e-12), invariants preserved on 100 states: "
@@ -134,13 +134,13 @@ def test_criterion_6_oracle_equivalence():
         rho = random_density_matrix(rng)
         # negativity serves both sides from one solve, so side B is solved here on its own
         side_b = float(negativity_of_spectrum(hermitian_eigenvalues(partial_transpose(rho.mat, rho.dims, "B"))))
-        worst_sides = max(worst_sides, abs(negativity(rho, "A").value - side_b))
+        worst_sides = np.maximum(worst_sides, abs(negativity(rho, "A").value - side_b))
     worst_roots = 0.0
     for _ in range(200):
         h2 = random_hermitian(rng, 2)
-        worst_roots = max(worst_roots, float(np.max(np.abs(hermitian_eigenvalues(h2) - charpoly_eigs_2x2(h2)))))
+        worst_roots = np.maximum(worst_roots, float(np.max(np.abs(hermitian_eigenvalues(h2) - charpoly_eigs_2x2(h2)))))
         h3 = random_hermitian(rng, 3)
-        worst_roots = max(worst_roots, float(np.max(np.abs(hermitian_eigenvalues(h3) - charpoly_eigs_3x3(h3)))))
+        worst_roots = np.maximum(worst_roots, float(np.max(np.abs(hermitian_eigenvalues(h3) - charpoly_eigs_3x3(h3)))))
     ok = worst_sides < 1e-10 and worst_roots < 1e-8
     _verdict("criterion-6 oracle-equivalence", ok,
              f"max |N_A - N_B| = {worst_sides:.3e} (tol 1e-10), "

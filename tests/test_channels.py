@@ -111,8 +111,10 @@ def test_apply_dimension_mismatch():
 
 def test_apply_refuses_incomplete_channel():
     lossy = KrausChannel(ops=(0.5 * np.eye(6, dtype=complex),), dim=6)
-    with pytest.raises(IncompleteChannelError):
-        apply(lossy, ansatz_x(0.1))
+    nan = KrausChannel(ops=(np.full((6, 6), np.nan, dtype=complex),), dim=6)
+    for channel in (lossy, nan):
+        with pytest.raises(IncompleteChannelError):
+            apply(channel, ansatz_x(0.1))
 
 
 def test_multilocal_matches_sequential():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import esdsim
-from esdsim import cli, esd
+from esdsim import cli, esd, selfcheck
 from esdsim.cli import CSV_HEADER, UsageError, main, parse_args
 from esdsim.entanglement import negativity
 from esdsim.esd import Scenario, ScenarioKind
@@ -220,6 +220,36 @@ def test_selfcheck_checks_the_curves_that_sweep_computes(monkeypatch, capsys):
     assert main(["selfcheck"]) == 0
     assert "[PASS] negativity-curves" in capsys.readouterr().out
     assert kinds == list(ScenarioKind)
+
+
+def _nan_sweep(monkeypatch):
+    original = esd.sweep
+
+    def nan_curve(scenario, t_grid):
+        curve = original(scenario, t_grid).copy()
+        curve.negativity_numeric = np.nan
+        return curve
+
+    monkeypatch.setattr(esd, "sweep", nan_curve)
+
+
+def _nan_pt_spectrum(monkeypatch):
+    monkeypatch.setattr(selfcheck, "pt_spectrum", lambda rho: np.full(6, np.nan))
+
+
+@pytest.mark.parametrize("name, poison", [
+    ("negativity-curves", _nan_sweep),
+    ("pt-spectrum-closed-form", _nan_pt_spectrum),
+], ids=["sweep", "pt_spectrum"])
+def test_selfcheck_fails_a_nan_deviation(name, poison, monkeypatch, capsys):
+    # a NaN must fail its check and show as nan, not vanish into a running max as 0
+    poison(monkeypatch)
+    assert main(["selfcheck"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(failed) == 1
+    assert re.fullmatch(rf"\[FAIL\] {re.escape(name)}: .* nan", failed[0])
+    assert lines[-1] == "selfcheck FAILED (6 checks)"
 
 
 def test_dump_state_roundtrip(tmp_path):

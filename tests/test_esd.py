@@ -422,7 +422,7 @@ def test_x_and_rates_are_checked_once(kind, monkeypatch):
 
 
 def pointwise_curve(s, grid):
-    """HEAD's per-point route: evolve -> negativity and the closed form, one time at a time."""
+    """The per-point route: evolve -> negativity and the closed form, one time at a time."""
     rows = []
     for t in grid:
         t = float(t)

@@ -249,9 +249,9 @@ def test_eigenvalues_match_characteristic_polynomial():
     worst = 0.0
     for _ in range(200):
         h2 = random_hermitian(rng, 2)
-        worst = max(worst, float(np.max(np.abs(hermitian_eigenvalues(h2) - charpoly_eigs_2x2(h2)))))
+        worst = np.maximum(worst, float(np.max(np.abs(hermitian_eigenvalues(h2) - charpoly_eigs_2x2(h2)))))
         h3 = random_hermitian(rng, 3)
-        worst = max(worst, float(np.max(np.abs(hermitian_eigenvalues(h3) - charpoly_eigs_3x3(h3)))))
+        worst = np.maximum(worst, float(np.max(np.abs(hermitian_eigenvalues(h3) - charpoly_eigs_3x3(h3)))))
     assert worst < 1e-8
 
 

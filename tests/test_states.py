@@ -222,6 +222,10 @@ def test_pattern_defect_detects_stray_coherence():
     m[0, 1] = m[1, 0] = 1e-3
     assert not states.is_locally_incoherent(m)
     assert abs(states.coherence_pattern_defect(m) - 1e-3) < 1e-18
+    for stray in (np.nan, np.inf, complex(0.0, np.nan)):
+        m[0, 1] = m[1, 0] = 0.0
+        m[2, 5] = stray  # outside the joint slots, on one side only
+        assert not states.is_locally_incoherent(m)
 
 
 def test_joint_coherence_slots_change_both_factors():
