@@ -15,7 +15,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +31,6 @@ _CSV_ROW = ",".join(["%.17g"] * len(CURVE_FIELDS)) + "\n"
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    scenario: Scenario
-    t_max: float
-    steps: int
-    out: str | None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,18 +66,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse and range-check arguments; raises UsageError on any problem."""
-    ns = _build_parser().parse_args(list(argv))
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse and range-check argv (sys.argv[1:] if None); raises UsageError on any problem.
+
+    Returns argparse's namespace, with the checked Scenario in place of the scenario's name.
+    """
+    ns = _build_parser().parse_args(argv)
     try:
-        scenario = Scenario(kind=ns.scenario, x=ns.x, rate_a=ns.rate_a, rate_b=ns.rate_b)
+        ns.scenario = Scenario(kind=ns.scenario, x=ns.x, rate_a=ns.rate_a, rate_b=ns.rate_b)
     except ValueError as exc:  # x, rate_a or rate_b out of range
         raise UsageError(str(exc)) from exc
     if not (math.isfinite(ns.t_max) and ns.t_max > 0.0):
         raise UsageError(f"--t-max must be finite and positive, got {ns.t_max}")
     if ns.steps < 2:
         raise UsageError(f"--steps must be at least 2, got {ns.steps}")
-    return RunConfig(mode=ns.mode, scenario=scenario, t_max=ns.t_max, steps=ns.steps, out=ns.out)
+    return ns
 
 
 def render_csv(curve) -> str:
@@ -112,7 +105,8 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
+    """Run one mode on parse_args' namespace and return the exit code."""
     scenario = config.scenario
     if config.mode == "selfcheck":
         from . import selfcheck  # imported by its own mode only, so that the other modes start faster
@@ -150,8 +144,6 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         config = parse_args(argv)
     except UsageError as exc:

@@ -266,7 +266,7 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
     evolve, negativity and analytic_negativity give at its time alone,
     bit for bit; the corner, x * (gamma_a * gamma_b), is the closed form's x*g(t).
     """
-    times = np.array(t_grid, dtype=float)
+    times = np.asarray(t_grid, dtype=float)  # read only: the record array below takes its own copy
     if times.ndim != 1:
         raise ValueError(f"t_grid must be one-dimensional, got shape {times.shape}")
     ga, gb = scenario.gamma_factors(times)

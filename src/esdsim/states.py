@@ -100,7 +100,7 @@ class DensityMatrix:
 
 
 def validate(mat, dims: BipartiteDims = QUBIT_QUTRIT) -> DensityMatrix:
-    """Check the density-matrix conditions and wrap the input.
+    """Wrap the input in a DensityMatrix, check the density-matrix conditions on it and return it.
 
     Requirements, tested in order: every entry finite, Hermiticity
     within 1e-12, trace 1 within 1e-12 (a trace that overflows is
@@ -118,8 +118,8 @@ def validate(mat, dims: BipartiteDims = QUBIT_QUTRIT) -> DensityMatrix:
     certificate cannot. Either way the decision is the one the Jacobi
     solve would make.
     """
-    arr = linalg.as_complex_matrix(mat)
-    dims.check(arr)
+    rho = DensityMatrix(mat, dims)  # the one coercion, copy and shape check
+    arr = rho.mat
     non_finite = int(np.count_nonzero(~np.isfinite(arr)))
     if non_finite:
         raise InvalidStateError("finite", non_finite)
@@ -134,7 +134,7 @@ def validate(mat, dims: BipartiteDims = QUBIT_QUTRIT) -> DensityMatrix:
         lowest = float(linalg.hermitian_eigenvalues(arr)[0])
         if lowest < -linalg.SPECTRAL_TOL:
             raise InvalidStateError("positivity", -lowest)
-    return DensityMatrix(arr, dims)
+    return rho
 
 
 def ansatz_x(x: float) -> DensityMatrix:

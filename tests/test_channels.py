@@ -107,6 +107,9 @@ def test_full_dephasing_kills_corner():
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         apply(identity_channel(2), ansatz_x(0.1))
+    for dim_a, dim_b in ((2, 6), (6, 2)):
+        with pytest.raises(DimensionMismatchError, match="channel dimensions differ"):
+            apply_multilocal(identity_channel(dim_a), identity_channel(dim_b), ansatz_x(0.1))
 
 
 def test_apply_refuses_incomplete_channel():

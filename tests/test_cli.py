@@ -152,6 +152,14 @@ def test_curve_too_many_points_exit_code(capsys):
         assert len(captured.err.splitlines()) == 1
 
 
+def test_main_reads_sys_argv_when_called_without_arguments(capsys, monkeypatch):
+    # the console script calls main(); argparse reads the options from sys.argv[1:] itself
+    monkeypatch.setattr(sys, "argv", ["esd", "esd-time"])
+    assert main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["analytic_esd_time", "numeric_esd_time", "difference"]
+
+
 def test_esd_time_below_noise_floor(capsys):
     # negativity 5e-11 is under the -1e-10 eigenvalue threshold: the numeric
     # route sees no entanglement while the closed form still gives a time

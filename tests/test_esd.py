@@ -138,8 +138,10 @@ def test_numeric_esd_time_regression_over_rates(kind, probe_calls):
 def test_death_time_routes_against_the_exact_root(kind):
     # the closed form is within 2 ulp of the exact root; the root finder is as close
     # as the probe allows: its eigenvalue f(t) = 1/8 - x g(t) is good to about
-    # eps/8, and its slope at the root is f'(t*) = rate/16, plus 4 ulp of closing
-    for rate in np.logspace(-9.0, 3.0, 13):
+    # eps/8, and its slope at the root is f'(t*) = rate/16, plus 4 ulp of closing;
+    # at the two largest rates t* is near or below the normal range, where the
+    # closing runs into the midpoint fallback and the adjacent-floats exit
+    for rate in [*np.logspace(-9.0, 3.0, 13), 1e300, 8e307]:
         for x in (0.1251, 0.126, 0.13, 0.15, 0.2, 0.25):
             s = scenario(kind, x=x, rate_a=float(rate), rate_b=float(rate))
             exact = exact_esd_time(s.x, s.rates)
@@ -493,6 +495,12 @@ def test_sweep_checks_every_time(bad, where):
     grid = np.linspace(0.0, 4.0, 300)
     grid[where] = bad
     with pytest.raises(ValueError, match=r"^t must be >= 0, got "):
+        sweep(scenario(ScenarioKind.MULTI_LOCAL), grid)
+
+
+@pytest.mark.parametrize("grid", [np.float64(1.0), np.zeros((2, 3))], ids=["0-D", "2-D"])
+def test_sweep_refuses_a_grid_that_is_not_one_dimensional(grid):
+    with pytest.raises(ValueError, match=r"^t_grid must be one-dimensional, got shape "):
         sweep(scenario(ScenarioKind.MULTI_LOCAL), grid)
 
 

@@ -203,6 +203,8 @@ def test_partial_trace_preserves_trace():
         assert abs(np.trace(partial_trace(m, QUBIT_QUTRIT, keep)) - np.trace(m)) < 1e-13
     with pytest.raises(DimensionMismatchError):
         partial_trace(np.eye(5), QUBIT_QUTRIT, "A")
+    with pytest.raises(ValueError, match="keep must be 'A' or 'B'"):
+        partial_trace(m, QUBIT_QUTRIT, "C")
 
 
 def test_eigenvalues_identity():
@@ -260,6 +262,11 @@ def test_eigenvalues_reject_non_hermitian():
                 [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]):
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.array(bad, dtype=complex))
+
+
+def test_eigenvalues_reject_a_non_square_matrix():
+    with pytest.raises(DimensionMismatchError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        hermitian_eigenvalues(np.zeros((2, 3), dtype=complex))
 
 
 @pytest.mark.parametrize("read_only", [False, True])
