@@ -35,7 +35,6 @@ from .linalg import (
     DimensionMismatchError,
     NonHermitianError,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
     partial_transpose,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "identity_channel",
     "is_ppt",
-    "kron",
     "negativity",
     "numeric_esd_time",
     "parse_state",

@@ -114,8 +114,8 @@ def dephasing_qubit(params: DephasingParams) -> KrausChannel:
     """Phase damping on the qubit factor, lifted to the 6x6 composite."""
     g, w = params.gamma, params.omega
     eye3 = np.eye(3, dtype=complex)
-    e1 = linalg.kron(np.diag([1.0, g]).astype(complex), eye3)
-    e2 = linalg.kron(np.diag([0.0, w]).astype(complex), eye3)
+    e1 = np.kron(np.diag([1.0, g]).astype(complex), eye3)
+    e2 = np.kron(np.diag([0.0, w]).astype(complex), eye3)
     return KrausChannel(ops=(e1, e2), dim=QUBIT_QUTRIT.total)
 
 
@@ -123,9 +123,9 @@ def dephasing_qutrit(params: DephasingParams) -> KrausChannel:
     """Phase damping on the qutrit factor, lifted to the 6x6 composite."""
     g, w = params.gamma, params.omega
     eye2 = np.eye(2, dtype=complex)
-    f1 = linalg.kron(eye2, np.diag([1.0, g, g]).astype(complex))
-    f2 = linalg.kron(eye2, np.diag([0.0, w, 0.0]).astype(complex))
-    f3 = linalg.kron(eye2, np.diag([0.0, 0.0, w]).astype(complex))
+    f1 = np.kron(eye2, np.diag([1.0, g, g]).astype(complex))
+    f2 = np.kron(eye2, np.diag([0.0, w, 0.0]).astype(complex))
+    f3 = np.kron(eye2, np.diag([0.0, 0.0, w]).astype(complex))
     return KrausChannel(ops=(f1, f2, f3), dim=QUBIT_QUTRIT.total)
 
 

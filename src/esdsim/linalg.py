@@ -97,20 +97,23 @@ class BipartiteDims:
 
     def __post_init__(self) -> None:
         a, b = self.dim_a, self.dim_b
-        if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)) and a >= 1 and b >= 1):
+        # bool is an int subclass, but "dims True True" would not parse back
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in (a, b)):
             raise ValueError(f"factor dimensions must be positive integers, got ({a}, {b})")
 
     @property
     def total(self) -> int:
         return self.dim_a * self.dim_b
 
-    def check(self, mat: np.ndarray) -> None:
-        """Raise DimensionMismatchError unless mat is total x total."""
-        if mat.shape != (self.total, self.total):
+    def check(self, mat) -> np.ndarray:
+        """mat coerced by as_complex_matrix, not copied; DimensionMismatchError unless it is total x total."""
+        arr = as_complex_matrix(mat)
+        if arr.shape != (self.total, self.total):
             raise DimensionMismatchError(
                 f"expected a {self.total}x{self.total} matrix for dims "
-                f"({self.dim_a}, {self.dim_b}), got shape {mat.shape}"
+                f"({self.dim_a}, {self.dim_b}), got shape {arr.shape}"
             )
+        return arr
 
 
 QUBIT_QUTRIT = BipartiteDims(2, 3)
@@ -136,16 +139,6 @@ def hermiticity_defect(mat) -> float:
         return float(np.max(np.abs(arr - arr.conj().T), initial=0.0))  # 0.0 for a 0x0 matrix
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product: out[i*rb + k, j*cb + l] = a[i, j] * b[k, l]."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(ra * rb, ca * cb)
-
-
 def partial_transpose(mat, dims: BipartiteDims, subsystem: str) -> np.ndarray:
     """Transpose the indices of one factor only.
 
@@ -153,8 +146,7 @@ def partial_transpose(mat, dims: BipartiteDims, subsystem: str) -> np.ndarray:
     mirror image for "B". Trace and Hermiticity are preserved; positivity
     is not, which is the whole point.
     """
-    arr = as_complex_matrix(mat)
-    dims.check(arr)
+    arr = dims.check(mat)
     da, db = dims.dim_a, dims.dim_b
     blocks = arr.reshape(da, db, da, db)
     if subsystem == "A":
@@ -171,8 +163,7 @@ def partial_trace(mat, dims: BipartiteDims, keep: str) -> np.ndarray:
 
     keep="A" returns the dim_a x dim_a matrix out[a,a'] = sum_b m[(a,b),(a',b)].
     """
-    arr = as_complex_matrix(mat)
-    dims.check(arr)
+    arr = dims.check(mat)
     blocks = arr.reshape(dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b)
     if keep == "A":
         return np.einsum("abcb->ac", blocks)

@@ -79,8 +79,7 @@ class DensityMatrix:
     dims: BipartiteDims
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mat", linalg.as_complex_matrix(self.mat).copy())
-        self.dims.check(self.mat)
+        object.__setattr__(self, "mat", self.dims.check(self.mat).copy())
         self.mat.setflags(write=False)
 
     def __reduce__(self):
@@ -195,8 +194,7 @@ def extract_corner(rho: DensityMatrix) -> float:
 
 def coherence_pattern_defect(mat) -> float:
     """Largest off-diagonal magnitude outside the allowed joint slots."""
-    arr = linalg.as_complex_matrix(mat)
-    QUBIT_QUTRIT.check(arr)
+    arr = QUBIT_QUTRIT.check(mat)
     out = arr[_STRAY_SLOTS]
     return float(np.max(np.hypot(out.real, out.imag)))  # NaN propagates; hypot keeps abs's bits
 

@@ -185,6 +185,12 @@ def test_readme_examples_byte_for_byte(capsys):
     )
 
 
+def test_public_names_resolve():
+    # a name dropped from the imports but left in __all__, or listed twice, would go unnoticed
+    assert [name for name in esdsim.__all__ if not hasattr(esdsim, name)] == []
+    assert len(set(esdsim.__all__)) == len(esdsim.__all__)
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
@@ -345,12 +351,14 @@ def test_full_stdout_device_exit_code(mode, unbuffered):
     assert proc.stderr == "esd: cannot write <stdout>: [Errno 28] No space left on device\n"
 
 
-def test_module_entry_point():
+@pytest.mark.parametrize("module", ["esdsim", "esdsim.cli"])
+def test_module_entry_point(module):
+    # a warning is an error here, as in CI: runpy warns if the package __init__ imports cli
     proc = subprocess.run(
-        [sys.executable, "-m", "esdsim", "curve", "--steps", "2", "--t-max", "1"],
-        capture_output=True, text=True, check=False, env=_subprocess_env(),
+        [sys.executable, "-m", module, "curve", "--steps", "2", "--t-max", "1"],
+        capture_output=True, text=True, check=False, env=_subprocess_env(PYTHONWARNINGS="error"),
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == CSV_HEADER
 
 

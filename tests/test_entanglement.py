@@ -7,7 +7,7 @@ import pytest
 
 from esdsim import esd, linalg
 from esdsim.entanglement import is_ppt, negativity, pt_spectrum
-from esdsim.linalg import QUBIT_QUTRIT, NonHermitianError, kron
+from esdsim.linalg import QUBIT_QUTRIT, NonHermitianError
 from esdsim.states import DensityMatrix, ansatz_x, random_density_matrix, validate
 
 from numeric_oracles import eigvalsh_negativity, random_unitary
@@ -78,7 +78,7 @@ def test_negativity_invariant_under_local_unitaries():
     rng = np.random.default_rng(43)
     for _ in range(10):
         rho = random_density_matrix(rng)
-        u = kron(random_unitary(rng, 2), random_unitary(rng, 3))
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 3))
         rotated = validate(u @ rho.mat @ u.conj().T)
         assert abs(negativity(rho).value - negativity(rotated).value) < 1e-10
 

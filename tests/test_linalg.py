@@ -17,7 +17,6 @@ from esdsim.linalg import (
     DimensionMismatchError,
     NonHermitianError,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
     partial_transpose,
 )
@@ -39,10 +38,12 @@ def test_bipartite_dims_rejects_nonpositive():
         BipartiteDims(0, 3)
 
 
-@pytest.mark.parametrize("dims", [(2.5, 3), (2.0, 3.0), (2, 3.0), (np.float64(2.0), 3), (2, "3"), (None, 3)])
+@pytest.mark.parametrize("dims", [(2.5, 3), (2.0, 3.0), (2, 3.0), (np.float64(2.0), 3), (2, "3"), (None, 3),
+                                  (True, 3), (2, True), (2, False)])
 def test_bipartite_dims_rejects_non_integers(dims):
-    # 2.5 x 3 made every matrix the wrong size ("expected a 7.5x7.5 matrix"), and
-    # 2.0 x 3.0 passed check on a 6x6 matrix and then failed inside reshape
+    # 2.5 x 3 made every matrix the wrong size ("expected a 7.5x7.5 matrix"),
+    # 2.0 x 3.0 passed check on a 6x6 matrix and then failed inside reshape, and a
+    # bool, an int subclass, made a state whose text "dims True 3" does not parse back
     with pytest.raises(ValueError, match="must be positive integers"):
         BipartiteDims(*dims)
 
@@ -52,41 +53,6 @@ def test_bipartite_dims_accepts_numpy_integers():
     assert dims == QUBIT_QUTRIT and dims.total == 6
     rho = ansatz_x(0.2).mat
     assert partial_transpose(rho, dims, "A").tobytes() == partial_transpose(rho, QUBIT_QUTRIT, "A").tobytes()
-
-
-def test_kron_identity_blocks():
-    assert linalg.max_abs_diff(kron(np.eye(2), np.eye(3)), np.eye(6)) == 0.0
-
-
-def test_kron_diagonal_patterns():
-    g, w = 0.7, 0.3
-    left = kron(np.diag([1.0, g]), np.eye(3))
-    assert linalg.max_abs_diff(left, np.diag([1, 1, 1, g, g, g])) == 0.0
-    right = kron(np.eye(2), np.diag([0.0, w, 0.0]))
-    assert linalg.max_abs_diff(right, np.diag([0, w, 0, 0, w, 0])) == 0.0
-
-
-def test_kron_entry_definition():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    out = kron(a, b)
-    assert out.shape == (6, 6)
-    for i in range(2):
-        for j in range(3):
-            for k in range(3):
-                for l in range(2):
-                    assert abs(out[i * 3 + k, j * 2 + l] - a[i, j] * b[k, l]) < 1e-15
-
-
-def test_kron_trace_multiplicative_and_associative():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 3)
-        c = random_hermitian(rng, 2)
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-        assert linalg.max_abs_diff(kron(kron(a, b), c), kron(a, kron(b, c))) < 1e-12
 
 
 def test_partial_transpose_fixes_diagonal():
@@ -183,7 +149,7 @@ def test_partial_trace_of_product_state():
     b = random_hermitian(rng, 3)
     b = b @ b.conj().T
     b /= np.trace(b).real
-    prod = kron(a, b)
+    prod = np.kron(a, b)
     assert linalg.max_abs_diff(partial_trace(prod, QUBIT_QUTRIT, "A"), a) < 1e-14
     assert linalg.max_abs_diff(partial_trace(prod, QUBIT_QUTRIT, "B"), b) < 1e-14
 
@@ -485,3 +451,15 @@ def test_public_entries_refuse_a_stack(shape):
     for subsystem in ("A", "B"):
         with pytest.raises(ValueError, match=f"expected a 2-D matrix, got ndim={len(shape)}"):
             partial_transpose(stack, QUBIT_QUTRIT, subsystem)
+
+
+@pytest.mark.parametrize("kernel", ["matrix", "stack"])
+def test_jacobi_sweep_cap_raises(kernel, monkeypatch):
+    # a dense 6x6 needs several sweeps: past the cap, either kernel must raise, not return a half-rotated diagonal
+    monkeypatch.setattr(linalg, "_MAX_JACOBI_SWEEPS", 1)
+    rng = np.random.default_rng(31)
+    with pytest.raises(RuntimeError, match="Jacobi iteration did not converge"):
+        if kernel == "matrix":
+            hermitian_eigenvalues(random_hermitian(rng, 6))
+        else:
+            linalg._eigenvalues(trusted(stack_of(rng, ["dense"] * 2)), linalg._JACOBI_OFF_TOL)
