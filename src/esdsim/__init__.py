@@ -7,7 +7,6 @@ decays only asymptotically.
 """
 
 from .channels import (
-    DephasingParams,
     IncompleteChannelError,
     KrausChannel,
     apply_multilocal,
@@ -57,7 +56,6 @@ __all__ = [
     "BipartiteDims",
     "BracketError",
     "DensityMatrix",
-    "DephasingParams",
     "DimensionMismatchError",
     "EsdOutcome",
     "IncompleteChannelError",

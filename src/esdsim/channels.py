@@ -16,6 +16,10 @@ and qutrit noise three,
     F2 = I2 (x) diag(0, omega, 0),
     F3 = I2 (x) diag(0, 0, omega).
 
+These are the d-level phase-damping set at d = 2 and d = 3, and the
+builders take gamma, as dephasing_mask() does: Scenario.gamma_factors(t)
+or decay_factor(rate, t) gives it.
+
 Both operator sets are diagonal, so the channels act entrywise: with
 M_A(g) = [[1, g], [g, 1]] and M_B(g) = [[1, g, g], [g, 1, g^2], [g, g^2, 1]],
 
@@ -46,45 +50,22 @@ class IncompleteChannelError(ValueError):
 
 
 def decay_factor(rate: float, t: float) -> float:
-    """gamma(t) = exp(-t * rate / 2), exactly 1 when rate or t is 0; the caller checks both."""
+    """gamma(t) = exp(-t * rate / 2), exactly 1 when rate or t is 0.
+
+    It checks neither: Scenario checks the rate and gamma_factors the time,
+    and the Kraus builders check the gamma they are given.
+    """
     return 1.0 if rate == 0.0 else math.exp(-0.5 * t * rate)
 
 
-@dataclass(frozen=True)
-class DephasingParams:
-    """Checked decay parameters of one Kraus dephasing channel.
-
-    rate is the dephasing rate (inverse time, >= 0); t is the elapsed
-    time (>= 0; infinity gives the fully dephased limit gamma = 0).
-    gamma^2 + omega^2 = 1 holds to machine precision by construction.
-    """
-
-    rate: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.rate) or self.rate < 0.0:
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
-        if math.isnan(self.t) or self.t < 0.0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
-
-    @property
-    def gamma(self) -> float:
-        return decay_factor(self.rate, self.t)
-
-    @property
-    def omega(self) -> float:
-        g = self.gamma
-        return math.sqrt(1.0 - g * g)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """An ordered set of dim x dim Kraus operators.
 
     Completeness (sum of K^dagger K equal to the identity) is certified
     by completeness_defect(); apply() refuses channels whose defect
-    exceeds COMPLETENESS_TOL rather than renormalizing.
+    exceeds COMPLETENESS_TOL rather than renormalizing. Equality is
+    identity, so an instance hashes.
     """
 
     ops: tuple
@@ -110,23 +91,25 @@ def identity_channel(dim: int) -> KrausChannel:
     return KrausChannel(ops=(np.eye(dim, dtype=complex),), dim=dim)
 
 
-def dephasing_qubit(params: DephasingParams) -> KrausChannel:
-    """Phase damping on the qubit factor, lifted to the 6x6 composite."""
-    g, w = params.gamma, params.omega
-    eye3 = np.eye(3, dtype=complex)
-    e1 = np.kron(np.diag([1.0, g]).astype(complex), eye3)
-    e2 = np.kron(np.diag([0.0, w]).astype(complex), eye3)
-    return KrausChannel(ops=(e1, e2), dim=QUBIT_QUTRIT.total)
+def _phase_damping(gamma: float, d: int) -> tuple:
+    """The d-level phase-damping Kraus set: diag(1, gamma, ..., gamma), then omega |j><j| for j >= 1."""
+    if not 0.0 <= gamma <= 1.0:  # also refuses NaN
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    omega = math.sqrt(1.0 - gamma * gamma)
+    ops = [np.diag([1.0] + [gamma] * (d - 1))] + [np.diag(omega * np.eye(d)[j]) for j in range(1, d)]
+    return tuple(op.astype(complex) for op in ops)
 
 
-def dephasing_qutrit(params: DephasingParams) -> KrausChannel:
-    """Phase damping on the qutrit factor, lifted to the 6x6 composite."""
-    g, w = params.gamma, params.omega
-    eye2 = np.eye(2, dtype=complex)
-    f1 = np.kron(eye2, np.diag([1.0, g, g]).astype(complex))
-    f2 = np.kron(eye2, np.diag([0.0, w, 0.0]).astype(complex))
-    f3 = np.kron(eye2, np.diag([0.0, 0.0, w]).astype(complex))
-    return KrausChannel(ops=(f1, f2, f3), dim=QUBIT_QUTRIT.total)
+def dephasing_qubit(gamma: float) -> KrausChannel:
+    """Phase damping E1, E2 on the qubit factor, lifted to the 6x6 composite."""
+    ops = tuple(np.kron(op, np.eye(3)) for op in _phase_damping(gamma, 2))
+    return KrausChannel(ops=ops, dim=QUBIT_QUTRIT.total)
+
+
+def dephasing_qutrit(gamma: float) -> KrausChannel:
+    """Phase damping F1, F2, F3 on the qutrit factor, lifted to the 6x6 composite."""
+    ops = tuple(np.kron(np.eye(2), op) for op in _phase_damping(gamma, 3))
+    return KrausChannel(ops=ops, dim=QUBIT_QUTRIT.total)
 
 
 # dephasing_mask gathers each entry of M_A(ga) (x) M_B(gb) from its one product in

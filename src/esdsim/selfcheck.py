@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import channels, esd, linalg, states
-from .channels import DephasingParams
 from .entanglement import negativity, negativity_of_spectrum, pt_spectrum
 
 _SEED = 20230817
@@ -24,9 +23,9 @@ def _check_completeness():
     rng = np.random.default_rng(_SEED)
     for t in rng.uniform(0.0, 5.0, size=20):
         for rate in (0.25, 1.0, 3.0):
-            p = DephasingParams(rate, float(t))
-            yield channels.dephasing_qubit(p).completeness_defect(), channels.COMPLETENESS_TOL
-            yield channels.dephasing_qutrit(p).completeness_defect(), channels.COMPLETENESS_TOL
+            gamma = channels.decay_factor(rate, float(t))
+            yield channels.dephasing_qubit(gamma).completeness_defect(), channels.COMPLETENESS_TOL
+            yield channels.dephasing_qutrit(gamma).completeness_defect(), channels.COMPLETENESS_TOL
 
 
 def _check_negativity_curves():

@@ -58,7 +58,7 @@ class InvalidStateError(ValueError):
         super().__init__(f"{condition} violated by {magnitude:.6e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A matrix together with its declared bipartite factor dimensions.
 
@@ -72,7 +72,7 @@ class DensityMatrix:
     serves for either factor is computed lazily, once per instance, and
     kept; a solve that raises is not kept. A pickled or copied instance
     is rebuilt through the constructor, read-only again and without the
-    spectrum.
+    spectrum. Equality is identity, so an instance hashes.
     """
 
     mat: np.ndarray

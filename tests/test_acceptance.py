@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from esdsim import channels, esd, states
-from esdsim.channels import DephasingParams, dephasing_qubit, dephasing_qutrit
+from esdsim.channels import decay_factor, dephasing_qubit, dephasing_qutrit
 from esdsim.entanglement import negativity, negativity_of_spectrum, pt_spectrum
 from esdsim.linalg import hermitian_eigenvalues, partial_transpose
 from esdsim.states import ansatz_x, extract_corner, random_density_matrix, validate
@@ -92,15 +92,15 @@ def test_criterion_5_channel_sanity():
     rng = np.random.default_rng(105)
     worst_defect = 0.0
     for t in rng.uniform(0.0, 6.0, size=20):
-        p = DephasingParams(float(rng.uniform(0.1, 3.0)), float(t))
-        worst_defect = np.maximum(worst_defect, dephasing_qubit(p).completeness_defect())
-        worst_defect = np.maximum(worst_defect, dephasing_qutrit(p).completeness_defect())
+        gamma = decay_factor(float(rng.uniform(0.1, 3.0)), float(t))
+        worst_defect = np.maximum(worst_defect, dephasing_qubit(gamma).completeness_defect())
+        worst_defect = np.maximum(worst_defect, dephasing_qutrit(gamma).completeness_defect())
     preserved = True
     for _ in range(100):
         rho = random_density_matrix(rng)
-        pa = DephasingParams(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5.0)))
-        pb = DephasingParams(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5.0)))
-        out = channels.apply_multilocal(dephasing_qubit(pa), dephasing_qutrit(pb), rho)
+        ga = decay_factor(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5.0)))
+        gb = decay_factor(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5.0)))
+        out = channels.apply_multilocal(dephasing_qubit(ga), dephasing_qutrit(gb), rho)
         try:
             validate(out.mat)
         except states.InvalidStateError:
@@ -109,9 +109,9 @@ def test_criterion_5_channel_sanity():
     worst_pattern = 0.0
     for _ in range(20):
         rho = random_pattern_state(rng)
-        pa = DephasingParams(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0)))
-        pb = DephasingParams(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0)))
-        ca, cb = dephasing_qubit(pa), dephasing_qutrit(pb)
+        ga = decay_factor(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0)))
+        gb = decay_factor(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0)))
+        ca, cb = dephasing_qubit(ga), dephasing_qutrit(gb)
         for out in (
             channels.apply(ca, rho),
             channels.apply(cb, rho),

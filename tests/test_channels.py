@@ -8,11 +8,11 @@ import pytest
 from esdsim import channels, states
 from esdsim.channels import (
     COMPLETENESS_TOL,
-    DephasingParams,
     IncompleteChannelError,
     KrausChannel,
     apply,
     apply_multilocal,
+    decay_factor,
     dephasing_mask,
     dephasing_qubit,
     dephasing_qutrit,
@@ -25,63 +25,58 @@ from esdsim.states import ansatz_x, random_density_matrix, validate
 from numeric_oracles import random_pattern_state
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        DephasingParams(rate=-0.1, t=1.0)
-    with pytest.raises(ValueError):
-        DephasingParams(rate=1.0, t=-1.0)
-    with pytest.raises(ValueError):
-        DephasingParams(rate=math.inf, t=1.0)
+@pytest.mark.parametrize("build", [dephasing_qubit, dephasing_qutrit], ids=lambda f: f.__name__)
+def test_builders_refuse_gamma_outside_the_unit_interval(build):
+    for gamma in (-0.1, math.nextafter(1.0, 2.0), math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^gamma must lie in \[0, 1\], got "):
+            build(gamma)
 
 
-def test_params_limits():
-    assert DephasingParams(rate=1.0, t=0.0).gamma == 1.0
-    assert DephasingParams(rate=0.0, t=5.0).gamma == 1.0
-    full = DephasingParams(rate=1.0, t=math.inf)
-    assert full.gamma == 0.0
-    assert full.omega == 1.0
+def test_gamma_limits():
+    assert decay_factor(1.0, 0.0) == 1.0
+    assert decay_factor(0.0, 5.0) == 1.0
+    assert decay_factor(1.0, math.inf) == 0.0
+    assert max_abs_diff(dephasing_qubit(0.0).ops[1], np.diag([0, 0, 0, 1, 1, 1])) == 0.0
 
 
 def test_gamma_omega_identity():
     for rate in (0.0, 0.3, 1.0, 4.0):
         for t in (0.0, 0.1, 1.0, 7.5):
-            p = DephasingParams(rate, t)
-            assert abs(p.gamma ** 2 + p.omega ** 2 - 1.0) <= 1e-15
+            e1, e2 = dephasing_qubit(decay_factor(rate, t)).ops
+            assert abs(e1[3, 3].real ** 2 + e2[3, 3].real ** 2 - 1.0) <= 1e-15
 
 
 def test_qubit_channel_structure():
-    p = DephasingParams(rate=1.0, t=2.0 * math.log(2.0))  # gamma = 1/2
-    ch = dephasing_qubit(p)
+    ch = dephasing_qubit(0.5)
     g, w = 0.5, math.sqrt(3.0) / 2.0
-    assert max_abs_diff(ch.ops[0], np.diag([1, 1, 1, g, g, g])) < 1e-15
-    assert max_abs_diff(ch.ops[1], np.diag([0, 0, 0, w, w, w])) < 1e-15
+    assert max_abs_diff(ch.ops[0], np.diag([1, 1, 1, g, g, g])) == 0.0
+    assert max_abs_diff(ch.ops[1], np.diag([0, 0, 0, w, w, w])) == 0.0
 
 
 def test_qutrit_channel_structure():
-    p = DephasingParams(rate=1.0, t=2.0 * math.log(2.0))
-    ch = dephasing_qutrit(p)
+    ch = dephasing_qutrit(0.5)
     g, w = 0.5, math.sqrt(3.0) / 2.0
-    assert max_abs_diff(ch.ops[0], np.diag([1, g, g, 1, g, g])) < 1e-15
-    assert max_abs_diff(ch.ops[1], np.diag([0, w, 0, 0, w, 0])) < 1e-15
-    assert max_abs_diff(ch.ops[2], np.diag([0, 0, w, 0, 0, w])) < 1e-15
+    assert max_abs_diff(ch.ops[0], np.diag([1, g, g, 1, g, g])) == 0.0
+    assert max_abs_diff(ch.ops[1], np.diag([0, w, 0, 0, w, 0])) == 0.0
+    assert max_abs_diff(ch.ops[2], np.diag([0, 0, w, 0, 0, w])) == 0.0
 
 
 def test_time_zero_channels_are_identity():
-    p = DephasingParams(rate=1.0, t=0.0)
-    assert max_abs_diff(dephasing_qubit(p).ops[0], np.eye(6)) == 0.0
-    assert max_abs_diff(dephasing_qubit(p).ops[1], np.zeros((6, 6))) == 0.0
+    gamma = decay_factor(1.0, 0.0)
+    assert max_abs_diff(dephasing_qubit(gamma).ops[0], np.eye(6)) == 0.0
+    assert max_abs_diff(dephasing_qubit(gamma).ops[1], np.zeros((6, 6))) == 0.0
     rho = ansatz_x(0.25)
-    assert max_abs_diff(apply(dephasing_qubit(p), rho).mat, rho.mat) == 0.0
-    assert max_abs_diff(apply(dephasing_qutrit(p), rho).mat, rho.mat) == 0.0
+    assert max_abs_diff(apply(dephasing_qubit(gamma), rho).mat, rho.mat) == 0.0
+    assert max_abs_diff(apply(dephasing_qutrit(gamma), rho).mat, rho.mat) == 0.0
 
 
 def test_completeness_over_times():
     rng = np.random.default_rng(31)
     for t in rng.uniform(0.0, 6.0, size=15):
         for rate in (0.2, 1.0, 2.7):
-            p = DephasingParams(rate, float(t))
-            assert dephasing_qubit(p).completeness_defect() <= COMPLETENESS_TOL
-            assert dephasing_qutrit(p).completeness_defect() <= COMPLETENESS_TOL
+            gamma = decay_factor(rate, float(t))
+            assert dephasing_qubit(gamma).completeness_defect() <= COMPLETENESS_TOL
+            assert dephasing_qutrit(gamma).completeness_defect() <= COMPLETENESS_TOL
 
 
 def test_apply_identity_channel():
@@ -93,15 +88,25 @@ def test_apply_identity_channel():
 
 def test_apply_scales_corner_only():
     x = 0.25
-    p = DephasingParams(rate=1.3, t=0.9)
-    out = apply(dephasing_qubit(p), ansatz_x(x))
-    assert abs(out.mat[0, 5].real - x * p.gamma) < 1e-15
+    gamma = decay_factor(1.3, 0.9)
+    out = apply(dephasing_qubit(gamma), ansatz_x(x))
+    assert abs(out.mat[0, 5].real - x * gamma) < 1e-15
     assert np.max(np.abs(np.diag(out.mat) - np.diag(ansatz_x(x).mat))) < 1e-15
 
 
 def test_full_dephasing_kills_corner():
-    out = apply(dephasing_qutrit(DephasingParams(rate=1.0, t=math.inf)), ansatz_x(0.25))
+    out = apply(dephasing_qutrit(decay_factor(1.0, math.inf)), ansatz_x(0.25))
     assert max_abs_diff(out.mat, np.diag(np.diag(out.mat))) == 0.0
+
+
+def test_states_and_channels_compare_by_identity_and_hash():
+    rho = ansatz_x(0.2)
+    copied = copy.deepcopy(rho)
+    channel = identity_channel(6)
+    assert len({rho, copied, channel}) == 3
+    assert (rho == rho) is True
+    assert (rho == copied) is False
+    assert (channel == identity_channel(6)) is False
 
 
 def test_apply_dimension_mismatch():
@@ -122,29 +127,29 @@ def test_apply_refuses_incomplete_channel():
 
 def test_multilocal_matches_sequential():
     rng = np.random.default_rng(33)
-    params = [
-        (DephasingParams(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0))),
-         DephasingParams(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0))))
+    gammas = [
+        (decay_factor(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0))),
+         decay_factor(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0))))
         for _ in range(10)
     ]
-    params += [
-        (DephasingParams(1.0, math.inf), DephasingParams(0.7, 1.3)),
-        (DephasingParams(0.0, 2.0), DephasingParams(1.0, math.inf)),
-        (DephasingParams(0.0, 1.0), DephasingParams(0.0, math.inf)),
+    gammas += [
+        (decay_factor(1.0, math.inf), decay_factor(0.7, 1.3)),
+        (decay_factor(0.0, 2.0), decay_factor(1.0, math.inf)),
+        (decay_factor(0.0, 1.0), decay_factor(0.0, math.inf)),
     ]
-    for pa, pb in params:
+    for ga, gb in gammas:
         rho = random_density_matrix(rng)
-        ca, cb = dephasing_qubit(pa), dephasing_qutrit(pb)
+        ca, cb = dephasing_qubit(ga), dephasing_qutrit(gb)
         combined = apply_multilocal(ca, cb, rho)
         sequential = apply(cb, apply(ca, rho))
         assert max_abs_diff(combined.mat, sequential.mat) < 1e-14
         swapped = apply(ca, apply(cb, rho))
         assert max_abs_diff(combined.mat, swapped.mat) < 1e-15
         # the mask is the third route: one entrywise product
-        masked = rho.mat * dephasing_mask(pa.gamma, pb.gamma)
+        masked = rho.mat * dephasing_mask(ga, gb)
         assert max_abs_diff(masked, combined.mat) < 1e-15
-        assert max_abs_diff(rho.mat * dephasing_mask(pa.gamma, 1.0), apply(ca, rho).mat) < 1e-15
-        assert max_abs_diff(rho.mat * dephasing_mask(1.0, pb.gamma), apply(cb, rho).mat) < 1e-15
+        assert max_abs_diff(rho.mat * dephasing_mask(ga, 1.0), apply(ca, rho).mat) < 1e-15
+        assert max_abs_diff(rho.mat * dephasing_mask(1.0, gb), apply(cb, rho).mat) < 1e-15
 
 
 def test_dephasing_mask_of_arrays_is_per_pair():
@@ -190,20 +195,20 @@ def test_scenario_keeps_the_read_only_partial_transpose_of_its_state(kind):
 
 def test_multilocal_corner_product():
     x = 0.25
-    pa = DephasingParams(1.0, 0.8)
-    pb = DephasingParams(2.0, 0.8)
-    out = apply_multilocal(dephasing_qubit(pa), dephasing_qutrit(pb), ansatz_x(x))
-    assert abs(out.mat[0, 5].real - x * pa.gamma * pb.gamma) < 1e-14
+    ga = decay_factor(1.0, 0.8)
+    gb = decay_factor(2.0, 0.8)
+    out = apply_multilocal(dephasing_qubit(ga), dephasing_qutrit(gb), ansatz_x(x))
+    assert abs(out.mat[0, 5].real - x * ga * gb) < 1e-14
 
 
 def test_corner_decoherence_additivity():
     # multi-local corner equals the product of the single-noise corners over x
     x = 0.2
-    pa = DephasingParams(0.7, 1.1)
-    pb = DephasingParams(1.9, 1.1)
-    only_a = apply(dephasing_qubit(pa), ansatz_x(x)).mat[0, 5].real
-    only_b = apply(dephasing_qutrit(pb), ansatz_x(x)).mat[0, 5].real
-    both = apply_multilocal(dephasing_qubit(pa), dephasing_qutrit(pb), ansatz_x(x)).mat[0, 5].real
+    ga = decay_factor(0.7, 1.1)
+    gb = decay_factor(1.9, 1.1)
+    only_a = apply(dephasing_qubit(ga), ansatz_x(x)).mat[0, 5].real
+    only_b = apply(dephasing_qutrit(gb), ansatz_x(x)).mat[0, 5].real
+    both = apply_multilocal(dephasing_qubit(ga), dephasing_qutrit(gb), ansatz_x(x)).mat[0, 5].real
     assert abs(both - only_a * only_b / x) < 1e-14
 
 
@@ -211,12 +216,12 @@ def test_channels_preserve_state_invariants():
     rng = np.random.default_rng(34)
     for _ in range(30):
         rho = random_density_matrix(rng)
-        pa = DephasingParams(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5.0)))
-        pb = DephasingParams(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5.0)))
+        ga = decay_factor(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5.0)))
+        gb = decay_factor(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5.0)))
         for out in (
-            apply(dephasing_qubit(pa), rho),
-            apply(dephasing_qutrit(pb), rho),
-            apply_multilocal(dephasing_qubit(pa), dephasing_qutrit(pb), rho),
+            apply(dephasing_qubit(ga), rho),
+            apply(dephasing_qutrit(gb), rho),
+            apply_multilocal(dephasing_qubit(ga), dephasing_qutrit(gb), rho),
         ):
             validate(out.mat)  # hermiticity, trace, positivity
 
@@ -225,9 +230,9 @@ def test_zero_pattern_closed_under_all_channels():
     rng = np.random.default_rng(35)
     for _ in range(10):
         rho = random_pattern_state(rng)
-        pa = DephasingParams(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0)))
-        pb = DephasingParams(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0)))
-        ca, cb = dephasing_qubit(pa), dephasing_qutrit(pb)
+        ga = decay_factor(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0)))
+        gb = decay_factor(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 4.0)))
+        ca, cb = dephasing_qubit(ga), dephasing_qutrit(gb)
         for out in (
             apply(ca, rho),
             apply(cb, rho),
@@ -246,11 +251,11 @@ def test_dephasing_semigroup():
         rho = random_density_matrix(rng)
         t1, t2 = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0))
         for make in (dephasing_qubit, dephasing_qutrit):
-            stepped = apply(make(DephasingParams(rate, t2)), apply(make(DephasingParams(rate, t1)), rho))
-            direct = apply(make(DephasingParams(rate, t1 + t2)), rho)
+            stepped = apply(make(decay_factor(rate, t2)), apply(make(decay_factor(rate, t1)), rho))
+            direct = apply(make(decay_factor(rate, t1 + t2)), rho)
             assert max_abs_diff(stepped.mat, direct.mat) < 1e-12
 
 
 def test_channel_output_is_positive_on_boundary_state():
-    out = apply(dephasing_qubit(DephasingParams(1.0, 0.5)), ansatz_x(0.25))
+    out = apply(dephasing_qubit(decay_factor(1.0, 0.5)), ansatz_x(0.25))
     assert hermitian_eigenvalues(out.mat)[0] > -1e-10

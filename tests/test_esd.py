@@ -401,26 +401,27 @@ def test_gamma_factors_at_infinite_time(kind):
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_x_and_rates_are_checked_once(kind, monkeypatch):
-    # the x-state is built when the Scenario is, and the evolve path makes
-    # no DephasingParams (whose construction re-checks a rate and t)
+    # the x-state is built when the Scenario is, and the evolve path builds
+    # no Kraus channel: it dephases through the mask alone
     ansatz_calls = []
-    params_made = []
     build = esd.ansatz_x
 
     def counting_ansatz_x(x):
         ansatz_calls.append(x)
         return build(x)
 
-    def counting_post_init(params):
-        params_made.append(params)
+    def no_kraus(*args):
+        raise AssertionError("the pipeline built a Kraus channel")
 
     monkeypatch.setattr(esd, "ansatz_x", counting_ansatz_x)
-    monkeypatch.setattr(channels.DephasingParams, "__post_init__", counting_post_init)
+    monkeypatch.setattr(channels, "dephasing_qubit", no_kraus)
+    monkeypatch.setattr(channels, "dephasing_qutrit", no_kraus)
+    monkeypatch.setattr(channels, "_phase_damping", no_kraus)  # reached however a builder was imported
     s = scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7)
     sweep(s, np.linspace(0.0, 4.0, 101))
     assert close_to_death_time(numeric_esd_time(s), analytic_esd_time(s))
+    evolve(s, 1.0)
     assert ansatz_calls == [0.2]
-    assert params_made == []
 
 
 def pointwise_curve(s, grid):
