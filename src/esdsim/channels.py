@@ -121,6 +121,16 @@ _MASK_TERMS = np.array([[0, 2, 3], [1, 4, 5]])[
 _MASK_TERMS.flags.writeable = False
 
 
+def _mask_products(one, gamma_a, gamma_b) -> tuple:
+    """The six products (1, ga, gb, gb^2, ga*gb, ga*gb^2) that _MASK_TERMS indexes, one rounding each.
+
+    one is 1.0 for float factors or ones of their shape for arrays, so
+    dephasing_mask and esd's death-time probe round the same products.
+    """
+    gb2 = gamma_b * gamma_b
+    return one, gamma_a, gamma_b, gb2, gamma_a * gamma_b, gamma_a * gb2
+
+
 def dephasing_mask(gamma_a, gamma_b) -> np.ndarray:
     """6x6 mask M_A(gamma_a) (x) M_B(gamma_b) with real entries; rho * mask dephases rho.
 
@@ -130,9 +140,7 @@ def dephasing_mask(gamma_a, gamma_b) -> np.ndarray:
     """
     ga = np.asarray(gamma_a, dtype=float)[..., None]
     gb = np.asarray(gamma_b, dtype=float)[..., None]
-    gb2 = gb * gb
-    terms = np.concatenate([np.ones_like(ga), ga, gb, gb2, ga * gb, ga * gb2], axis=-1)
-    return terms[..., _MASK_TERMS]
+    return np.concatenate(_mask_products(np.ones_like(ga), ga, gb), axis=-1)[..., _MASK_TERMS]
 
 
 def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -27,9 +27,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .channels import decay_factor, dephasing_mask
+from .channels import _MASK_TERMS, _mask_products, decay_factor, dephasing_mask
 from .entanglement import negativity_of_spectrum
-from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, SPECTRAL_TOL, _eigenvalues, partial_transpose
+from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, SPECTRAL_TOL, _eigenvalues, _jacobi_matrix, partial_transpose
 from .states import DensityMatrix, ansatz_x
 
 #: Corner values at or below 1/8 never produce entanglement.
@@ -78,7 +78,8 @@ class Scenario:
     rate_a is ignored by QUTRIT_ONLY and rate_b by QUBIT_ONLY; both act
     in MULTI_LOCAL. Construction is the one check of kind (a ScenarioKind
     or its value, stored as the member), x and the rates, and builds the x-state
-    and its read-only side-A partial transpose once; gamma_factors checks t.
+    and its read-only side-A partial transpose once, with that transpose's
+    rows as lists for the death-time probe; gamma_factors checks t.
     """
 
     kind: ScenarioKind
@@ -87,12 +88,17 @@ class Scenario:
     rate_b: float = 1.0
     initial_state: DensityMatrix = field(init=False, repr=False, compare=False)
     _initial_pt: np.ndarray = field(init=False, repr=False, compare=False)
+    _initial_pt_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
         object.__setattr__(self, "initial_state", ansatz_x(self.x))  # checks x
         object.__setattr__(self, "_initial_pt", partial_transpose(self.initial_state.mat, QUBIT_QUTRIT, "A"))
         self._initial_pt.setflags(write=False)
+        # the probe's copy: the real and the imaginary rows, each entry next to its index in the mask's products
+        object.__setattr__(self, "_initial_pt_rows", tuple(
+            tuple(tuple(zip(row, terms)) for row, terms in zip(part.tolist(), _MASK_TERMS.tolist()))
+            for part in (self._initial_pt.real, self._initial_pt.imag)))
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
@@ -180,7 +186,7 @@ def analytic_esd_time(scenario: Scenario) -> EsdTime:
 
 
 def _pt_eigenvalues(scenario: Scenario, gamma_a, gamma_b) -> np.ndarray:
-    """Ascending side-A partial-transpose eigenvalues of the x-state dephased by the factors; a row each for arrays.
+    """Ascending side-A PT eigenvalues of the x-state dephased by arrays of factors, a row per pair of them; for sweep.
 
     M = M_A(gamma_a) (x) M_B(gamma_b) has a symmetric M_A, so PT_A(M) = M
     entry for entry, and PT_A(rho0 o M) = PT_A(rho0) o M multiplies the
@@ -195,8 +201,22 @@ def _pt_eigenvalues(scenario: Scenario, gamma_a, gamma_b) -> np.ndarray:
 
 
 def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
-    """One probe, PT_A(rho0) o mask -> Jacobi: bit-equal to negativity(evolve(scenario, t)).min_pt_eigenvalue."""
-    return float(_pt_eigenvalues(scenario, *scenario.gamma_factors(t))[0])
+    """One probe, PT_A(rho0) o mask -> Jacobi: bit-equal to negativity(evolve(scenario, t)).min_pt_eigenvalue.
+
+    It makes no numpy call: the mask's six products are Python floats,
+    rounded as dephasing_mask rounds them, and each entry x + iy of
+    PT_A(rho0) becomes the rows' entries x * m and y * m. numpy multiplies
+    it by the real mask as by m + 0i, (x m - y 0) + i (x 0 + y m), and the
+    x-state's y are all +0.0 and m >= 0, so both give x m and +0.0: the
+    same bits, which meet _pt_eigenvalues' precondition. min of the
+    diagonal is the sorted spectrum's first entry, since equal nonzero
+    floats have equal bits and only (1 - 8 x g) / 8 can be zero.
+    """
+    terms = _mask_products(1.0, *scenario.gamma_factors(t))
+    re_rows, im_rows = scenario._initial_pt_rows
+    re = [[x * terms[j] for x, j in row] for row in re_rows]
+    im = [[y * terms[j] for y, j in row] for row in im_rows]
+    return min(_jacobi_matrix(re, im, _JACOBI_OFF_TOL))
 
 
 def default_bracket(scenario: Scenario) -> float:
@@ -211,7 +231,7 @@ def numeric_esd_time(scenario: Scenario) -> EsdTime:
     """Find the death time as the root of the smallest PT eigenvalue.
 
     Every probe dephases, transposes and solves with evolve's bits (see
-    _pt_eigenvalues), so this is an independent check on the closed form. The
+    _min_pt_eigenvalue), so this is an independent check on the closed form. The
     bracket [0, default_bracket(scenario)] is closed by Illinois regula
     falsi (Dowell & Jarratt, BIT 11, 1971) until its width is at most
     4*eps*max(|a|, |b|), i.e. to machine precision; the midpoint of the

@@ -9,18 +9,22 @@ hermitian_eigenvalues is the checked entry, for one matrix: it refuses
 non-Hermitian or non-finite input, scales entries above 1e150,
 symmetrizes a copy and derives the convergence tolerance from its
 Frobenius norm, then calls the trusted entry _eigenvalues, which alone
-picks the kernel and sorts. _eigenvalues alone also takes a (k, n, n)
-stack. The stack kernel, _jacobi_stack, copies it once into two float
-planes, its real and its imaginary parts laid out (n, n, k), so that
-each entry of every matrix is one contiguous k-vector; it rotates every
-matrix at once on them, each with its own rotation parameters, and
-returns the same bits as one call per matrix. Its one caller,
-esdsim.esd._pt_eigenvalues, passes a death-time probe's matrix or a
-sweep block's stack, and says why that input may skip the checks.
+picks the kernel and sorts. For one matrix it passes fresh lists of the
+real and of the imaginary rows to the pure-Python kernel _jacobi_matrix,
+which overwrites them. _eigenvalues alone also takes a (k, n, n) stack.
+The stack kernel, _jacobi_stack, copies it once into two float planes,
+its real and its imaginary parts laid out (n, n, k), so that each entry
+of every matrix is one contiguous k-vector; it rotates every matrix at
+once on them, each with its own rotation parameters, and returns the
+same bits as one call per matrix. Two callers in esdsim.esd skip the
+checks, and say why their input may: _pt_eigenvalues passes a sweep
+block's stack to _eigenvalues, and _min_pt_eigenvalue, the death-time
+probe, builds its matrix as row lists and passes them to _jacobi_matrix,
+so that a probe makes no numpy call.
 
-Both Jacobi kernels only read their input, and do the same real
-arithmetic, one float operation at a time: _jacobi_matrix in pure Python
-on lists of the real and imaginary parts, _jacobi_stack and
+Both Jacobi kernels do the same real arithmetic, one float operation at
+a time: _jacobi_matrix in pure Python on the row lists, walking a cached
+plan of the pairs and the rows each rotation updates, _jacobi_stack and
 _jacobi_rotate_stack with one numpy operation on the planes' k-vectors
 per float operation. No complex multiply runs through numpy, whose SIMD
 loops fuse its multiply and add on some hosts, so the eigenvalues' bits
@@ -44,7 +48,8 @@ where a real times a complex number is two real products and a complex
 product (u + iv)(x + iy) is (ux - vy) + i(uy + vx), each product and
 each sum rounded on its own. The conjugates are exact, because each
 formula commutes with conjugation and the matrix is exactly Hermitian.
-A pair whose r is not above off_tol / (2n) is skipped. A sweep visits
+A pair whose r is not above off_tol / (2n) is skipped, an exactly zero
+one before its r is taken. A sweep visits
 the pairs in row-major order, and sweeps stop when sqrt(2 acc) is below
 off_tol, acc summing re^2 + im^2 over the strict upper triangle in
 row-major order, one term after another.
@@ -59,6 +64,7 @@ eigensolver, it calls no LAPACK routine.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -213,15 +219,16 @@ def _eigenvalues(a: np.ndarray, off_tol: float) -> np.ndarray:
 
     Trusted, and not checked: exactly Hermitian, entries far below 1e150,
     as hermitian_eigenvalues leaves it. off_tol is the stopping tolerance
-    of every matrix. The input's shape picks the kernel: pure Python for
-    one matrix, and numpy on float planes for a stack. Both only read it.
+    of every matrix. The input's shape picks the kernel: pure Python on
+    fresh row lists for one matrix, and numpy on float planes for a
+    stack. Neither writes to a.
     """
     n = a.shape[-1]
     if n < 2:  # nothing to rotate: a 1x1 or 0x0 matrix is its own diagonal
         diag = a.diagonal(axis1=-2, axis2=-1).real
     elif a.ndim == 2:
         # pure Python: the stack kernel's per-call overhead would cost several times as much at 6x6
-        diag = _jacobi_matrix(a, off_tol)
+        diag = _jacobi_matrix(a.real.tolist(), a.imag.tolist(), off_tol)
     else:
         diag = _jacobi_stack(a, off_tol)
     return np.sort(diag, axis=-1)
@@ -265,18 +272,29 @@ def _cholesky_certifies(mat: np.ndarray) -> bool:
     return True
 
 
-def _jacobi_matrix(a: np.ndarray, off_tol: float) -> np.ndarray:
-    """Diagonalize one trusted n x n matrix (see _eigenvalues); its diagonal, unsorted, as float64.
+@functools.lru_cache(maxsize=None)
+def _jacobi_plan(n: int) -> tuple:
+    """The cyclic order of one sweep: (p, q, the other rows) for each pair p < q, row-major.
 
-    The iteration runs in pure Python on lists of the real and imaginary
-    parts, so a is only read: at 6x6, numpy's per-call overhead would
-    cost more than the arithmetic. The rotation, skip and stopping rules
-    are the module docstring's, and _jacobi_rotate_stack's.
+    It holds n (n - 1) (n - 2) / 2 row indices, 60 at 6x6: one for each
+    row update of a sweep.
     """
-    n = a.shape[0]
-    re, im = a.real.tolist(), a.imag.tolist()
-    rows = list(zip(range(n), re, im))
+    return tuple((p, q, tuple(k for k in range(n) if k != p and k != q))
+                 for p in range(n - 1) for q in range(p + 1, n))
+
+
+def _jacobi_matrix(re: list, im: list, off_tol: float) -> list:
+    """Diagonalize one trusted n x n matrix (see _eigenvalues) given as real and imaginary rows; its diagonal, unsorted.
+
+    The iteration runs in pure Python on the row lists, which it
+    overwrites: at 6x6, numpy's per-call overhead would cost more than
+    the arithmetic. The rotation, skip and stopping rules are the module
+    docstring's, and _jacobi_rotate_stack's. A pair that is exactly zero
+    is skipped before its hypot, which is 0 and so not above skip_tol.
+    """
+    n = len(re)
     skip_tol = off_tol / (2 * n)
+    plan = _jacobi_plan(n)
     for _ in range(_MAX_JACOBI_SWEEPS):
         acc = 0.0
         for p in range(n - 1):
@@ -284,41 +302,46 @@ def _jacobi_matrix(a: np.ndarray, off_tol: float) -> np.ndarray:
             for q in range(p + 1, n):
                 acc += rp[q] * rp[q] + ip[q] * ip[q]
         if math.sqrt(2.0 * acc) < off_tol:
-            return np.array([re[i][i] for i in range(n)])
-        for p in range(n - 1):
+            return [re[i][i] for i in range(n)]
+        for p, q, others in plan:
             rp, ip = re[p], im[p]
-            for q in range(p + 1, n):
-                rq, iq = re[q], im[q]
-                ar, ai = rp[q], ip[q]
-                r = abs(complex(ar, ai))  # libm hypot, as np.hypot in the stack kernel
-                if not r > skip_tol:
-                    continue
-                inv = 1.0 / r
-                phr, phi = ar * inv, ai * inv
-                tau = (rq[q] - rp[p]) / (2.0 * r)
-                # smaller root of t^2 + 2*tau*t - 1 = 0, the numerically stable choice
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sr, si, cr, ci = s * phr, -(s * phi), c * phr, -(c * phi)
-                for k, rk, ik in rows:
-                    xr, xi, yr, yi = rk[p], ik[p], rk[q], ik[q]
-                    kpr = c * xr - (sr * yr - si * yi)
-                    kpi = c * xi - (sr * yi + si * yr)
-                    kqr = s * xr + (cr * yr - ci * yi)
-                    kqi = s * xi + (cr * yi + ci * yr)
-                    if k == p:
-                        ppr, pqr = kpr, kqr
-                    elif k == q:
-                        qpr, qpi, qqr, qqi = kpr, kpi, kqr, kqi
-                    else:  # column p and q of row k, and their conjugates in rows p and q
-                        rk[p] = rp[k] = kpr
-                        rk[q] = rq[k] = kqr
-                        ik[p], ip[k], ik[q], iq[k] = kpi, -kpi, kqi, -kqi
-                # the row step on the 2x2 block, real parts only: s*phase = conj(S), c*phase = conj(C)
-                rp[p] = c * ppr - (sr * qpr + si * qpi)
-                rq[q] = s * pqr + (cr * qqr + ci * qqi)
-                rp[q] = ip[q] = rq[p] = iq[p] = 0.0
+            ar, ai = rp[q], ip[q]
+            if not (ar or ai):
+                continue
+            r = abs(complex(ar, ai))  # libm hypot, as np.hypot in the stack kernel
+            if not r > skip_tol:
+                continue
+            rq, iq = re[q], im[q]
+            inv = 1.0 / r
+            phr, phi = ar * inv, ai * inv
+            app, aqq = rp[p], rq[q]
+            tau = (aqq - app) / (2.0 * r)
+            # smaller root of t^2 + 2*tau*t - 1 = 0, the numerically stable choice
+            t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            sr, si, cr, ci = s * phr, -(s * phi), c * phr, -(c * phi)
+            for k in others:  # column p and q of row k, and their conjugates in rows p and q
+                rk, ik = re[k], im[k]
+                xr, xi, yr, yi = rk[p], ik[p], rk[q], ik[q]
+                rk[p] = rp[k] = c * xr - (sr * yr - si * yi)
+                rk[q] = rq[k] = s * xr + (cr * yr - ci * yi)
+                kpi = c * xi - (sr * yi + si * yr)
+                kqi = s * xi + (cr * yi + ci * yr)
+                ik[p], ip[k], ik[q], iq[k] = kpi, -kpi, kqi, -kqi
+            # the column step on rows p and q, only where the row step reads it: (p, p) and (p, q)
+            # of row p, whose entry (p, q) is (ar, ai), and all of (q, p) and (q, q)
+            ppr = c * app - (sr * ar - si * ai)
+            pqr = s * app + (cr * ar - ci * ai)
+            xr, xi, yi = rq[p], iq[p], iq[q]
+            qpr = c * xr - (sr * aqq - si * yi)
+            qpi = c * xi - (sr * yi + si * aqq)
+            qqr = s * xr + (cr * aqq - ci * yi)
+            qqi = s * xi + (cr * yi + ci * aqq)
+            # the row step on the 2x2 block, real parts only: s*phase = conj(S), c*phase = conj(C)
+            rp[p] = c * ppr - (sr * qpr + si * qpi)
+            rq[q] = s * pqr + (cr * qqr + ci * qqi)
+            rp[q] = ip[q] = rq[p] = iq[p] = 0.0
     raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
 
 
@@ -360,10 +383,12 @@ def _jacobi_stack(stack: np.ndarray, off_tol: float) -> np.ndarray:
 def _jacobi_rotate_stack(re: np.ndarray, im: np.ndarray, p: int, q: int, skip_tol: float) -> None:
     """_jacobi_matrix's rotation of (p, q), in place, on each matrix of the (n, n, k) float planes re and im.
 
-    Each matrix gets its own rotation, and the one skip_tol. One array
-    operation runs for each float operation of _jacobi_matrix, on
-    k-vectors, so no complex multiply is fused. The matrices whose pair
-    is skipped are left out, and the others rotated as planes of their own.
+    Each matrix gets its own rotation, and the one skip_tol. Each float
+    operation of _jacobi_matrix is one array operation here, on
+    k-vectors, so no complex multiply is fused; the few more, on the 2x2
+    block's entries that the row step does not read, are overwritten. The
+    matrices whose pair is skipped are left out, and the others rotated
+    as planes of their own.
     """
     ar, ai = re[p, q], im[p, q]
     if not (ar.any() or ai.any()):  # a pair that is zero in every matrix: no hypot to take

@@ -2,6 +2,7 @@ import math
 import sys
 import time
 import tracemalloc
+import types
 from decimal import Decimal
 
 import numpy as np
@@ -167,18 +168,25 @@ def test_numeric_esd_time_probes_every_point_through_the_pipeline(probe_calls):
 def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, probe_calls, monkeypatch):
     # the probe and sweep skip hermitian_eigenvalues' checks: they must give the
     # checked route's bits, on input that is exactly Hermitian with Frobenius norm <= 1
-    trusted_inputs = []
-    trusted = esd._eigenvalues
+    probe_inputs, stacks = [], []
+    kernel, trusted = esd._jacobi_matrix, esd._eigenvalues
+
+    def recording_kernel(re, im, off_tol):
+        m = np.empty((len(re), len(re)), dtype=complex)
+        m.real, m.imag = re, im  # copied before the kernel overwrites its rows
+        probe_inputs.append(m)
+        return kernel(re, im, off_tol)
 
     def recording(a, off_tol):
-        trusted_inputs.append(a)  # the kernels only read their input
+        stacks.append(a)  # the stack kernel only reads its input
         return trusted(a, off_tol)
 
+    monkeypatch.setattr(esd, "_jacobi_matrix", recording_kernel)
     monkeypatch.setattr(esd, "_eigenvalues", recording)
     for rate in (0.0, *np.logspace(-9.0, 3.0, 13)):
         for x in (0.0, 0.125, 0.13, 0.2, 0.25):
             s = scenario(kind, x=x, rate_a=float(rate), rate_b=float(rate))
-            del probe_calls[:], trusted_inputs[:]
+            del probe_calls[:], probe_inputs[:], stacks[:]
             if rate or x <= esd.ENTANGLEMENT_THRESHOLD_X:  # else no noise acts and there is no window
                 numeric_esd_time(s)
             times = list(probe_calls)
@@ -188,14 +196,30 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
                 checked = negativity(evolve(s, t)).min_pt_eigenvalue
                 assert esd._min_pt_eigenvalue(s, t).hex() == checked.hex(), (rate, x, t)
             curve = sweep(s, [*times, 0.0, *np.geomspace(1e-12, 1e12, 25), math.inf])
-            assert len(trusted_inputs) == 2 * len(times) + 1
-            for pts in trusted_inputs:
+            assert len(probe_inputs) == 2 * len(times) and len(stacks) == 1
+            for pts in (*probe_inputs, *stacks):
                 assert np.array_equal(pts, np.swapaxes(pts, -1, -2).conj()), (rate, x)
                 assert np.all(np.linalg.norm(pts, axis=(-2, -1)) <= 1.0), (rate, x)
-            stack = trusted_inputs[-1]
+            stack = stacks[0]
             assert stack.shape == (len(times) + 27, 6, 6)
             checked = np.array([hermitian_eigenvalues(m)[0] for m in stack])
             assert checked.tobytes() == curve.min_pt_eigenvalue.tobytes()
+
+
+def test_death_time_probe_makes_no_numpy_call(monkeypatch):
+    # the probe masks and solves Python row lists: with the numpy mask, the sweep's
+    # path and every numpy name but the array type out of reach, each death time keeps its bits
+    scenarios = [scenario(kind, x=x, rate_a=1.3, rate_b=0.7) for kind in ScenarioKind for x in (0.13, 0.2, 0.25)]
+    before = [numeric_esd_time(s).hex() for s in scenarios]
+
+    def unreachable(*args):
+        raise AssertionError("a death-time probe reached the numpy path")
+
+    monkeypatch.setattr(esd, "dephasing_mask", unreachable)
+    monkeypatch.setattr(esd, "_pt_eigenvalues", unreachable)
+    for module in (esd, channels, linalg):
+        monkeypatch.setattr(module, "np", types.SimpleNamespace(ndarray=np.ndarray))
+    assert [numeric_esd_time(s).hex() for s in scenarios] == before
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))

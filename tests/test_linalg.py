@@ -333,21 +333,44 @@ def test_stack_eigenvalues_match_eigvalsh_and_single_calls(kinds):
 
 @pytest.mark.parametrize("read_only", [False, True])
 def test_jacobi_kernel_only_reads_its_matrix(read_only):
-    # both kernels: one matrix, and a (k, 6, 6) stack through the trusted entry, each row as its matrix alone
+    # the trusted entry, on one matrix and on a (k, 6, 6) stack, each row as its matrix alone
     rng = np.random.default_rng(26)
     m = trusted(random_hermitian(rng, 6))
     m.flags.writeable = not read_only
     before = m.copy()
-    diag = linalg._jacobi_matrix(m, linalg._JACOBI_OFF_TOL)
+    eigs = linalg._eigenvalues(m, linalg._JACOBI_OFF_TOL)
     assert m.tobytes() == before.tobytes()
-    assert diag.dtype == np.float64 and diag.shape == (6,)
-    assert np.sort(diag).tobytes() == hermitian_eigenvalues(before).tobytes()
+    assert eigs.dtype == np.float64 and eigs.shape == (6,)
+    assert eigs.tobytes() == hermitian_eigenvalues(before).tobytes()
+    # the one-matrix kernel overwrites the row lists it is given, which _eigenvalues takes fresh from m
+    diag = linalg._jacobi_matrix(m.real.tolist(), m.imag.tolist(), linalg._JACOBI_OFF_TOL)
+    assert len(diag) == 6 and np.sort(diag).tobytes() == eigs.tobytes()
     stack = trusted(stack_of(rng, STACKS["mixed"]))
     stack.flags.writeable = not read_only
     before = stack.copy()
     eigs = linalg._eigenvalues(stack, linalg._JACOBI_OFF_TOL)
     assert stack.tobytes() == before.tobytes()
     assert eigs.tobytes() == np.array([linalg._eigenvalues(m, linalg._JACOBI_OFF_TOL) for m in before]).tobytes()
+
+
+def test_exact_zero_pairs_and_signed_zeros_give_the_same_eigenvalue_bits():
+    # a diagonal plus one 2x2 block with an imaginary coupling: every other pair is an exact
+    # zero, skipped before its hypot, and a zero written as -0.0, off the diagonal, as an
+    # imaginary part or as the coupling's real part, changes no eigenvalue, none of which is zero
+    m = np.diag([0.25, 0.125, -0.0625, 0.125, 0.375, 0.25]).astype(complex)
+    m[1, 4] = -0.05j
+    m[4, 1] = np.conj(m[1, 4])
+    signed = m.copy()
+    for part in (signed.real, signed.imag):  # views: 30 real and 34 imaginary zeros become -0.0
+        part[part == 0.0] = -0.0
+    assert np.signbit(signed.real).sum() == 30 + 1 and np.signbit(signed.imag).sum() == 34 + 1  # +1: a negative entry
+    expected = hermitian_eigenvalues(m)
+    assert np.max(np.abs(expected - np.linalg.eigvalsh(m))) < 1e-15
+    assert {0.25, 0.125, -0.0625} <= set(expected.tolist())  # the inert rows keep their diagonal
+    for a in (m, signed):
+        assert linalg._eigenvalues(a, linalg._JACOBI_OFF_TOL).tobytes() == expected.tobytes()
+    stacked = linalg._eigenvalues(np.array([m, signed, m]), linalg._JACOBI_OFF_TOL)
+    assert stacked.tobytes() == np.array([expected] * 3).tobytes()
 
 
 @pytest.mark.parametrize("n", range(7))
