@@ -131,16 +131,17 @@ def _mask_products(one, gamma_a, gamma_b) -> tuple:
     return one, gamma_a, gamma_b, gb2, gamma_a * gamma_b, gamma_a * gb2
 
 
-def dephasing_mask(gamma_a, gamma_b) -> np.ndarray:
+def dephasing_mask(gamma_a, gamma_b, terms: np.ndarray = _MASK_TERMS) -> np.ndarray:
     """6x6 mask M_A(gamma_a) (x) M_B(gamma_b) with real entries; rho * mask dephases rho.
 
     Its diagonal is exactly 1, so it is trace preserving by construction.
     The factors may be arrays of one shape S, giving an (*S, 6, 6) stack
-    of masks, each bit-equal to the mask of its own factors.
+    of masks, each bit-equal to the mask of its own factors. terms, a
+    block of _MASK_TERMS, gives that block of the mask instead.
     """
     ga = np.asarray(gamma_a, dtype=float)[..., None]
     gb = np.asarray(gamma_b, dtype=float)[..., None]
-    return np.concatenate(_mask_products(np.ones_like(ga), ga, gb), axis=-1)[..., _MASK_TERMS]
+    return np.concatenate(_mask_products(np.ones_like(ga), ga, gb), axis=-1)[..., terms]
 
 
 def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import _MASK_TERMS, _mask_products, decay_factor, dephasing_mask
 from .entanglement import negativity_of_spectrum
-from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, SPECTRAL_TOL, _eigenvalues, _jacobi_matrix, partial_transpose
+from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, SPECTRAL_TOL, _jacobi_matrix, _jacobi_stack, partial_transpose
 from .states import DensityMatrix, ansatz_x
 
 #: Corner values at or below 1/8 never produce entanglement.
@@ -185,19 +185,33 @@ def analytic_esd_time(scenario: Scenario) -> EsdTime:
     return 2.0 * math.log(8.0 * scenario.x) / rate
 
 
-def _pt_eigenvalues(scenario: Scenario, gamma_a, gamma_b) -> np.ndarray:
-    """Ascending side-A PT eigenvalues of the x-state dephased by arrays of factors, a row per pair of them; for sweep.
+def _pt_eigenvalues(initial_pt: np.ndarray, live: np.ndarray, gamma_a, gamma_b) -> np.ndarray:
+    """Ascending side-A PT eigenvalues of rho0 dephased by arrays of factors, a row per pair of them; for sweep.
 
-    M = M_A(gamma_a) (x) M_B(gamma_b) has a symmetric M_A, so PT_A(M) = M
-    entry for entry, and PT_A(rho0 o M) = PT_A(rho0) o M multiplies the
-    same floats: this is evolve's state's PT, bit for bit, and it gets
-    hermitian_eigenvalues' bits without its checks, which it cannot fail.
-    It is exactly Hermitian (a Hermitian state times a real symmetric
-    mask, then a PT, which only moves entries), so symmetrizing leaves it
-    unchanged; no entry exceeds 1/4, so none is scaled; and its Frobenius
-    norm is below 0.56, so off_tol 1e-13 * max(1, norm) is 1e-13.
+    initial_pt is PT_A(rho0), n x n, and live the ascending indices of its
+    rows with a nonzero off-diagonal entry. M_A is symmetric, so PT_A(rho0
+    o M) = PT_A(rho0) o M: evolve's state's PT, bit for bit. It needs none
+    of hermitian_eigenvalues' checks: it is exactly Hermitian (a Hermitian
+    state times a real symmetric mask, then a PT, which only moves
+    entries), so symmetrizing leaves it unchanged; no entry exceeds 1/4,
+    so none is scaled; and its Frobenius norm is below 0.56, so off_tol is
+    1e-13.
+
+    Only the live block goes to the stack kernel (rows {2, 3} of the
+    x-state; no call when none is live), with the full solve's bits: an
+    inert row stays exactly zero off the diagonal under every rotation, a
+    zero pair is skipped before its hypot, and the convergence sum only
+    gains +0.0 terms. The skip rule, r > off_tol / (2n), alone reads n, so
+    it takes the full n, not the block's. An inert row keeps its diagonal
+    x + iy times the mask's 1, which is x when y is +0.0, as in the x-state.
     """
-    return _eigenvalues(scenario._initial_pt * dephasing_mask(gamma_a, gamma_b), _JACOBI_OFF_TOL)
+    n = len(initial_pt)
+    diag = np.tile(initial_pt.diagonal().real, (len(gamma_a), 1))
+    if live.size:
+        block = np.ix_(live, live)
+        masked = initial_pt[block] * dephasing_mask(gamma_a, gamma_b, _MASK_TERMS[block])
+        diag[:, live] = _jacobi_stack(masked, _JACOBI_OFF_TOL, _JACOBI_OFF_TOL / (2 * n))
+    return np.sort(diag, axis=-1)
 
 
 def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
@@ -290,11 +304,15 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
     if times.ndim != 1:
         raise ValueError(f"t_grid must be one-dimensional, got shape {times.shape}")
     ga, gb = scenario.gamma_factors(times)
+    # the rows PT_A(rho0) couples, once per call: the mask keeps every zero a zero
+    coupled = scenario._initial_pt != 0
+    np.fill_diagonal(coupled, False)
+    live = np.flatnonzero(coupled.any(axis=1))
     curve = np.empty(len(times), dtype=_CURVE_DTYPE).view(np.recarray)
     curve.t, curve.gamma_a, curve.gamma_b = times, ga, gb
     for start in range(0, len(times), _SWEEP_BLOCK):
         block = slice(start, start + _SWEEP_BLOCK)
-        eigs = _pt_eigenvalues(scenario, ga[block], gb[block])
+        eigs = _pt_eigenvalues(scenario._initial_pt, live, ga[block], gb[block])
         curve.negativity_numeric[block] = negativity_of_spectrum(eigs)
         curve.min_pt_eigenvalue[block] = eigs[:, 0]
     curve.corner = scenario.x * (ga * gb)

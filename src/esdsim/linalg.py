@@ -8,19 +8,20 @@ tiny (6x6 at most).
 hermitian_eigenvalues is the checked entry, for one matrix: it refuses
 non-Hermitian or non-finite input, scales entries above 1e150,
 symmetrizes a copy and derives the convergence tolerance from its
-Frobenius norm, then calls the trusted entry _eigenvalues, which alone
-picks the kernel and sorts. For one matrix it passes fresh lists of the
-real and of the imaginary rows to the pure-Python kernel _jacobi_matrix,
-which overwrites them. _eigenvalues alone also takes a (k, n, n) stack.
-The stack kernel, _jacobi_stack, copies it once into two float planes,
-its real and its imaginary parts laid out (n, n, k), so that each entry
-of every matrix is one contiguous k-vector; it rotates every matrix at
-once on them, each with its own rotation parameters, and returns the
-same bits as one call per matrix. Two callers in esdsim.esd skip the
-checks, and say why their input may: _pt_eigenvalues passes a sweep
-block's stack to _eigenvalues, and _min_pt_eigenvalue, the death-time
-probe, builds its matrix as row lists and passes them to _jacobi_matrix,
-so that a probe makes no numpy call.
+Frobenius norm, then calls the trusted entry _eigenvalues, which sorts.
+It passes fresh lists of the real and of the imaginary rows to the
+pure-Python kernel _jacobi_matrix, which overwrites them. The stack
+kernel, _jacobi_stack, takes a (k, n, n) stack and copies it once into
+two float planes, its real and its imaginary parts laid out (n, n, k),
+so that each entry of every matrix is one contiguous k-vector; it
+rotates every matrix at once on them, each with its own rotation
+parameters, and returns the same bits as one call per matrix. Two
+callers in esdsim.esd skip the checks, and say why their input may:
+_pt_eigenvalues passes the live block of a sweep block's partial
+transposes, the rows that have an off-diagonal entry, to _jacobi_stack,
+with the skip rule of the full matrices, and _min_pt_eigenvalue, the
+death-time probe, builds its matrix as row lists and passes them to
+_jacobi_matrix, so that a probe makes no numpy call.
 
 Both Jacobi kernels do the same real arithmetic, one float operation at
 a time: _jacobi_matrix in pure Python on the row lists, walking a cached
@@ -49,7 +50,8 @@ product (u + iv)(x + iy) is (ux - vy) + i(uy + vx), each product and
 each sum rounded on its own. The conjugates are exact, because each
 formula commutes with conjugation and the matrix is exactly Hermitian.
 A pair whose r is not above off_tol / (2n) is skipped, an exactly zero
-one before its r is taken. A sweep visits
+one before its r is taken (_jacobi_stack takes this skip_tol from its
+caller). A sweep visits
 the pairs in row-major order, and sweeps stop when sqrt(2 acc) is below
 off_tol, acc summing re^2 + im^2 over the strict upper triangle in
 row-major order, one term after another.
@@ -215,23 +217,17 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
 
 
 def _eigenvalues(a: np.ndarray, off_tol: float) -> np.ndarray:
-    """Ascending eigenvalues of a trusted n x n matrix, shape (n,), or of a (k, n, n) stack, shape (k, n).
+    """Ascending eigenvalues of one trusted n x n matrix, shape (n,).
 
     Trusted, and not checked: exactly Hermitian, entries far below 1e150,
-    as hermitian_eigenvalues leaves it. off_tol is the stopping tolerance
-    of every matrix. The input's shape picks the kernel: pure Python on
-    fresh row lists for one matrix, and numpy on float planes for a
-    stack. Neither writes to a.
+    as hermitian_eigenvalues leaves it. off_tol is the stopping
+    tolerance. The pure-Python kernel runs on fresh row lists, so a is
+    only read; at 6x6 the stack kernel's per-call overhead would cost
+    several times as much.
     """
-    n = a.shape[-1]
-    if n < 2:  # nothing to rotate: a 1x1 or 0x0 matrix is its own diagonal
-        diag = a.diagonal(axis1=-2, axis2=-1).real
-    elif a.ndim == 2:
-        # pure Python: the stack kernel's per-call overhead would cost several times as much at 6x6
-        diag = _jacobi_matrix(a.real.tolist(), a.imag.tolist(), off_tol)
-    else:
-        diag = _jacobi_stack(a, off_tol)
-    return np.sort(diag, axis=-1)
+    if len(a) < 2:  # nothing to rotate: a 1x1 or 0x0 matrix is its own diagonal
+        return np.sort(a.diagonal().real)
+    return np.sort(_jacobi_matrix(a.real.tolist(), a.imag.tolist(), off_tol))
 
 
 def _cholesky_certifies(mat: np.ndarray) -> bool:
@@ -345,7 +341,7 @@ def _jacobi_matrix(re: list, im: list, off_tol: float) -> list:
     raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
 
 
-def _jacobi_stack(stack: np.ndarray, off_tol: float) -> np.ndarray:
+def _jacobi_stack(stack: np.ndarray, off_tol: float, skip_tol: float) -> np.ndarray:
     """Diagonalize a trusted (k, n, n) stack (see _eigenvalues), n >= 2; the diagonals, unsorted, shape (k, n).
 
     The stack is only read: it is copied once into two float planes, the
@@ -354,14 +350,16 @@ def _jacobi_stack(stack: np.ndarray, off_tol: float) -> np.ndarray:
     matrices not yet converged, each exactly as _jacobi_matrix would run
     it with the same off_tol (Golub & Van Loan, Matrix Computations,
     section 8.5, with per-matrix rotation parameters); a converged matrix
-    leaves the planes with its diagonal.
+    leaves the planes with its diagonal. skip_tol is the caller's:
+    off_tol / (2n) gives each matrix _jacobi_matrix's bits, and a caller
+    that solves blocks of larger matrices, as esd._pt_eigenvalues does,
+    passes the n of the larger ones.
     """
     k, n, _ = stack.shape
     re = np.ascontiguousarray(stack.real.transpose(1, 2, 0))
     im = np.ascontiguousarray(stack.imag.transpose(1, 2, 0))
     diag = np.empty((k, n))
     active = np.arange(k)
-    skip_tol = off_tol / (2 * n)
     for _ in range(_MAX_JACOBI_SWEEPS):
         acc = 0.0
         for p in range(n - 1):

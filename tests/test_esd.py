@@ -23,10 +23,10 @@ from esdsim.esd import (
     sweep,
 )
 from esdsim.esd import CURVE_FIELDS
-from esdsim.linalg import hermitian_eigenvalues
+from esdsim.linalg import QUBIT_QUTRIT, hermitian_eigenvalues, partial_transpose
 from esdsim.states import extract_corner, validate
 
-from numeric_oracles import exact_corner, exact_esd_time
+from numeric_oracles import exact_corner, exact_esd_time, random_hermitian
 
 LN2 = math.log(2.0)
 
@@ -167,9 +167,10 @@ def test_numeric_esd_time_probes_every_point_through_the_pipeline(probe_calls):
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, probe_calls, monkeypatch):
     # the probe and sweep skip hermitian_eigenvalues' checks: they must give the
-    # checked route's bits, on input that is exactly Hermitian with Frobenius norm <= 1
-    probe_inputs, stacks = [], []
-    kernel, trusted = esd._jacobi_matrix, esd._eigenvalues
+    # checked route's bits, on input that is exactly Hermitian with Frobenius norm <= 1;
+    # sweep hands the stack kernel only the live 2x2 block, rows {2, 3}, and none at x = 0
+    probe_inputs, blocks = [], []
+    kernel, stack_kernel = esd._jacobi_matrix, esd._jacobi_stack
 
     def recording_kernel(re, im, off_tol):
         m = np.empty((len(re), len(re)), dtype=complex)
@@ -177,16 +178,16 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
         probe_inputs.append(m)
         return kernel(re, im, off_tol)
 
-    def recording(a, off_tol):
-        stacks.append(a)  # the stack kernel only reads its input
-        return trusted(a, off_tol)
+    def recording(stack, off_tol, skip_tol):
+        blocks.append(stack)  # the stack kernel only reads its input
+        return stack_kernel(stack, off_tol, skip_tol)
 
     monkeypatch.setattr(esd, "_jacobi_matrix", recording_kernel)
-    monkeypatch.setattr(esd, "_eigenvalues", recording)
+    monkeypatch.setattr(esd, "_jacobi_stack", recording)
     for rate in (0.0, *np.logspace(-9.0, 3.0, 13)):
         for x in (0.0, 0.125, 0.13, 0.2, 0.25):
             s = scenario(kind, x=x, rate_a=float(rate), rate_b=float(rate))
-            del probe_calls[:], probe_inputs[:], stacks[:]
+            del probe_calls[:], probe_inputs[:], blocks[:]
             if rate or x <= esd.ENTANGLEMENT_THRESHOLD_X:  # else no noise acts and there is no window
                 numeric_esd_time(s)
             times = list(probe_calls)
@@ -195,15 +196,48 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
             for t in times:
                 checked = negativity(evolve(s, t)).min_pt_eigenvalue
                 assert esd._min_pt_eigenvalue(s, t).hex() == checked.hex(), (rate, x, t)
-            curve = sweep(s, [*times, 0.0, *np.geomspace(1e-12, 1e12, 25), math.inf])
-            assert len(probe_inputs) == 2 * len(times) and len(stacks) == 1
-            for pts in (*probe_inputs, *stacks):
+            grid = [*times, 0.0, *np.geomspace(1e-12, 1e12, 25), math.inf]
+            curve = sweep(s, grid)
+            assert len(probe_inputs) == 2 * len(times) and len(blocks) == (1 if x else 0)
+            for pts in (*probe_inputs, *blocks):
                 assert np.array_equal(pts, np.swapaxes(pts, -1, -2).conj()), (rate, x)
                 assert np.all(np.linalg.norm(pts, axis=(-2, -1)) <= 1.0), (rate, x)
-            stack = stacks[0]
-            assert stack.shape == (len(times) + 27, 6, 6)
-            checked = np.array([hermitian_eigenvalues(m)[0] for m in stack])
-            assert checked.tobytes() == curve.min_pt_eigenvalue.tobytes()
+            if x:
+                assert blocks[0].shape == (len(times) + 27, 2, 2)
+            checked = np.array([hermitian_eigenvalues(partial_transpose(evolve(s, t).mat, QUBIT_QUTRIT, "A"))[0]
+                                for t in grid])
+            assert checked.tobytes() == curve.min_pt_eigenvalue.tobytes(), (rate, x)
+
+
+def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
+    # _pt_eigenvalues solves only the live rows: off the x-family, it must give the bits of
+    # the full 6x6 stack solve, whose skip rule reads n = 6, under masks that zero live pairs
+    off_tol = linalg._JACOBI_OFF_TOL
+    ga = np.array([1.0, 0.7, 0.0, 0.3, 1.0, 0.0, 0.5])
+    gb = np.array([1.0, 0.0, 0.5, 0.9, 0.0, 0.0, 0.5])
+
+    def full(pt):
+        return np.sort(linalg._jacobi_stack(pt * channels.dephasing_mask(ga, gb), off_tol, off_tol / 12), axis=-1)
+
+    # a 3x3 live block on rows {0, 2, 4}: a degenerate pair (0, 2) coupled by an entry that
+    # the skip rule rotates at n = 6 but would skip at n = 3, and a large pair (2, 4)
+    small = 1.2e-14
+    assert off_tol / 12 < small < off_tol / 6
+    block = np.diag([0.125, 0.1, 0.125, 0.05, 0.2, 0.15]).astype(complex)
+    block[0, 2] = block[2, 0] = small
+    block[2, 4], block[4, 2] = 0.06 + 0.08j, 0.06 - 0.08j
+    inert = np.diag([0.25, -0.0625, 0.125, 0.125, 0.375, 0.25]).astype(complex)
+    pair = np.diag([0.2, 0.1, 0.15, 0.3, 0.05, 0.2]).astype(complex)  # gamma_a * gamma_b: zero where either is
+    pair[1, 3], pair[3, 1] = -0.04j, 0.04j
+    dense = random_hermitian(np.random.default_rng(61), 6) / 16.0  # every row live
+    masks = channels.dephasing_mask(ga, gb)
+    for i, j in ((0, 2), (2, 4), (1, 3)):  # each live pair is exactly zero in some matrices of the stack
+        assert 0 < np.count_nonzero(masks[:, i, j]) < len(ga)
+    for pt, live in ((block, [0, 2, 4]), (inert, []), (pair, [1, 3]), (dense, list(range(6)))):
+        assert np.array_equal(pt, pt.conj().T) and np.linalg.norm(pt) <= 1.0
+        assert np.flatnonzero((pt - np.diag(pt.diagonal())).any(axis=1)).tolist() == live
+        got = esd._pt_eigenvalues(pt, np.array(live, dtype=int), ga, gb)
+        assert got.tobytes() == full(pt).tobytes(), live
 
 
 def test_death_time_probe_makes_no_numpy_call(monkeypatch):
@@ -542,7 +576,8 @@ def test_gamma_factors_of_an_array_are_per_point(kind):
 
 
 def test_sweep_memory_stays_flat():
-    # mask -> PT_A(rho0) o mask -> eigenvalues runs in fixed blocks: one (T, 6, 6) pass would peak near 17 MB
+    # mask -> PT_A(rho0) o mask -> eigenvalues runs in fixed blocks on the live 2x2 block only, which
+    # peaks near 1.25 MB: full (k, 6, 6) blocks would peak near 2.5 MB, and one (T, 6, 6) pass near 17 MB
     s = scenario(ScenarioKind.MULTI_LOCAL, x=0.2, rate_a=1.3, rate_b=0.7)
     grid = np.linspace(0.0, 4.0, 10001)
     tracemalloc.start()
@@ -551,4 +586,4 @@ def test_sweep_memory_stays_flat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 2 ** 20, peak
+    assert peak <= 2 * 2 ** 20, peak

@@ -316,15 +316,27 @@ def trusted(mats):
     return h
 
 
+def stack_eigenvalues(stack):
+    """Ascending eigenvalues of a trusted (k, n, n) stack through the stack kernel, shape (k, n).
+
+    The kernel skips a pair at off_tol / (2n) of the stack's own n, as the
+    one-matrix kernel does; n < 2 leaves nothing to rotate.
+    """
+    n = stack.shape[-1]
+    if n < 2:
+        return np.sort(stack.diagonal(axis1=-2, axis2=-1).real, axis=-1)
+    off_tol = linalg._JACOBI_OFF_TOL
+    return np.sort(linalg._jacobi_stack(stack, off_tol, off_tol / (2 * n)), axis=-1)
+
+
 @pytest.mark.parametrize("kinds", list(STACKS.values()), ids=list(STACKS))
 def test_stack_eigenvalues_match_eigvalsh_and_single_calls(kinds):
-    # only the trusted entry takes a stack: each row must be what the checked
-    # entry gives for that matrix alone
+    # the stack kernel: each row must be what the checked entry gives for that matrix alone
     rng = np.random.default_rng(19)
     for n in (6, 1, 2, 3):
         for _ in range(5):
             stack = trusted(stack_of(rng, kinds, n))
-            eigs = linalg._eigenvalues(stack, linalg._JACOBI_OFF_TOL)
+            eigs = stack_eigenvalues(stack)
             assert eigs.shape == (len(kinds), n)
             assert np.max(np.abs(eigs - np.linalg.eigvalsh(stack))) < 1e-12
             singles = np.array([hermitian_eigenvalues(m) for m in stack])
@@ -333,7 +345,7 @@ def test_stack_eigenvalues_match_eigvalsh_and_single_calls(kinds):
 
 @pytest.mark.parametrize("read_only", [False, True])
 def test_jacobi_kernel_only_reads_its_matrix(read_only):
-    # the trusted entry, on one matrix and on a (k, 6, 6) stack, each row as its matrix alone
+    # the trusted entry on one matrix, and the stack kernel on a (k, 6, 6) stack, each row as its matrix alone
     rng = np.random.default_rng(26)
     m = trusted(random_hermitian(rng, 6))
     m.flags.writeable = not read_only
@@ -348,7 +360,7 @@ def test_jacobi_kernel_only_reads_its_matrix(read_only):
     stack = trusted(stack_of(rng, STACKS["mixed"]))
     stack.flags.writeable = not read_only
     before = stack.copy()
-    eigs = linalg._eigenvalues(stack, linalg._JACOBI_OFF_TOL)
+    eigs = stack_eigenvalues(stack)
     assert stack.tobytes() == before.tobytes()
     assert eigs.tobytes() == np.array([linalg._eigenvalues(m, linalg._JACOBI_OFF_TOL) for m in before]).tobytes()
 
@@ -369,21 +381,21 @@ def test_exact_zero_pairs_and_signed_zeros_give_the_same_eigenvalue_bits():
     assert {0.25, 0.125, -0.0625} <= set(expected.tolist())  # the inert rows keep their diagonal
     for a in (m, signed):
         assert linalg._eigenvalues(a, linalg._JACOBI_OFF_TOL).tobytes() == expected.tobytes()
-    stacked = linalg._eigenvalues(np.array([m, signed, m]), linalg._JACOBI_OFF_TOL)
+    stacked = stack_eigenvalues(np.array([m, signed, m]))
     assert stacked.tobytes() == np.array([expected] * 3).tobytes()
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_trusted_entry_gives_the_checked_bits_alone_and_stacked(n):
-    # _eigenvalues is the one kernel dispatch behind both entries: on trusted
-    # input, one matrix, a stack and the checked entry give the same bytes
+    # on trusted input, the trusted entry on one matrix, the stack kernel on a
+    # stack and the checked entry give the same bytes
     rng = np.random.default_rng(40 + n)
     stack = trusted(stack_of(rng, STACKS["mixed"], n))
     for mats in (stack, stack / 64.0):
         checked = np.array([hermitian_eigenvalues(m) for m in mats])
         singles = [linalg._eigenvalues(m, linalg._JACOBI_OFF_TOL) for m in mats]
         assert np.array(singles).tobytes() == checked.tobytes()
-        assert linalg._eigenvalues(mats, linalg._JACOBI_OFF_TOL).tobytes() == checked.tobytes()
+        assert stack_eigenvalues(mats).tobytes() == checked.tobytes()
 
 
 # The same seeded dense partial transposes, symmetrized, one matrix at a time
@@ -392,14 +404,15 @@ def test_trusted_entry_gives_the_checked_bits_alone_and_stacked(n):
 _DENSE_DIGEST = """
 import hashlib
 import numpy as np
-from esdsim.linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, _eigenvalues, hermitian_eigenvalues, partial_transpose
+from esdsim.linalg import QUBIT_QUTRIT, hermitian_eigenvalues, partial_transpose
 from esdsim.states import random_density_matrix
+from test_linalg import stack_eigenvalues
 rng = np.random.default_rng(27)
 rhos = [random_density_matrix(rng).mat for _ in range(20)]
 pts = np.array([partial_transpose(rho, QUBIT_QUTRIT, side) for rho in rhos for side in "AB"])
 pts = 0.5 * (pts + np.swapaxes(pts, -1, -2).conj())  # exactly Hermitian, as the stack kernel needs
 singles = np.array([hermitian_eigenvalues(m) for m in pts])
-print(hashlib.sha256(singles.tobytes() + _eigenvalues(pts, _JACOBI_OFF_TOL).tobytes()).hexdigest())
+print(hashlib.sha256(singles.tobytes() + stack_eigenvalues(pts).tobytes()).hexdigest())
 """
 
 #: numpy skips, with an ImportWarning, the names its build does not dispatch,
@@ -411,8 +424,9 @@ def test_dense_eigenvalues_do_not_depend_on_simd_dispatch():
     # numpy's AVX2 and AVX-512 complex multiply fuses its multiply and add and
     # the baseline loop does not; the kernels' real arithmetic must not care
     src = str(Path(esdsim.__file__).parents[1])
+    tests = str(Path(__file__).parent)  # the script imports stack_eigenvalues from this module
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_SIMD_OFF,
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+               PYTHONPATH=os.pathsep.join(filter(None, (src, tests, os.environ.get("PYTHONPATH")))))
     baseline = subprocess.run([sys.executable, "-c", _DENSE_DIGEST], capture_output=True, text=True,
                               check=True, env=env).stdout
     here = io.StringIO()
@@ -440,7 +454,7 @@ def test_family_eigenvalue_bits_are_pinned():
                     pts = np.array([partial_transpose(m, QUBIT_QUTRIT, side) for m in states])
                     for m in pts:
                         digest.update(hermitian_eigenvalues(m).tobytes())
-                    digest.update(linalg._eigenvalues(pts, linalg._JACOBI_OFF_TOL).tobytes())
+                    digest.update(stack_eigenvalues(pts).tobytes())
         for x in (0.126, 0.2, 0.25):
             for rate in rates:
                 t_star = numeric_esd_time(Scenario(kind, x, rate, rate))
@@ -454,20 +468,20 @@ def test_stack_eigenvalues_match_characteristic_polynomial():
     for n, oracle in ((2, charpoly_eigs_2x2), (3, charpoly_eigs_3x3)):
         stack = trusted(np.array([random_hermitian(rng, n) for _ in range(100)]))
         expected = np.array([oracle(h) for h in stack])
-        assert np.max(np.abs(linalg._eigenvalues(stack, linalg._JACOBI_OFF_TOL) - expected)) < 1e-8
+        assert np.max(np.abs(stack_eigenvalues(stack) - expected)) < 1e-8
 
 
 def test_eigenvalues_of_an_empty_matrix():
     # a 0x0 matrix has an empty spectrum, not a reshape error, and an empty stack an empty one per matrix
     empty = hermitian_eigenvalues(np.zeros((0, 0), dtype=complex))
     assert empty.shape == (0,) and empty.dtype == np.float64
-    empty = linalg._eigenvalues(np.zeros((0, 6, 6), dtype=complex), linalg._JACOBI_OFF_TOL)
+    empty = stack_eigenvalues(np.zeros((0, 6, 6), dtype=complex))
     assert empty.shape == (0, 6) and empty.dtype == np.float64
 
 
 @pytest.mark.parametrize("shape", [(0, 6, 6), (1, 6, 6), (2, 3, 6, 6)], ids=["empty", "one", "2x3"])
 def test_public_entries_refuse_a_stack(shape):
-    # one matrix per call: a stack goes through _eigenvalues, or one call per member
+    # one matrix per call: a stack goes through the stack kernel, or one call per member
     stack = np.zeros(shape, dtype=complex)
     with pytest.raises(ValueError, match=f"expected a 2-D matrix, got ndim={len(shape)}"):
         hermitian_eigenvalues(stack)
@@ -485,4 +499,4 @@ def test_jacobi_sweep_cap_raises(kernel, monkeypatch):
         if kernel == "matrix":
             hermitian_eigenvalues(random_hermitian(rng, 6))
         else:
-            linalg._eigenvalues(trusted(stack_of(rng, ["dense"] * 2)), linalg._JACOBI_OFF_TOL)
+            stack_eigenvalues(trusted(stack_of(rng, ["dense"] * 2)))
