@@ -28,7 +28,8 @@ M_A(g) = [[1, g], [g, 1]] and M_B(g) = [[1, g, g], [g, 1, g^2], [g, g^2, 1]],
 The qutrit (1, 2) coherence decays as gamma^2, not gamma. dephasing_mask()
 builds this product, for one pair of factors or for arrays of them; the
 Kraus route stays as the general API and as the tests' reference for the
-mask.
+mask. esdsim.esd multiplies an entry's real and imaginary parts by its
+mask entry apart, with no complex product, on every route.
 """
 
 from __future__ import annotations
@@ -121,27 +122,30 @@ _MASK_TERMS = np.array([[0, 2, 3], [1, 4, 5]])[
 _MASK_TERMS.flags.writeable = False
 
 
-def _mask_products(one, gamma_a, gamma_b) -> tuple:
-    """The six products (1, ga, gb, gb^2, ga*gb, ga*gb^2) that _MASK_TERMS indexes, one rounding each.
+def _mask_products(gamma_a, gamma_b) -> tuple:
+    """The six products (1.0, ga, gb, gb^2, ga*gb, ga*gb^2) that _MASK_TERMS indexes, one rounding each.
 
-    one is 1.0 for float factors or ones of their shape for arrays, so
-    dephasing_mask and esd's death-time probe round the same products.
+    dephasing_mask takes them of float arrays and esd's death-time probe
+    of Python floats, which round alike.
     """
     gb2 = gamma_b * gamma_b
-    return one, gamma_a, gamma_b, gb2, gamma_a * gamma_b, gamma_a * gb2
+    return 1.0, gamma_a, gamma_b, gb2, gamma_a * gamma_b, gamma_a * gb2
 
 
 def dephasing_mask(gamma_a, gamma_b, terms: np.ndarray = _MASK_TERMS) -> np.ndarray:
     """6x6 mask M_A(gamma_a) (x) M_B(gamma_b) with real entries; rho * mask dephases rho.
 
     Its diagonal is exactly 1, so it is trace preserving by construction.
-    The factors may be arrays of one shape S, giving an (*S, 6, 6) stack
-    of masks, each bit-equal to the mask of its own factors. terms, a
-    block of _MASK_TERMS, gives that block of the mask instead.
+    The factors may be arrays, broadcast to one shape S, giving masks laid
+    out entry-major, shape (6, 6, *S), as the stack kernel's planes are,
+    each bit-equal to the mask of its own factors. terms, a block of
+    _MASK_TERMS, gives that block of the masks instead: terms.shape + S.
     """
-    ga = np.asarray(gamma_a, dtype=float)[..., None]
-    gb = np.asarray(gamma_b, dtype=float)[..., None]
-    return np.concatenate(_mask_products(np.ones_like(ga), ga, gb), axis=-1)[..., terms]
+    ga, gb = np.asarray(gamma_a, dtype=float), np.asarray(gamma_b, dtype=float)
+    products = _mask_products(ga, gb)
+    if ga.ndim or gb.ndim:  # the 1.0, and a factor of another shape, take the shape S
+        products = np.broadcast_arrays(*products)
+    return np.array(products)[terms]
 
 
 def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

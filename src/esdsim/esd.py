@@ -77,9 +77,10 @@ class Scenario:
 
     rate_a is ignored by QUTRIT_ONLY and rate_b by QUBIT_ONLY; both act
     in MULTI_LOCAL. Construction is the one check of kind (a ScenarioKind
-    or its value, stored as the member), x and the rates, and builds the x-state
-    and its read-only side-A partial transpose once, with that transpose's
-    rows as lists for the death-time probe; gamma_factors checks t.
+    or its value, stored as the member), x and the rates, stored as Python
+    floats, and builds the x-state and its read-only side-A partial transpose
+    once, with that transpose's rows as lists for the death-time probe;
+    gamma_factors checks t.
     """
 
     kind: ScenarioKind
@@ -102,6 +103,8 @@ class Scenario:
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
+        for name in ("x", "rate_a", "rate_b"):  # checked above, so a str has raised TypeError
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not math.isfinite(self.effective_rate()):
             raise ValueError(f"rate_a + rate_b must be finite, got {self.rate_a} + {self.rate_b}")
 
@@ -123,7 +126,7 @@ class Scenario:
 
         For an array of times the factors are arrays of its shape, each
         entry bit-equal to decay_factor's for that time alone, and every
-        entry is checked.
+        entry is checked. A time of any float type is taken in float64.
         """
         rate_a, rate_b = self.rates
         if isinstance(t, np.ndarray) and t.ndim:
@@ -133,13 +136,13 @@ class Scenario:
             # decay_factor's exp(-0.5 * t * rate), its product rounded as Python rounds it: it may
             # overflow to -inf, whose exp is 0.0, and at t = 0 it is a zero, whose exp is 1.0. An
             # idle side gets ones. math.exp runs point by point: np.exp differs from it in the last bit.
-            half = -0.5 * t.ravel()
+            half = -0.5 * t.ravel().astype(float)
             with np.errstate(over="ignore"):
                 return tuple(np.fromiter(map(math.exp, (half * rate).tolist()), float, t.size).reshape(t.shape)
                              if rate else np.ones(t.shape) for rate in (rate_a, rate_b))
         if not t >= 0.0:
             raise ValueError(f"t must be >= 0, got {t}")
-        return decay_factor(rate_a, t), decay_factor(rate_b, t)
+        return decay_factor(rate_a, float(t)), decay_factor(rate_b, float(t))
 
     def gamma_product(self, t):
         return math.prod(self.gamma_factors(t))
@@ -151,8 +154,12 @@ def evolve(scenario: Scenario, t: float) -> DensityMatrix:
     The same formula serves all three scenarios, since an idle side has
     decay factor 1. It equals the Kraus route of :mod:`esdsim.channels`,
     which stays the general API and the tests' reference for the mask.
+    The real and imaginary parts are multiplied by the mask apart, as sweep does.
     """
-    return DensityMatrix(scenario.initial_state.mat * dephasing_mask(*scenario.gamma_factors(t)), QUBIT_QUTRIT)
+    mat, mask = scenario.initial_state.mat, dephasing_mask(*scenario.gamma_factors(t))
+    out = np.empty_like(mat)
+    out.real, out.imag = mat.real * mask, mat.imag * mask
+    return DensityMatrix(out, QUBIT_QUTRIT)
 
 
 def _closed_negativity(xg):
@@ -190,12 +197,12 @@ def _pt_eigenvalues(initial_pt: np.ndarray, live: np.ndarray, gamma_a, gamma_b) 
 
     initial_pt is PT_A(rho0), n x n, and live the ascending indices of its
     rows with a nonzero off-diagonal entry. M_A is symmetric, so PT_A(rho0
-    o M) = PT_A(rho0) o M: evolve's state's PT, bit for bit. It needs none
-    of hermitian_eigenvalues' checks: it is exactly Hermitian (a Hermitian
-    state times a real symmetric mask, then a PT, which only moves
-    entries), so symmetrizing leaves it unchanged; no entry exceeds 1/4,
-    so none is scaled; and its Frobenius norm is below 0.56, so off_tol is
-    1e-13.
+    o M) = PT_A(rho0) o M, and the planes Re(PT_A(rho0)) * M and
+    Im(PT_A(rho0)) * M are evolve's state's PT, bit for bit, for any rho0.
+    They need none of hermitian_eigenvalues' checks: an exactly Hermitian
+    rho0 gives exactly Hermitian planes, which symmetrizing changes at most
+    in the sign of a zero (see _min_pt_eigenvalue); no entry exceeds 1/4,
+    so none is scaled; and the Frobenius norm is below 0.56, so off_tol is 1e-13.
 
     Only the live block goes to the stack kernel (rows {2, 3} of the
     x-state; no call when none is live), with the full solve's bits: an
@@ -203,30 +210,31 @@ def _pt_eigenvalues(initial_pt: np.ndarray, live: np.ndarray, gamma_a, gamma_b) 
     zero pair is skipped before its hypot, and the convergence sum only
     gains +0.0 terms. The skip rule, r > off_tol / (2n), alone reads n, so
     it takes the full n, not the block's. An inert row keeps its diagonal
-    x + iy times the mask's 1, which is x when y is +0.0, as in the x-state.
+    entry x, as x times the mask's 1.
     """
     n = len(initial_pt)
     diag = np.tile(initial_pt.diagonal().real, (len(gamma_a), 1))
     if live.size:
         block = np.ix_(live, live)
-        masked = initial_pt[block] * dephasing_mask(gamma_a, gamma_b, _MASK_TERMS[block])
-        diag[:, live] = _jacobi_stack(masked, _JACOBI_OFF_TOL, _JACOBI_OFF_TOL / (2 * n))
+        mask = dephasing_mask(gamma_a, gamma_b, _MASK_TERMS[block])  # (L, L, k), entry-major
+        re, im = (part[block][..., None] * mask for part in (initial_pt.real, initial_pt.imag))
+        diag[:, live] = _jacobi_stack(re, im, _JACOBI_OFF_TOL, _JACOBI_OFF_TOL / (2 * n))
     return np.sort(diag, axis=-1)
 
 
 def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
-    """One probe, PT_A(rho0) o mask -> Jacobi: bit-equal to negativity(evolve(scenario, t)).min_pt_eigenvalue.
+    """One probe, PT_A(rho0) o mask -> Jacobi: negativity(evolve(scenario, t)).min_pt_eigenvalue, bit for bit.
 
     It makes no numpy call: the mask's six products are Python floats,
     rounded as dephasing_mask rounds them, and each entry x + iy of
-    PT_A(rho0) becomes the rows' entries x * m and y * m. numpy multiplies
-    it by the real mask as by m + 0i, (x m - y 0) + i (x 0 + y m), and the
-    x-state's y are all +0.0 and m >= 0, so both give x m and +0.0: the
-    same bits, which meet _pt_eigenvalues' precondition. min of the
-    diagonal is the sorted spectrum's first entry, since equal nonzero
-    floats have equal bits and only (1 - 8 x g) / 8 can be zero.
+    PT_A(rho0) becomes the rows' entries x * m and y * m, as in evolve and
+    _pt_eigenvalues: the same floats, signed zeros included, for any rho0.
+    The checked route symmetrizes them, which for an exactly Hermitian rho0
+    changes at most the sign of a zero; no kernel step divides by an entry,
+    so that reaches at most the sign of an exactly zero eigenvalue, as does
+    taking min of the diagonal for the sorted spectrum's first entry.
     """
-    terms = _mask_products(1.0, *scenario.gamma_factors(t))
+    terms = _mask_products(*scenario.gamma_factors(t))
     re_rows, im_rows = scenario._initial_pt_rows
     re = [[x * terms[j] for x, j in row] for row in re_rows]
     im = [[y * terms[j] for y, j in row] for row in im_rows]

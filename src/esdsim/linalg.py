@@ -8,20 +8,20 @@ tiny (6x6 at most).
 hermitian_eigenvalues is the checked entry, for one matrix: it refuses
 non-Hermitian or non-finite input, scales entries above 1e150,
 symmetrizes a copy and derives the convergence tolerance from its
-Frobenius norm, then calls the trusted entry _eigenvalues, which sorts.
-It passes fresh lists of the real and of the imaginary rows to the
-pure-Python kernel _jacobi_matrix, which overwrites them. The stack
-kernel, _jacobi_stack, takes a (k, n, n) stack and copies it once into
-two float planes, its real and its imaginary parts laid out (n, n, k),
-so that each entry of every matrix is one contiguous k-vector; it
-rotates every matrix at once on them, each with its own rotation
-parameters, and returns the same bits as one call per matrix. Two
+Frobenius norm, then passes fresh lists of the copy's real and
+imaginary rows to the pure-Python kernel _jacobi_matrix, and sorts the
+diagonal it returns. The stack kernel, _jacobi_stack, takes a stack of k
+matrices as two float planes, the real and the imaginary parts laid out
+(n, n, k), so that each entry of every matrix is one contiguous
+k-vector; it rotates every matrix at once on them, each with its own
+rotation parameters, and returns the same bits as one call per matrix.
+Both kernels overwrite their input, which each caller builds afresh. Two
 callers in esdsim.esd skip the checks, and say why their input may:
-_pt_eigenvalues passes the live block of a sweep block's partial
-transposes, the rows that have an off-diagonal entry, to _jacobi_stack,
-with the skip rule of the full matrices, and _min_pt_eigenvalue, the
-death-time probe, builds its matrix as row lists and passes them to
-_jacobi_matrix, so that a probe makes no numpy call.
+_pt_eigenvalues builds the planes of the live block of a sweep block's
+partial transposes, the rows that have an off-diagonal entry, for
+_jacobi_stack, with the skip rule of the full matrices, and
+_min_pt_eigenvalue, the death-time probe, builds its matrix as row lists
+for _jacobi_matrix, so that a probe makes no numpy call.
 
 Both Jacobi kernels do the same real arithmetic, one float operation at
 a time: _jacobi_matrix in pure Python on the row lists, walking a cached
@@ -208,26 +208,13 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     if exponent:
         m = m * np.ldexp(1.0, -exponent)
     m = 0.5 * (m + m.conj().T)  # symmetrize roundoff before iterating
-    fro = float(np.sqrt(np.sum(np.abs(m) ** 2)))
-    eigs = _eigenvalues(m, _JACOBI_OFF_TOL * max(1.0, fro))
+    off_tol = _JACOBI_OFF_TOL * float(max(1.0, np.sqrt(np.sum(np.abs(m) ** 2))))  # from the Frobenius norm
+    # a 1x1 or 0x0 matrix is its own diagonal; at 6x6 the stack kernel would cost several times as much
+    eigs = np.sort(m.diagonal().real if len(m) < 2 else _jacobi_matrix(m.real.tolist(), m.imag.tolist(), off_tol))
     if exponent:
         with np.errstate(over="ignore"):  # a spectrum beyond the float range is +/-inf
             eigs = np.ldexp(eigs, exponent)
     return eigs
-
-
-def _eigenvalues(a: np.ndarray, off_tol: float) -> np.ndarray:
-    """Ascending eigenvalues of one trusted n x n matrix, shape (n,).
-
-    Trusted, and not checked: exactly Hermitian, entries far below 1e150,
-    as hermitian_eigenvalues leaves it. off_tol is the stopping
-    tolerance. The pure-Python kernel runs on fresh row lists, so a is
-    only read; at 6x6 the stack kernel's per-call overhead would cost
-    several times as much.
-    """
-    if len(a) < 2:  # nothing to rotate: a 1x1 or 0x0 matrix is its own diagonal
-        return np.sort(a.diagonal().real)
-    return np.sort(_jacobi_matrix(a.real.tolist(), a.imag.tolist(), off_tol))
 
 
 def _cholesky_certifies(mat: np.ndarray) -> bool:
@@ -280,10 +267,11 @@ def _jacobi_plan(n: int) -> tuple:
 
 
 def _jacobi_matrix(re: list, im: list, off_tol: float) -> list:
-    """Diagonalize one trusted n x n matrix (see _eigenvalues) given as real and imaginary rows; its diagonal, unsorted.
+    """Diagonalize one trusted n x n matrix given as real and imaginary rows; its diagonal, unsorted.
 
-    The iteration runs in pure Python on the row lists, which it
-    overwrites: at 6x6, numpy's per-call overhead would cost more than
+    Trusted, not checked: exactly Hermitian, entries far below 1e150, as
+    hermitian_eigenvalues leaves it. The iteration runs in pure Python on
+    the row lists, which it overwrites: at 6x6, numpy's per-call overhead would cost more than
     the arithmetic. The rotation, skip and stopping rules are the module
     docstring's, and _jacobi_rotate_stack's. A pair that is exactly zero
     is skipped before its hypot, which is 0 and so not above skip_tol.
@@ -341,23 +329,21 @@ def _jacobi_matrix(re: list, im: list, off_tol: float) -> list:
     raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
 
 
-def _jacobi_stack(stack: np.ndarray, off_tol: float, skip_tol: float) -> np.ndarray:
-    """Diagonalize a trusted (k, n, n) stack (see _eigenvalues), n >= 2; the diagonals, unsorted, shape (k, n).
+def _jacobi_stack(re: np.ndarray, im: np.ndarray, off_tol: float, skip_tol: float) -> np.ndarray:
+    """Diagonalize k trusted n x n matrices, n >= 2, as (n, n, k) float planes; their diagonals, unsorted, shape (k, n).
 
-    The stack is only read: it is copied once into two float planes, the
-    real and the imaginary parts, laid out (n, n, k), so that each entry
-    of every matrix is one contiguous k-vector. A sweep runs over the
-    matrices not yet converged, each exactly as _jacobi_matrix would run
-    it with the same off_tol (Golub & Van Loan, Matrix Computations,
-    section 8.5, with per-matrix rotation parameters); a converged matrix
-    leaves the planes with its diagonal. skip_tol is the caller's:
-    off_tol / (2n) gives each matrix _jacobi_matrix's bits, and a caller
-    that solves blocks of larger matrices, as esd._pt_eigenvalues does,
-    passes the n of the larger ones.
+    re and im are the real and imaginary parts, each entry of every
+    matrix one contiguous k-vector, trusted as _jacobi_matrix's rows are;
+    the kernel overwrites them, as _jacobi_matrix overwrites its rows. A
+    sweep runs over the matrices not yet converged, each exactly as
+    _jacobi_matrix would run it with the same off_tol (Golub & Van Loan,
+    Matrix Computations, section 8.5, with per-matrix rotation
+    parameters); a converged matrix leaves the planes with its diagonal.
+    skip_tol is the caller's: off_tol / (2n) gives each matrix
+    _jacobi_matrix's bits, and a caller that solves blocks of larger
+    matrices, as esd._pt_eigenvalues does, passes the n of the larger ones.
     """
-    k, n, _ = stack.shape
-    re = np.ascontiguousarray(stack.real.transpose(1, 2, 0))
-    im = np.ascontiguousarray(stack.imag.transpose(1, 2, 0))
+    n, _, k = re.shape
     diag = np.empty((k, n))
     active = np.arange(k)
     for _ in range(_MAX_JACOBI_SWEEPS):

@@ -156,12 +156,16 @@ def test_dephasing_mask_of_arrays_is_per_pair():
     ga = np.array([[1.0, 0.9, 0.5], [0.123456789, 1e-200, 0.0]])
     gb = np.array([[1.0, 0.3, 0.77], [0.987654321, 0.0, 1.0]])
     masks = dephasing_mask(ga, gb)
-    assert masks.shape == (2, 3, 6, 6)
+    assert masks.shape == (6, 6, 2, 3)  # entry-major: each entry of every mask is one contiguous vector
     for idx in np.ndindex(2, 3):
-        assert masks[idx].tobytes() == dephasing_mask(float(ga[idx]), float(gb[idx])).tobytes()
+        assert masks[(..., *idx)].tobytes() == dephasing_mask(float(ga[idx]), float(gb[idx])).tobytes()
     qubit = np.array([[1.0, 0.9], [0.9, 1.0]])
     qutrit = np.array([[1.0, 0.3, 0.3], [0.3, 1.0, 0.09], [0.3, 0.09, 1.0]])
-    assert max_abs_diff(masks[0, 1], np.kron(qubit, qutrit)) < 1e-16
+    assert max_abs_diff(masks[..., 0, 1], np.kron(qubit, qutrit)) < 1e-16
+    # a float factor broadcasts against an array, and a block of the terms gives that block
+    assert dephasing_mask(ga, 0.3).tobytes() == dephasing_mask(ga, np.full(ga.shape, 0.3)).tobytes()
+    block = np.ix_([2, 3], [2, 3])
+    assert dephasing_mask(ga, gb, channels._MASK_TERMS[block]).tobytes() == masks[block].tobytes()
 
 
 MASK_GAMMAS = (0.0, 5e-324, 1e-160, 0.3, 1.0)
@@ -176,8 +180,8 @@ def test_dephasing_mask_is_its_own_partial_transpose(side):
             assert partial_transpose(mask, QUBIT_QUTRIT, side).tobytes() == mask.astype(complex).tobytes()
     ga, gb = np.meshgrid(MASK_GAMMAS, MASK_GAMMAS)
     stack = dephasing_mask(ga.ravel(), gb.ravel())
-    assert stack.shape == (len(MASK_GAMMAS) ** 2, 6, 6)
-    for mask in stack:
+    assert stack.shape == (6, 6, len(MASK_GAMMAS) ** 2)
+    for mask in np.moveaxis(stack, -1, 0):
         assert partial_transpose(mask, QUBIT_QUTRIT, side).tobytes() == mask.astype(complex).tobytes()
 
 

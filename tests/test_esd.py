@@ -24,7 +24,7 @@ from esdsim.esd import (
 )
 from esdsim.esd import CURVE_FIELDS
 from esdsim.linalg import QUBIT_QUTRIT, hermitian_eigenvalues, partial_transpose
-from esdsim.states import extract_corner, validate
+from esdsim.states import DensityMatrix, extract_corner, random_density_matrix, validate
 
 from numeric_oracles import exact_corner, exact_esd_time, random_hermitian
 
@@ -54,6 +54,30 @@ def test_scenario_validation():
     assert analytic_esd_time(by_value) == 2.0 * LN2
     with pytest.raises(ValueError, match="bogus"):
         Scenario("bogus", 0.25)
+    for bad in (("0.25", 1.0, 1.0), (0.25, "1.0", 1.0), (0.25, 1.0, "1.0")):  # checked before float() takes it
+        with pytest.raises(TypeError):
+            Scenario(ScenarioKind.MULTI_LOCAL, *bad)
+
+
+@pytest.mark.parametrize("cast", [np.float32, np.float16, int], ids=lambda cast: cast.__name__)
+def test_scenario_computes_in_float64_whatever_number_types_it_is_given(cast):
+    # a numpy float32 x or rate made the death times float32, the root finder running in
+    # float32, and a float32 rate or time gave the probe and evolve other decay factors than sweep
+    x, rate_a, rate_b, t = (0, 2, 3, 1) if cast is int else (cast(0.2), cast(0.7), cast(1.3), cast(1.7))
+    for kind in ScenarioKind:
+        s = Scenario(kind, x, rate_a, rate_b)
+        ref = Scenario(kind, float(x), float(rate_a), float(rate_b))
+        assert all(type(v) is float for v in (s.x, s.rate_a, s.rate_b, s.effective_rate()))
+        assert (s.x, s.rate_a, s.rate_b, s.effective_rate()) == (ref.x, ref.rate_a, ref.rate_b, ref.effective_rate())
+        for route in (analytic_esd_time, numeric_esd_time):
+            assert repr(route(s)) == repr(route(ref)), (kind, route)
+        expected = ref.gamma_factors(float(t))
+        got = s.gamma_factors(t)  # t is a numpy float or an int
+        assert all(type(g) is float for g in got) and got == expected
+        ga, gb = s.gamma_factors(np.array([t, t], dtype=cast))
+        assert np.array([ga, gb]).tobytes() == np.repeat(np.array(expected)[:, None], 2, axis=1).tobytes()
+        curve = sweep(s, np.array([t], dtype=cast))
+        assert (curve.gamma_a[0], curve.gamma_b[0]) == expected
 
 
 def test_scenario_refuses_rates_whose_sum_overflows():
@@ -178,9 +202,9 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
         probe_inputs.append(m)
         return kernel(re, im, off_tol)
 
-    def recording(stack, off_tol, skip_tol):
-        blocks.append(stack)  # the stack kernel only reads its input
-        return stack_kernel(stack, off_tol, skip_tol)
+    def recording(re, im, off_tol, skip_tol):
+        blocks.append((re.copy(), im.copy()))  # copied before the kernel overwrites its planes
+        return stack_kernel(re, im, off_tol, skip_tol)
 
     monkeypatch.setattr(esd, "_jacobi_matrix", recording_kernel)
     monkeypatch.setattr(esd, "_jacobi_stack", recording)
@@ -199,14 +223,22 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
             grid = [*times, 0.0, *np.geomspace(1e-12, 1e12, 25), math.inf]
             curve = sweep(s, grid)
             assert len(probe_inputs) == 2 * len(times) and len(blocks) == (1 if x else 0)
-            for pts in (*probe_inputs, *blocks):
+            for re, im in blocks:
+                assert re.dtype == im.dtype == np.float64
+                assert re.shape == im.shape == (2, 2, len(times) + 27)
+            for pts in (*probe_inputs, *(complex_stack(re, im) for re, im in blocks)):
                 assert np.array_equal(pts, np.swapaxes(pts, -1, -2).conj()), (rate, x)
                 assert np.all(np.linalg.norm(pts, axis=(-2, -1)) <= 1.0), (rate, x)
-            if x:
-                assert blocks[0].shape == (len(times) + 27, 2, 2)
             checked = np.array([hermitian_eigenvalues(partial_transpose(evolve(s, t).mat, QUBIT_QUTRIT, "A"))[0]
                                 for t in grid])
             assert checked.tobytes() == curve.min_pt_eigenvalue.tobytes(), (rate, x)
+
+
+def complex_stack(re, im):
+    """The (k, n, n) complex stack whose real and imaginary parts are the (n, n, k) planes re and im."""
+    stack = np.empty(re.shape[::-1], dtype=complex)
+    stack.real, stack.imag = np.moveaxis(re, -1, 0), np.moveaxis(im, -1, 0)
+    return stack
 
 
 def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
@@ -217,7 +249,9 @@ def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
     gb = np.array([1.0, 0.0, 0.5, 0.9, 0.0, 0.0, 0.5])
 
     def full(pt):
-        return np.sort(linalg._jacobi_stack(pt * channels.dephasing_mask(ga, gb), off_tol, off_tol / 12), axis=-1)
+        masks = channels.dephasing_mask(ga, gb)
+        re, im = pt.real[..., None] * masks, pt.imag[..., None] * masks
+        return np.sort(linalg._jacobi_stack(re, im, off_tol, off_tol / 12), axis=-1)
 
     # a 3x3 live block on rows {0, 2, 4}: a degenerate pair (0, 2) coupled by an entry that
     # the skip rule rotates at n = 6 but would skip at n = 3, and a large pair (2, 4)
@@ -232,12 +266,56 @@ def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
     dense = random_hermitian(np.random.default_rng(61), 6) / 16.0  # every row live
     masks = channels.dephasing_mask(ga, gb)
     for i, j in ((0, 2), (2, 4), (1, 3)):  # each live pair is exactly zero in some matrices of the stack
-        assert 0 < np.count_nonzero(masks[:, i, j]) < len(ga)
+        assert 0 < np.count_nonzero(masks[i, j]) < len(ga)
     for pt, live in ((block, [0, 2, 4]), (inert, []), (pair, [1, 3]), (dense, list(range(6)))):
         assert np.array_equal(pt, pt.conj().T) and np.linalg.norm(pt) <= 1.0
         assert np.flatnonzero((pt - np.diag(pt.diagonal())).any(axis=1)).tolist() == live
         got = esd._pt_eigenvalues(pt, np.array(live, dtype=int), ga, gb)
         assert got.tobytes() == full(pt).tobytes(), live
+
+
+#: Factor pairs whose masks zero some entries, (0, 0) all off the diagonal, and two that zero none.
+GENERAL_PAIRS = ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.3, 0.7), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_every_route_dephases_a_general_state_with_the_same_floats(seed, monkeypatch):
+    # a random state's entries have negative real and imaginary parts: a complex product by the
+    # real mask, (x m - y 0) + i (x 0 + y m), gives other signed zeros than x m and y m where m is
+    # 0. The probe's rows, the sweep planes with every row live and the partial transpose of
+    # evolve's state must all be the real products, signed zeros included
+    mat = random_density_matrix(np.random.default_rng(seed)).mat
+    rho0 = DensityMatrix(0.5 * (mat + mat.conj().T), QUBIT_QUTRIT)  # exactly Hermitian
+    pt = partial_transpose(rho0.mat, QUBIT_QUTRIT, "A")
+    terms = channels._MASK_TERMS.tolist()
+    stand_in = types.SimpleNamespace(  # a Scenario of rho0, as much as evolve and the probe read
+        initial_state=rho0, gamma_factors=lambda pair: pair,
+        _initial_pt_rows=tuple(tuple(tuple(zip(row, row_terms)) for row, row_terms in zip(part.tolist(), terms))
+                               for part in (pt.real, pt.imag)))
+    rows, planes = [], []
+    matrix_kernel, stack_kernel = esd._jacobi_matrix, esd._jacobi_stack
+
+    def record_rows(re, im, off_tol):
+        rows.append((np.array(re), np.array(im)))  # copied before the kernel overwrites them
+        return matrix_kernel(re, im, off_tol)
+
+    def record_planes(re, im, off_tol, skip_tol):
+        planes.append((re.copy(), im.copy()))
+        return stack_kernel(re, im, off_tol, skip_tol)
+
+    monkeypatch.setattr(esd, "_jacobi_matrix", record_rows)
+    monkeypatch.setattr(esd, "_jacobi_stack", record_planes)
+    ga, gb = (np.array(factors) for factors in zip(*GENERAL_PAIRS))
+    esd._pt_eigenvalues(pt, np.arange(6), ga, gb)
+    [(re_planes, im_planes)] = planes
+    for i, pair in enumerate(GENERAL_PAIRS):
+        esd._min_pt_eigenvalue(stand_in, pair)
+        re, im = rows[i]
+        evolved = partial_transpose(evolve(stand_in, pair).mat, QUBIT_QUTRIT, "A")
+        for route_re, route_im in ((re_planes[..., i], im_planes[..., i]), (evolved.real, evolved.imag)):
+            assert route_re.tobytes() == re.tobytes() and route_im.tobytes() == im.tobytes(), pair
+    zeros = [part[part == 0.0] for part in rows[0]]  # (0, 0): every off-diagonal product is a zero
+    assert any(np.signbit(z).any() for z in zeros) and not all(np.signbit(z).all() for z in zeros)
 
 
 def test_death_time_probe_makes_no_numpy_call(monkeypatch):

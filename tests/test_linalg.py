@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import esdsim
-from esdsim import linalg
+from esdsim import channels, esd, linalg
 from esdsim.linalg import (
     QUBIT_QUTRIT,
     BipartiteDims,
@@ -316,6 +316,22 @@ def trusted(mats):
     return h
 
 
+def matrix_eigenvalues(m, off_tol):
+    """Ascending eigenvalues of one trusted n x n matrix through the one-matrix kernel, shape (n,).
+
+    The kernel overwrites the row lists it is given, so it gets fresh ones;
+    n < 2 leaves nothing to rotate.
+    """
+    if len(m) < 2:
+        return np.sort(m.diagonal().real)
+    return np.sort(linalg._jacobi_matrix(m.real.tolist(), m.imag.tolist(), off_tol))
+
+
+def planes(stack):
+    """Fresh (n, n, k) real and imaginary float planes of a (k, n, n) stack, as the stack kernel takes them."""
+    return stack.real.transpose(1, 2, 0).copy(), stack.imag.transpose(1, 2, 0).copy()
+
+
 def stack_eigenvalues(stack):
     """Ascending eigenvalues of a trusted (k, n, n) stack through the stack kernel, shape (k, n).
 
@@ -326,7 +342,7 @@ def stack_eigenvalues(stack):
     if n < 2:
         return np.sort(stack.diagonal(axis1=-2, axis2=-1).real, axis=-1)
     off_tol = linalg._JACOBI_OFF_TOL
-    return np.sort(linalg._jacobi_stack(stack, off_tol, off_tol / (2 * n)), axis=-1)
+    return np.sort(linalg._jacobi_stack(*planes(stack), off_tol, off_tol / (2 * n)), axis=-1)
 
 
 @pytest.mark.parametrize("kinds", list(STACKS.values()), ids=list(STACKS))
@@ -344,25 +360,41 @@ def test_stack_eigenvalues_match_eigvalsh_and_single_calls(kinds):
 
 
 @pytest.mark.parametrize("read_only", [False, True])
-def test_jacobi_kernel_only_reads_its_matrix(read_only):
-    # the trusted entry on one matrix, and the stack kernel on a (k, 6, 6) stack, each row as its matrix alone
+def test_kernels_overwrite_their_input_and_the_entries_only_read_theirs(read_only):
+    # hermitian_eigenvalues and esd._pt_eigenvalues only read their matrix; the two kernels
+    # overwrite the row lists and the float planes they are given, which their callers build afresh
     rng = np.random.default_rng(26)
+    off_tol = linalg._JACOBI_OFF_TOL
     m = trusted(random_hermitian(rng, 6))
     m.flags.writeable = not read_only
     before = m.copy()
-    eigs = linalg._eigenvalues(m, linalg._JACOBI_OFF_TOL)
+    eigs = hermitian_eigenvalues(m)
     assert m.tobytes() == before.tobytes()
     assert eigs.dtype == np.float64 and eigs.shape == (6,)
-    assert eigs.tobytes() == hermitian_eigenvalues(before).tobytes()
-    # the one-matrix kernel overwrites the row lists it is given, which _eigenvalues takes fresh from m
-    diag = linalg._jacobi_matrix(m.real.tolist(), m.imag.tolist(), linalg._JACOBI_OFF_TOL)
+    assert eigs.tobytes() == matrix_eigenvalues(before, off_tol).tobytes()
+    re, im = m.real.tolist(), m.imag.tolist()
+    diag = linalg._jacobi_matrix(re, im, off_tol)
     assert len(diag) == 6 and np.sort(diag).tobytes() == eigs.tobytes()
-    stack = trusted(stack_of(rng, STACKS["mixed"]))
+    assert re != before.real.tolist() and im != before.imag.tolist()
+    stack = trusted(stack_of(rng, STACKS["mixed"]))  # planes() copies: the stack route only reads the stack
     stack.flags.writeable = not read_only
     before = stack.copy()
     eigs = stack_eigenvalues(stack)
     assert stack.tobytes() == before.tobytes()
-    assert eigs.tobytes() == np.array([linalg._eigenvalues(m, linalg._JACOBI_OFF_TOL) for m in before]).tobytes()
+    assert eigs.tobytes() == np.array([matrix_eigenvalues(a, off_tol) for a in before]).tobytes()
+    stack = trusted(stack_of(rng, STACKS["dense"]))  # every matrix rotated on the caller's planes
+    re, im = planes(stack)
+    diag = linalg._jacobi_stack(re, im, off_tol, off_tol / 12)
+    assert np.sort(diag, axis=-1).tobytes() == np.array([matrix_eigenvalues(a, off_tol) for a in stack]).tobytes()
+    assert not np.array_equal(re, planes(stack)[0]) and not np.array_equal(im, planes(stack)[1])
+    pt = stack[0]
+    pt.flags.writeable = not read_only
+    before = pt.copy()
+    ga, gb = np.array([1.0, 0.6, 0.0]), np.array([1.0, 0.3, 0.5])
+    eigs = esd._pt_eigenvalues(pt, np.arange(6), ga, gb)
+    assert pt.tobytes() == before.tobytes()
+    masked = before * np.moveaxis(channels.dephasing_mask(ga, gb), -1, 0)
+    assert np.max(np.abs(eigs - np.linalg.eigvalsh(masked))) < 1e-12
 
 
 def test_exact_zero_pairs_and_signed_zeros_give_the_same_eigenvalue_bits():
@@ -380,7 +412,7 @@ def test_exact_zero_pairs_and_signed_zeros_give_the_same_eigenvalue_bits():
     assert np.max(np.abs(expected - np.linalg.eigvalsh(m))) < 1e-15
     assert {0.25, 0.125, -0.0625} <= set(expected.tolist())  # the inert rows keep their diagonal
     for a in (m, signed):
-        assert linalg._eigenvalues(a, linalg._JACOBI_OFF_TOL).tobytes() == expected.tobytes()
+        assert matrix_eigenvalues(a, linalg._JACOBI_OFF_TOL).tobytes() == expected.tobytes()
     stacked = stack_eigenvalues(np.array([m, signed, m]))
     assert stacked.tobytes() == np.array([expected] * 3).tobytes()
 
@@ -393,7 +425,7 @@ def test_trusted_entry_gives_the_checked_bits_alone_and_stacked(n):
     stack = trusted(stack_of(rng, STACKS["mixed"], n))
     for mats in (stack, stack / 64.0):
         checked = np.array([hermitian_eigenvalues(m) for m in mats])
-        singles = [linalg._eigenvalues(m, linalg._JACOBI_OFF_TOL) for m in mats]
+        singles = [matrix_eigenvalues(m, linalg._JACOBI_OFF_TOL) for m in mats]
         assert np.array(singles).tobytes() == checked.tobytes()
         assert stack_eigenvalues(mats).tobytes() == checked.tobytes()
 
