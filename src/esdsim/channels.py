@@ -53,9 +53,12 @@ class IncompleteChannelError(ValueError):
 def decay_factor(rate: float, t: float) -> float:
     """gamma(t) = exp(-t * rate / 2), exactly 1 when rate or t is 0.
 
-    It checks neither: Scenario checks the rate and gamma_factors the time,
-    and the Kraus builders check the gamma they are given.
+    rate and t are taken as Python floats first, so a numpy float32 or
+    float16 computes in float64 too. It checks neither: Scenario checks
+    the rate and gamma_factors the time, and the Kraus builders check the
+    gamma they are given.
     """
+    rate, t = float(rate), float(t)
     return 1.0 if rate == 0.0 else math.exp(-0.5 * t * rate)
 
 

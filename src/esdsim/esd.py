@@ -46,6 +46,9 @@ _CURVE_DTYPE = np.dtype([(name, float) for name in CURVE_FIELDS])
 # sweep solves this many grid points at a time, so its working memory does not grow with the grid
 _SWEEP_BLOCK = 1024
 
+# the skip rule of the full 6x6 partial transpose, off_tol / (2n), for the probe's live block
+_PROBE_SKIP_TOL = _JACOBI_OFF_TOL / (2 * QUBIT_QUTRIT.total)
+
 
 class ScenarioKind(enum.Enum):
     QUBIT_ONLY = "qubit"
@@ -71,6 +74,27 @@ class BracketError(RuntimeError):
     """
 
 
+def _split_pt(pt: np.ndarray) -> tuple:
+    """(live, rows, inert_min) of PT_A(rho0), n x n: what sweep and the death-time probe read of it.
+
+    live holds the ascending indices of the rows with a nonzero
+    off-diagonal entry, read-only; rows, the live block's real and its
+    imaginary rows as lists, each entry next to its index in _MASK_TERMS;
+    inert_min, the least diagonal entry of the other rows in row order,
+    inf when every row is live. The mask's diagonal is 1 and it keeps a
+    zero a zero, so under every mask an inert row keeps its diagonal entry
+    and no other.
+    """
+    coupled = pt != 0
+    np.fill_diagonal(coupled, False)
+    live = np.flatnonzero(coupled.any(axis=1))
+    live.setflags(write=False)
+    block = np.ix_(live, live)
+    rows = tuple(tuple(tuple(zip(row, terms)) for row, terms in zip(part[block].tolist(), _MASK_TERMS[block].tolist()))
+                 for part in (pt.real, pt.imag))
+    return live, rows, min(np.delete(pt.diagonal().real, live).tolist(), default=math.inf)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Which subsystems are noisy, the initial corner x, and the rates.
@@ -79,7 +103,9 @@ class Scenario:
     in MULTI_LOCAL. Construction is the one check of kind (a ScenarioKind
     or its value, stored as the member), x and the rates, stored as Python
     floats, and builds the x-state and its read-only side-A partial transpose
-    once, with that transpose's rows as lists for the death-time probe;
+    once, split by _split_pt into what sweep and the death-time probe read:
+    the live rows, rows {2, 3} of the x-state (none at x = 0), the live
+    block's rows as lists, and the least diagonal entry of the inert rows;
     gamma_factors checks t.
     """
 
@@ -89,17 +115,17 @@ class Scenario:
     rate_b: float = 1.0
     initial_state: DensityMatrix = field(init=False, repr=False, compare=False)
     _initial_pt: np.ndarray = field(init=False, repr=False, compare=False)
-    _initial_pt_rows: tuple = field(init=False, repr=False, compare=False)
+    _live: np.ndarray = field(init=False, repr=False, compare=False)
+    _live_rows: tuple = field(init=False, repr=False, compare=False)
+    _inert_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
         object.__setattr__(self, "initial_state", ansatz_x(self.x))  # checks x
         object.__setattr__(self, "_initial_pt", partial_transpose(self.initial_state.mat, QUBIT_QUTRIT, "A"))
         self._initial_pt.setflags(write=False)
-        # the probe's copy: the real and the imaginary rows, each entry next to its index in the mask's products
-        object.__setattr__(self, "_initial_pt_rows", tuple(
-            tuple(tuple(zip(row, terms)) for row, terms in zip(part.tolist(), _MASK_TERMS.tolist()))
-            for part in (self._initial_pt.real, self._initial_pt.imag)))
+        for name, part in zip(("_live", "_live_rows", "_inert_min"), _split_pt(self._initial_pt)):
+            object.__setattr__(self, name, part)
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
@@ -142,7 +168,7 @@ class Scenario:
                              if rate else np.ones(t.shape) for rate in (rate_a, rate_b))
         if not t >= 0.0:
             raise ValueError(f"t must be >= 0, got {t}")
-        return decay_factor(rate_a, float(t)), decay_factor(rate_b, float(t))
+        return decay_factor(rate_a, t), decay_factor(rate_b, t)
 
     def gamma_product(self, t):
         return math.prod(self.gamma_factors(t))
@@ -226,19 +252,31 @@ def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
     """One probe, PT_A(rho0) o mask -> Jacobi: negativity(evolve(scenario, t)).min_pt_eigenvalue, bit for bit.
 
     It makes no numpy call: the mask's six products are Python floats,
-    rounded as dephasing_mask rounds them, and each entry x + iy of
-    PT_A(rho0) becomes the rows' entries x * m and y * m, as in evolve and
-    _pt_eigenvalues: the same floats, signed zeros included, for any rho0.
-    The checked route symmetrizes them, which for an exactly Hermitian rho0
-    changes at most the sign of a zero; no kernel step divides by an entry,
-    so that reaches at most the sign of an exactly zero eigenvalue, as does
-    taking min of the diagonal for the sorted spectrum's first entry.
+    rounded as dephasing_mask rounds them, and each entry x + iy of the
+    live block of PT_A(rho0) becomes the rows' entries x * m and y * m, as
+    in evolve and _pt_eigenvalues: the same floats, signed zeros included,
+    for any rho0. Only that block goes to the kernel (rows {2, 3} of the
+    x-state; no call when none is live), with the full 6x6 solve's bits,
+    as in _pt_eigenvalues: an inert row stays exactly zero off the
+    diagonal, and the skip rule, the one rule that reads n, takes n = 6.
+    The inert rows' eigenvalues are their diagonal entries, x * 1.0 = x,
+    whose least the Scenario keeps.
+
+    The checked route symmetrizes the same floats with no complex product,
+    which for an exactly Hermitian rho0 changes at most the sign of a zero
+    entry; no kernel step divides by an entry, so that reaches at most the
+    sign of an exactly zero eigenvalue. It takes the sorted spectrum's
+    first entry where this takes min of the inert least entry and then
+    the block's diagonal: equal floats other than zeros have equal bits,
+    so either order, too, reaches at most the sign of a zero eigenvalue.
     """
     terms = _mask_products(*scenario.gamma_factors(t))
-    re_rows, im_rows = scenario._initial_pt_rows
+    re_rows, im_rows = scenario._live_rows
+    if not re_rows:
+        return scenario._inert_min
     re = [[x * terms[j] for x, j in row] for row in re_rows]
     im = [[y * terms[j] for y, j in row] for row in im_rows]
-    return min(_jacobi_matrix(re, im, _JACOBI_OFF_TOL))
+    return min(scenario._inert_min, *_jacobi_matrix(re, im, _JACOBI_OFF_TOL, _PROBE_SKIP_TOL))
 
 
 def default_bracket(scenario: Scenario) -> float:
@@ -312,15 +350,11 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
     if times.ndim != 1:
         raise ValueError(f"t_grid must be one-dimensional, got shape {times.shape}")
     ga, gb = scenario.gamma_factors(times)
-    # the rows PT_A(rho0) couples, once per call: the mask keeps every zero a zero
-    coupled = scenario._initial_pt != 0
-    np.fill_diagonal(coupled, False)
-    live = np.flatnonzero(coupled.any(axis=1))
     curve = np.empty(len(times), dtype=_CURVE_DTYPE).view(np.recarray)
     curve.t, curve.gamma_a, curve.gamma_b = times, ga, gb
     for start in range(0, len(times), _SWEEP_BLOCK):
         block = slice(start, start + _SWEEP_BLOCK)
-        eigs = _pt_eigenvalues(scenario._initial_pt, live, ga[block], gb[block])
+        eigs = _pt_eigenvalues(scenario._initial_pt, scenario._live, ga[block], gb[block])
         curve.negativity_numeric[block] = negativity_of_spectrum(eigs)
         curve.min_pt_eigenvalue[block] = eigs[:, 0]
     curve.corner = scenario.x * (ga * gb)

@@ -7,21 +7,23 @@ tiny (6x6 at most).
 
 hermitian_eigenvalues is the checked entry, for one matrix: it refuses
 non-Hermitian or non-finite input, scales entries above 1e150,
-symmetrizes a copy and derives the convergence tolerance from its
-Frobenius norm, then passes fresh lists of the copy's real and
-imaginary rows to the pure-Python kernel _jacobi_matrix, and sorts the
-diagonal it returns. The stack kernel, _jacobi_stack, takes a stack of k
-matrices as two float planes, the real and the imaginary parts laid out
-(n, n, k), so that each entry of every matrix is one contiguous
-k-vector; it rotates every matrix at once on them, each with its own
-rotation parameters, and returns the same bits as one call per matrix.
-Both kernels overwrite their input, which each caller builds afresh. Two
+symmetrizes a copy with real products only, as the unchecked routes
+below dephase, derives the convergence tolerance from its Frobenius
+norm, then passes fresh lists of the copy's real and imaginary rows to
+the pure-Python kernel _jacobi_matrix, and sorts the diagonal it
+returns. The stack kernel, _jacobi_stack, takes a stack of k matrices as
+two float planes, the real and the imaginary parts laid out (n, n, k),
+so that each entry of every matrix is one contiguous k-vector; it
+rotates every matrix at once on them, each with its own rotation
+parameters, and returns the same bits as one call per matrix. Both
+kernels overwrite their input, which each caller builds afresh. Two
 callers in esdsim.esd skip the checks, and say why their input may:
 _pt_eigenvalues builds the planes of the live block of a sweep block's
 partial transposes, the rows that have an off-diagonal entry, for
-_jacobi_stack, with the skip rule of the full matrices, and
-_min_pt_eigenvalue, the death-time probe, builds its matrix as row lists
-for _jacobi_matrix, so that a probe makes no numpy call.
+_jacobi_stack, and _min_pt_eigenvalue, the death-time probe, builds the
+same live block of one partial transpose as row lists for
+_jacobi_matrix, so that a probe makes no numpy call. Both pass the skip
+rule of the full matrix.
 
 Both Jacobi kernels do the same real arithmetic, one float operation at
 a time: _jacobi_matrix in pure Python on the row lists, walking a cached
@@ -48,12 +50,12 @@ r = |b| (libm's hypot), one rotation of the pair (p, q) is:
 where a real times a complex number is two real products and a complex
 product (u + iv)(x + iy) is (ux - vy) + i(uy + vx), each product and
 each sum rounded on its own. The conjugates are exact, because each
-formula commutes with conjugation and the matrix is exactly Hermitian.
-A pair whose r is not above off_tol / (2n) is skipped, an exactly zero
-one before its r is taken (_jacobi_stack takes this skip_tol from its
-caller). A sweep visits
-the pairs in row-major order, and sweeps stop when sqrt(2 acc) is below
-off_tol, acc summing re^2 + im^2 over the strict upper triangle in
+formula commutes with conjugation and the matrix is exactly Hermitian. A
+pair whose r is not above off_tol / (2n) is skipped, an exactly zero one
+before its r is taken (both kernels take this skip_tol from their
+caller, so that a live block keeps the n of its full matrix). A sweep
+visits the pairs in row-major order, and sweeps stop when sqrt(2 acc) is
+below off_tol, acc summing re^2 + im^2 over the strict upper triangle in
 row-major order, one term after another.
 
 _cholesky_certifies is the positivity test of esdsim.states.validate: a
@@ -206,11 +208,15 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     peak = np.abs(m.view(np.float64)).max(initial=0.0)
     exponent = int(np.frexp(peak)[1]) if peak > _JACOBI_SCALE_LIMIT else 0
     if exponent:
-        m = m * np.ldexp(1.0, -exponent)
-    m = 0.5 * (m + m.conj().T)  # symmetrize roundoff before iterating
+        m = (m.view(np.float64) * np.ldexp(1.0, -exponent)).view(complex)
+    # symmetrize roundoff before iterating: a complex sum, halved on the float view, since numpy's
+    # complex product by a real would change the sign of some zeros that the other routes keep
+    m = m + m.conj().T
+    m.view(np.float64)[...] *= 0.5
     off_tol = _JACOBI_OFF_TOL * float(max(1.0, np.sqrt(np.sum(np.abs(m) ** 2))))  # from the Frobenius norm
     # a 1x1 or 0x0 matrix is its own diagonal; at 6x6 the stack kernel would cost several times as much
-    eigs = np.sort(m.diagonal().real if len(m) < 2 else _jacobi_matrix(m.real.tolist(), m.imag.tolist(), off_tol))
+    eigs = np.sort(m.diagonal().real if len(m) < 2 else
+                   _jacobi_matrix(m.real.tolist(), m.imag.tolist(), off_tol, off_tol / (2 * len(m))))
     if exponent:
         with np.errstate(over="ignore"):  # a spectrum beyond the float range is +/-inf
             eigs = np.ldexp(eigs, exponent)
@@ -266,7 +272,7 @@ def _jacobi_plan(n: int) -> tuple:
                  for p in range(n - 1) for q in range(p + 1, n))
 
 
-def _jacobi_matrix(re: list, im: list, off_tol: float) -> list:
+def _jacobi_matrix(re: list, im: list, off_tol: float, skip_tol: float) -> list:
     """Diagonalize one trusted n x n matrix given as real and imaginary rows; its diagonal, unsorted.
 
     Trusted, not checked: exactly Hermitian, entries far below 1e150, as
@@ -275,9 +281,11 @@ def _jacobi_matrix(re: list, im: list, off_tol: float) -> list:
     the arithmetic. The rotation, skip and stopping rules are the module
     docstring's, and _jacobi_rotate_stack's. A pair that is exactly zero
     is skipped before its hypot, which is 0 and so not above skip_tol.
+    skip_tol is the caller's, as _jacobi_stack's is: off_tol / (2n) for
+    the matrix itself, or the n of a larger matrix whose live block this
+    is, as esd._min_pt_eigenvalue passes.
     """
     n = len(re)
-    skip_tol = off_tol / (2 * n)
     plan = _jacobi_plan(n)
     for _ in range(_MAX_JACOBI_SWEEPS):
         acc = 0.0

@@ -39,6 +39,17 @@ def test_gamma_limits():
     assert max_abs_diff(dephasing_qubit(0.0).ops[1], np.diag([0, 0, 0, 1, 1, 1])) == 0.0
 
 
+@pytest.mark.parametrize("cast", [np.float32, np.float16], ids=lambda cast: cast.__name__)
+def test_decay_factor_computes_in_float64_whatever_float_types_it_is_given(cast):
+    # a numpy float32 or float16 rate or time kept the product -0.5 * t * rate in its own width:
+    # decay_factor(0.7, np.float32(1.7)) was 0.5515625500874984, not 0.5515625566626364
+    for rate, t in ((cast(0.7), cast(1.7)), (cast(0.7), 1.7), (0.7, cast(1.7))):
+        got = decay_factor(rate, t)
+        assert type(got) is float and got == decay_factor(float(rate), float(t)), (rate, t)
+    assert decay_factor(0.7, np.float32(1.7)) == 0.5515625566626364
+    assert decay_factor(cast(0.0), cast(1.7)) == 1.0
+
+
 def test_gamma_omega_identity():
     for rate in (0.0, 0.3, 1.0, 4.0):
         for t in (0.0, 0.1, 1.0, 7.5):

@@ -192,15 +192,17 @@ def test_numeric_esd_time_probes_every_point_through_the_pipeline(probe_calls):
 def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, probe_calls, monkeypatch):
     # the probe and sweep skip hermitian_eigenvalues' checks: they must give the
     # checked route's bits, on input that is exactly Hermitian with Frobenius norm <= 1;
-    # sweep hands the stack kernel only the live 2x2 block, rows {2, 3}, and none at x = 0
+    # both hand their kernel only the live 2x2 block, rows {2, 3}, with the skip rule of
+    # the full 6x6, and no call at x = 0
     probe_inputs, blocks = [], []
     kernel, stack_kernel = esd._jacobi_matrix, esd._jacobi_stack
 
-    def recording_kernel(re, im, off_tol):
+    def recording_kernel(re, im, off_tol, skip_tol):
+        assert skip_tol == off_tol / 12
         m = np.empty((len(re), len(re)), dtype=complex)
         m.real, m.imag = re, im  # copied before the kernel overwrites its rows
         probe_inputs.append(m)
-        return kernel(re, im, off_tol)
+        return kernel(re, im, off_tol, skip_tol)
 
     def recording(re, im, off_tol, skip_tol):
         blocks.append((re.copy(), im.copy()))  # copied before the kernel overwrites its planes
@@ -222,7 +224,8 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
                 assert esd._min_pt_eigenvalue(s, t).hex() == checked.hex(), (rate, x, t)
             grid = [*times, 0.0, *np.geomspace(1e-12, 1e12, 25), math.inf]
             curve = sweep(s, grid)
-            assert len(probe_inputs) == 2 * len(times) and len(blocks) == (1 if x else 0)
+            assert len(probe_inputs) == (2 * len(times) if x else 0) and len(blocks) == (1 if x else 0)
+            assert all(m.shape == (2, 2) for m in probe_inputs)
             for re, im in blocks:
                 assert re.dtype == im.dtype == np.float64
                 assert re.shape == im.shape == (2, 2, len(times) + 27)
@@ -241,20 +244,20 @@ def complex_stack(re, im):
     return stack
 
 
-def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
-    # _pt_eigenvalues solves only the live rows: off the x-family, it must give the bits of
-    # the full 6x6 stack solve, whose skip rule reads n = 6, under masks that zero live pairs
+#: Factor pairs for the live-block tests: each live pair of live_block_pts is exactly zero under some of them.
+DEFLATION_GA = np.array([1.0, 0.7, 0.0, 0.3, 1.0, 0.0, 0.5])
+DEFLATION_GB = np.array([1.0, 0.0, 0.5, 0.9, 0.0, 0.0, 0.5])
+
+
+def live_block_pts():
+    """Exactly Hermitian 6x6 stand-ins for PT_A(rho0) off the x-family, each with its live rows.
+
+    A 3x3 live block on rows {0, 2, 4}: a degenerate pair (0, 2) coupled
+    by an entry that the skip rule rotates at n = 6 but would skip at
+    n = 3, and a large pair (2, 4); no live row; one live pair whose mask
+    entry is gamma_a * gamma_b; and a dense matrix, every row live.
+    """
     off_tol = linalg._JACOBI_OFF_TOL
-    ga = np.array([1.0, 0.7, 0.0, 0.3, 1.0, 0.0, 0.5])
-    gb = np.array([1.0, 0.0, 0.5, 0.9, 0.0, 0.0, 0.5])
-
-    def full(pt):
-        masks = channels.dephasing_mask(ga, gb)
-        re, im = pt.real[..., None] * masks, pt.imag[..., None] * masks
-        return np.sort(linalg._jacobi_stack(re, im, off_tol, off_tol / 12), axis=-1)
-
-    # a 3x3 live block on rows {0, 2, 4}: a degenerate pair (0, 2) coupled by an entry that
-    # the skip rule rotates at n = 6 but would skip at n = 3, and a large pair (2, 4)
     small = 1.2e-14
     assert off_tol / 12 < small < off_tol / 6
     block = np.diag([0.125, 0.1, 0.125, 0.05, 0.2, 0.15]).astype(complex)
@@ -263,15 +266,60 @@ def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
     inert = np.diag([0.25, -0.0625, 0.125, 0.125, 0.375, 0.25]).astype(complex)
     pair = np.diag([0.2, 0.1, 0.15, 0.3, 0.05, 0.2]).astype(complex)  # gamma_a * gamma_b: zero where either is
     pair[1, 3], pair[3, 1] = -0.04j, 0.04j
-    dense = random_hermitian(np.random.default_rng(61), 6) / 16.0  # every row live
-    masks = channels.dephasing_mask(ga, gb)
-    for i, j in ((0, 2), (2, 4), (1, 3)):  # each live pair is exactly zero in some matrices of the stack
-        assert 0 < np.count_nonzero(masks[i, j]) < len(ga)
-    for pt, live in ((block, [0, 2, 4]), (inert, []), (pair, [1, 3]), (dense, list(range(6)))):
+    dense = random_hermitian(np.random.default_rng(61), 6) / 16.0
+    masks = channels.dephasing_mask(DEFLATION_GA, DEFLATION_GB)
+    for i, j in ((0, 2), (2, 4), (1, 3)):  # each live pair is exactly zero in some of the masks
+        assert 0 < np.count_nonzero(masks[i, j]) < len(DEFLATION_GA)
+    pts = ((block, [0, 2, 4]), (inert, []), (pair, [1, 3]), (dense, list(range(6))))
+    for pt, live in pts:
         assert np.array_equal(pt, pt.conj().T) and np.linalg.norm(pt) <= 1.0
         assert np.flatnonzero((pt - np.diag(pt.diagonal())).any(axis=1)).tolist() == live
-        got = esd._pt_eigenvalues(pt, np.array(live, dtype=int), ga, gb)
-        assert got.tobytes() == full(pt).tobytes(), live
+    return pts
+
+
+def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
+    # _pt_eigenvalues solves only the live rows: off the x-family, it must give the bits of
+    # the full 6x6 stack solve, whose skip rule reads n = 6, under masks that zero live pairs
+    off_tol = linalg._JACOBI_OFF_TOL
+    masks = channels.dephasing_mask(DEFLATION_GA, DEFLATION_GB)
+    for pt, live in live_block_pts():
+        re, im = pt.real[..., None] * masks, pt.imag[..., None] * masks
+        full = np.sort(linalg._jacobi_stack(re, im, off_tol, off_tol / 12), axis=-1)
+        got = esd._pt_eigenvalues(pt, np.array(live, dtype=int), DEFLATION_GA, DEFLATION_GB)
+        assert got.tobytes() == full.tobytes(), live
+
+
+def test_deflated_probe_equals_the_full_solve_bit_for_bit(monkeypatch):
+    # the probe solves only the live block, L x L rows with the skip rule of n = 6, and takes the
+    # inert rows' least diagonal entry: its value must be min of the full 6x6 kernel diagonal, and
+    # the block's diagonal the full diagonal's live entries, bit for bit; no kernel call when L = 0
+    off_tol = linalg._JACOBI_OFF_TOL
+    kernel, calls = esd._jacobi_matrix, []
+
+    def recording_kernel(re, im, off_tol, skip_tol):
+        calls.append((len(re), [len(row) for row in re + im], skip_tol))
+        diag = kernel(re, im, off_tol, skip_tol)
+        calls[-1] += (diag,)
+        return diag
+
+    monkeypatch.setattr(esd, "_jacobi_matrix", recording_kernel)
+    masks = channels.dephasing_mask(DEFLATION_GA, DEFLATION_GB)
+    for pt, live in live_block_pts():
+        live_idx, rows, inert_min = esd._split_pt(pt)
+        assert live_idx.tolist() == live and not live_idx.flags.writeable
+        stand_in = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_rows=rows, _inert_min=inert_min)
+        for i, pair in enumerate(zip(DEFLATION_GA.tolist(), DEFLATION_GB.tolist())):
+            del calls[:]
+            got = esd._min_pt_eigenvalue(stand_in, pair)
+            full = kernel((pt.real * masks[..., i]).tolist(), (pt.imag * masks[..., i]).tolist(), off_tol, off_tol / 12)
+            assert got.hex() == min(full).hex(), (live, pair)
+            if not live:
+                assert calls == []
+                continue
+            [(n, row_lengths, skip_tol, diag)] = calls
+            assert n == len(live) and row_lengths == [len(live)] * (2 * len(live))
+            assert skip_tol == off_tol / 12
+            assert np.array(diag).tobytes() == np.array(full)[live].tobytes(), (live, pair)
 
 
 #: Factor pairs whose masks zero some entries, (0, 0) all off the diagonal, and two that zero none.
@@ -287,17 +335,16 @@ def test_every_route_dephases_a_general_state_with_the_same_floats(seed, monkeyp
     mat = random_density_matrix(np.random.default_rng(seed)).mat
     rho0 = DensityMatrix(0.5 * (mat + mat.conj().T), QUBIT_QUTRIT)  # exactly Hermitian
     pt = partial_transpose(rho0.mat, QUBIT_QUTRIT, "A")
-    terms = channels._MASK_TERMS.tolist()
+    live, live_rows, inert_min = esd._split_pt(pt)
+    assert live.tolist() == list(range(6)) and inert_min == math.inf
     stand_in = types.SimpleNamespace(  # a Scenario of rho0, as much as evolve and the probe read
-        initial_state=rho0, gamma_factors=lambda pair: pair,
-        _initial_pt_rows=tuple(tuple(tuple(zip(row, row_terms)) for row, row_terms in zip(part.tolist(), terms))
-                               for part in (pt.real, pt.imag)))
+        initial_state=rho0, gamma_factors=lambda pair: pair, _live_rows=live_rows, _inert_min=inert_min)
     rows, planes = [], []
     matrix_kernel, stack_kernel = esd._jacobi_matrix, esd._jacobi_stack
 
-    def record_rows(re, im, off_tol):
+    def record_rows(re, im, off_tol, skip_tol):
         rows.append((np.array(re), np.array(im)))  # copied before the kernel overwrites them
-        return matrix_kernel(re, im, off_tol)
+        return matrix_kernel(re, im, off_tol, skip_tol)
 
     def record_planes(re, im, off_tol, skip_tol):
         planes.append((re.copy(), im.copy()))

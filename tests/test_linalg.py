@@ -319,12 +319,13 @@ def trusted(mats):
 def matrix_eigenvalues(m, off_tol):
     """Ascending eigenvalues of one trusted n x n matrix through the one-matrix kernel, shape (n,).
 
-    The kernel overwrites the row lists it is given, so it gets fresh ones;
-    n < 2 leaves nothing to rotate.
+    The kernel overwrites the row lists it is given, so it gets fresh ones,
+    and the checked entry's skip_tol, off_tol / (2n); n < 2 leaves nothing
+    to rotate.
     """
     if len(m) < 2:
         return np.sort(m.diagonal().real)
-    return np.sort(linalg._jacobi_matrix(m.real.tolist(), m.imag.tolist(), off_tol))
+    return np.sort(linalg._jacobi_matrix(m.real.tolist(), m.imag.tolist(), off_tol, off_tol / (2 * len(m))))
 
 
 def planes(stack):
@@ -373,7 +374,7 @@ def test_kernels_overwrite_their_input_and_the_entries_only_read_theirs(read_onl
     assert eigs.dtype == np.float64 and eigs.shape == (6,)
     assert eigs.tobytes() == matrix_eigenvalues(before, off_tol).tobytes()
     re, im = m.real.tolist(), m.imag.tolist()
-    diag = linalg._jacobi_matrix(re, im, off_tol)
+    diag = linalg._jacobi_matrix(re, im, off_tol, off_tol / 12)
     assert len(diag) == 6 and np.sort(diag).tobytes() == eigs.tobytes()
     assert re != before.real.tolist() and im != before.imag.tolist()
     stack = trusted(stack_of(rng, STACKS["mixed"]))  # planes() copies: the stack route only reads the stack
@@ -415,6 +416,28 @@ def test_exact_zero_pairs_and_signed_zeros_give_the_same_eigenvalue_bits():
         assert matrix_eigenvalues(a, linalg._JACOBI_OFF_TOL).tobytes() == expected.tobytes()
     stacked = stack_eigenvalues(np.array([m, signed, m]))
     assert stacked.tobytes() == np.array([expected] * 3).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 600], ids=["unscaled", "scaled"])
+def test_checked_entry_hands_the_kernel_the_signed_zeros_of_its_input(scale, monkeypatch):
+    # the checked entry scales and symmetrizes with no complex product: a real part -0.0 beside a
+    # nonzero imaginary part reaches the kernel as -0.0, as the probe, sweep and evolve hand it on;
+    # numpy's complex product by a real, (x + iy)(s + 0i), made -0.0 - 0.0 * y a +0.0 where y < 0
+    m = np.array([[0.25 * scale, complex(-0.0, -0.1 * scale)], [complex(-0.0, 0.1 * scale), 0.25 * scale]])
+    assert np.signbit(m.real).tolist() == [[False, True], [True, False]]
+    rows, kernel = [], linalg._jacobi_matrix
+
+    def recording_kernel(re, im, off_tol, skip_tol):
+        rows.append((np.array(re), np.array(im)))  # copied before the kernel overwrites them
+        return kernel(re, im, off_tol, skip_tol)
+
+    monkeypatch.setattr(linalg, "_jacobi_matrix", recording_kernel)
+    eigs = hermitian_eigenvalues(m)
+    [(re, im)] = rows
+    assert np.signbit(re).tolist() == [[False, True], [True, False]]
+    assert np.signbit(im).tolist() == [[False, True], [False, False]]
+    assert (scale > linalg._JACOBI_SCALE_LIMIT) == (re[0, 0] < 0.25 * scale)  # the scaled path is taken
+    assert np.max(np.abs(eigs / scale - [0.15, 0.35])) < 1e-15
 
 
 @pytest.mark.parametrize("n", range(7))
