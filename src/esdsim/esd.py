@@ -49,6 +49,9 @@ _SWEEP_BLOCK = 1024
 # the skip rule of the full 6x6 partial transpose, off_tol / (2n), for the probe's live block
 _PROBE_SKIP_TOL = _JACOBI_OFF_TOL / (2 * QUBIT_QUTRIT.total)
 
+# _MASK_TERMS as row lists, for _split_pt
+_TERM_ROWS = _MASK_TERMS.tolist()
+
 
 class ScenarioKind(enum.Enum):
     QUBIT_ONLY = "qubit"
@@ -75,24 +78,32 @@ class BracketError(RuntimeError):
 
 
 def _split_pt(pt: np.ndarray) -> tuple:
-    """(live, rows, inert_min) of PT_A(rho0), n x n: what sweep and the death-time probe read of it.
+    """(live, rows, inert_min) of PT_A(rho0), 6 x 6: what sweep and the death-time probe read of it.
 
     live holds the ascending indices of the rows with a nonzero
-    off-diagonal entry, read-only; rows, the live block's real and its
-    imaginary rows as lists, each entry next to its index in _MASK_TERMS;
-    inert_min, the least diagonal entry of the other rows in row order,
-    inf when every row is live. The mask's diagonal is 1 and it keeps a
-    zero a zero, so under every mask an inert row keeps its diagonal entry
-    and no other.
+    off-diagonal entry, as a read-only intp array; rows, the live block's
+    real and its imaginary rows as tuples, each entry next to its index in
+    _MASK_TERMS; inert_min, the least diagonal entry of the other rows in
+    row order, inf when every row is live. The mask's diagonal is 1 and it
+    keeps a zero a zero, so under every mask an inert row keeps its
+    diagonal entry and no other.
+
+    It reads the real and imaginary rows as lists, once per Scenario: at
+    6x6 a numpy call costs more than the test of an entry. A row is live
+    when an off-diagonal entry's part is true, as pt != 0 tests it: -0.0
+    is a zero and NaN is not.
     """
-    coupled = pt != 0
-    np.fill_diagonal(coupled, False)
-    live = np.flatnonzero(coupled.any(axis=1))
+    re, im = pt.real.tolist(), pt.imag.tolist()
+    live, inert = [], []
+    for i, (r, m) in enumerate(zip(re, im)):
+        if any(r[:i]) or any(r[i + 1:]) or any(m[:i]) or any(m[i + 1:]):
+            live.append(i)
+        else:
+            inert.append(r[i])
+    rows = tuple(tuple(tuple([(part[i][j], _TERM_ROWS[i][j]) for j in live]) for i in live) for part in (re, im))
+    live = np.array(live, dtype=np.intp)
     live.setflags(write=False)
-    block = np.ix_(live, live)
-    rows = tuple(tuple(tuple(zip(row, terms)) for row, terms in zip(part[block].tolist(), _MASK_TERMS[block].tolist()))
-                 for part in (pt.real, pt.imag))
-    return live, rows, min(np.delete(pt.diagonal().real, live).tolist(), default=math.inf)
+    return live, rows, min(inert, default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -102,11 +113,13 @@ class Scenario:
     rate_a is ignored by QUTRIT_ONLY and rate_b by QUBIT_ONLY; both act
     in MULTI_LOCAL. Construction is the one check of kind (a ScenarioKind
     or its value, stored as the member), x and the rates, stored as Python
-    floats, and builds the x-state and its read-only side-A partial transpose
-    once, split by _split_pt into what sweep and the death-time probe read:
-    the live rows, rows {2, 3} of the x-state (none at x = 0), the live
-    block's rows as lists, and the least diagonal entry of the inert rows;
-    gamma_factors checks t.
+    floats plus 0.0, so that a -0.0 is kept as 0.0, and builds the x-state
+    and its read-only side-A partial transpose once, split by _split_pt
+    into what sweep and the death-time probe read: the live rows, rows
+    {2, 3} of the x-state (none at x = 0), the live block's rows, and the
+    least diagonal entry of the inert rows. It stores the rates as they
+    act, too, which rates returns and gamma_factors reads, so that a probe
+    tests no kind; gamma_factors checks t.
     """
 
     kind: ScenarioKind
@@ -118,6 +131,7 @@ class Scenario:
     _live: np.ndarray = field(init=False, repr=False, compare=False)
     _live_rows: tuple = field(init=False, repr=False, compare=False)
     _inert_min: float = field(init=False, repr=False, compare=False)
+    _rates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
@@ -130,7 +144,9 @@ class Scenario:
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
         for name in ("x", "rate_a", "rate_b"):  # checked above, so a str has raised TypeError
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
+        object.__setattr__(self, "_rates", (0.0 if self.kind is ScenarioKind.QUTRIT_ONLY else self.rate_a,
+                                            0.0 if self.kind is ScenarioKind.QUBIT_ONLY else self.rate_b))
         if not math.isfinite(self.effective_rate()):
             raise ValueError(f"rate_a + rate_b must be finite, got {self.rate_a} + {self.rate_b}")
 
@@ -140,8 +156,7 @@ class Scenario:
     @property
     def rates(self) -> tuple:
         """(rate_a, rate_b) as they act: an idle side's rate is 0.0."""
-        return (0.0 if self.kind is ScenarioKind.QUTRIT_ONLY else self.rate_a,
-                0.0 if self.kind is ScenarioKind.QUBIT_ONLY else self.rate_b)
+        return self._rates
 
     def effective_rate(self) -> float:
         """Sum of the rates that actually act in this scenario."""
@@ -154,7 +169,7 @@ class Scenario:
         entry bit-equal to decay_factor's for that time alone, and every
         entry is checked. A time of any float type is taken in float64.
         """
-        rate_a, rate_b = self.rates
+        rate_a, rate_b = self._rates
         if isinstance(t, np.ndarray) and t.ndim:
             bad = ~(t >= 0.0)
             if bad.any():

@@ -279,8 +279,10 @@ def _jacobi_matrix(re: list, im: list, off_tol: float, skip_tol: float) -> list:
     hermitian_eigenvalues leaves it. The iteration runs in pure Python on
     the row lists, which it overwrites: at 6x6, numpy's per-call overhead would cost more than
     the arithmetic. The rotation, skip and stopping rules are the module
-    docstring's, and _jacobi_rotate_stack's. A pair that is exactly zero
-    is skipped before its hypot, which is 0 and so not above skip_tol.
+    docstring's, and _jacobi_rotate_stack's; the convergence sum walks
+    the plan's pairs, which are row-major, as the rotations do. A pair
+    that is exactly zero is skipped before its hypot, which is 0 and so
+    not above skip_tol.
     skip_tol is the caller's, as _jacobi_stack's is: off_tol / (2n) for
     the matrix itself, or the n of a larger matrix whose live block this
     is, as esd._min_pt_eigenvalue passes.
@@ -289,12 +291,11 @@ def _jacobi_matrix(re: list, im: list, off_tol: float, skip_tol: float) -> list:
     plan = _jacobi_plan(n)
     for _ in range(_MAX_JACOBI_SWEEPS):
         acc = 0.0
-        for p in range(n - 1):
-            rp, ip = re[p], im[p]
-            for q in range(p + 1, n):
-                acc += rp[q] * rp[q] + ip[q] * ip[q]
+        for p, q, _ in plan:  # row-major, so the terms come in the module docstring's order
+            x, y = re[p][q], im[p][q]
+            acc += x * x + y * y
         if math.sqrt(2.0 * acc) < off_tol:
-            return [re[i][i] for i in range(n)]
+            return [row[i] for i, row in enumerate(re)]
         for p, q, others in plan:
             rp, ip = re[p], im[p]
             ar, ai = rp[q], ip[q]

@@ -149,7 +149,7 @@ def ansatz_x(x: float) -> DensityMatrix:
         raise ValueError(f"x must lie in the positivity range [0, {ANSATZ_X_MAX}], got {x}")
     m = np.diag(np.array(ANSATZ_DIAGONAL, dtype=complex))
     i, j = CORNER_SLOT
-    m[i, j] = m[j, i] = x
+    m[i, j] = m[j, i] = x + 0.0  # a -0.0 is stored as 0.0
     return DensityMatrix(m, QUBIT_QUTRIT)
 
 

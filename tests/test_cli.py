@@ -286,6 +286,15 @@ def test_dump_state_negativity_consistent_with_curve(tmp_path):
     assert abs(emitted - recomputed) < 1e-12
 
 
+@pytest.mark.parametrize("argv", [["curve", "--steps", "3"], ["dump-state"]], ids=lambda argv: argv[0])
+def test_negative_zero_x_prints_as_zero(argv, capsys):
+    # --x -0 is the state of --x 0: no -0 in the corner column or at the corner slot
+    assert main([*argv, "--x", "0"]) == 0
+    zero = capsys.readouterr().out.encode()
+    assert main([*argv, "--x", "-0"]) == 0
+    assert capsys.readouterr().out.encode() == zero
+
+
 OUT_ARGVS = (
     ["curve", "--steps", "3"],
     ["esd-time"],

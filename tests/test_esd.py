@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 import time
 import tracemalloc
@@ -24,9 +27,9 @@ from esdsim.esd import (
 )
 from esdsim.esd import CURVE_FIELDS
 from esdsim.linalg import QUBIT_QUTRIT, hermitian_eigenvalues, partial_transpose
-from esdsim.states import DensityMatrix, extract_corner, random_density_matrix, validate
+from esdsim.states import DensityMatrix, ansatz_x, extract_corner, random_density_matrix, validate
 
-from numeric_oracles import exact_corner, exact_esd_time, random_hermitian
+from numeric_oracles import exact_corner, exact_esd_time, random_hermitian, random_pattern_state
 
 LN2 = math.log(2.0)
 
@@ -87,6 +90,37 @@ def test_scenario_refuses_rates_whose_sum_overflows():
     # an idle side's rate does not act, so it cannot overflow the sum
     assert scenario(ScenarioKind.QUBIT_ONLY, rate_a=1e308, rate_b=1e308).effective_rate() == 1e308
     assert scenario(ScenarioKind.MULTI_LOCAL, rate_a=1.7e308, rate_b=0.0).effective_rate() == 1.7e308
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_scenario_stores_the_rates_that_act(kind):
+    # the Scenario keeps its acting rates from construction on; rates and effective_rate must be
+    # the kind's expression, an idle side a positive 0.0, in every copy rebuilt by the constructor
+    def acting(s):
+        return (0.0 if s.kind is ScenarioKind.QUTRIT_ONLY else s.rate_a,
+                0.0 if s.kind is ScenarioKind.QUBIT_ONLY else s.rate_b)
+
+    built = [scenario(kind, x=0.2, rate_a=1.5, rate_b=0.5), scenario(kind, x=0.2, rate_a=-0.0, rate_b=-0.0)]
+    for s in built:
+        for c in (s, pickle.loads(pickle.dumps(s)), copy.deepcopy(s), dataclasses.replace(s),
+                  dataclasses.replace(s, kind=ScenarioKind.MULTI_LOCAL), dataclasses.replace(s, rate_b=2.25)):
+            assert [r.hex() for r in c.rates] == [r.hex() for r in acting(c)]
+            assert all(type(r) is float and not math.copysign(1.0, r) < 0.0 for r in c.rates)
+            assert c.effective_rate() == sum(acting(c))
+    # a probe tests no kind: the death time reads the stored rates alone
+    s = built[0]
+    rates, before = s.rates, numeric_esd_time(s).hex()
+    object.__setattr__(s, "kind", None)
+    assert s.rates == rates and numeric_esd_time(s).hex() == before
+
+
+def test_scenario_stores_a_negative_zero_as_zero():
+    # a -0.0 x put a -0 in the corner column and the dumped state; x and the rates keep +0.0
+    for kind in ScenarioKind:
+        s = scenario(kind, x=-0.0, rate_a=-0.0, rate_b=-0.0)
+        assert [v.hex() for v in (s.x, s.rate_a, s.rate_b)] == [(0.0).hex()] * 3
+        assert not np.signbit(s.initial_state.mat.view(float)).any()
+        assert not np.signbit(sweep(s, [0.0, 1.0]).corner).any()
 
 
 def test_effective_rate_per_kind():
@@ -320,6 +354,53 @@ def test_deflated_probe_equals_the_full_solve_bit_for_bit(monkeypatch):
             assert n == len(live) and row_lengths == [len(live)] * (2 * len(live))
             assert skip_tol == off_tol / 12
             assert np.array(diag).tobytes() == np.array(full)[live].tobytes(), (live, pair)
+
+
+def split_pt_oracle(pt):
+    """_split_pt in its numpy formulation: the oracle of the row-list reading."""
+    coupled = pt != 0
+    np.fill_diagonal(coupled, False)
+    live = np.flatnonzero(coupled.any(axis=1))
+    live.setflags(write=False)
+    block = np.ix_(live, live)
+    rows = tuple(tuple(tuple(zip(row, terms)) for row, terms in
+                       zip(part[block].tolist(), channels._MASK_TERMS[block].tolist()))
+                 for part in (pt.real, pt.imag))
+    return live, rows, min(np.delete(pt.diagonal().real, live).tolist(), default=math.inf)
+
+
+def split_pt_cases():
+    """Partial transposes of the x-family, random and jointly coherent states, and signed-zero and NaN stand-ins."""
+    states = [ansatz_x(x) for x in (0.0, 0.125, 0.2, 0.25)]
+    rng = np.random.default_rng(17)
+    states += [random_density_matrix(rng) for _ in range(4)] + [random_pattern_state(rng) for _ in range(4)]
+    pts = [partial_transpose(rho.mat, QUBIT_QUTRIT, "A") for rho in states]
+    negative_zeros = np.diag([0.25, -0.0, 0.125, 0.125, 0.375, 0.25]).astype(complex)
+    negative_zeros[0, 3] = negative_zeros[5, 1] = complex(-0.0, 0.0)
+    negative_zeros[3, 0] = negative_zeros[1, 5] = complex(0.0, -0.0)
+    negative_zeros[2, 4] = negative_zeros[4, 2] = complex(-0.0, -0.0)
+    with_nan = np.diag([0.25, math.nan, 0.125, 0.125, 0.375, 0.25]).astype(complex)
+    with_nan[2, 5] = complex(0.0, math.nan)
+    with_nan[4, 0] = math.nan
+    return pts + [negative_zeros, with_nan]
+
+
+def test_split_pt_equals_its_numpy_oracle():
+    # _split_pt reads row lists: the live rows, the live block's rows with their term indices and
+    # the inert rows' least diagonal entry must be the numpy formulation's, bit for bit
+    def hexed(rows):
+        return [[[(v.hex(), j) for v, j in row] for row in part] for part in rows]
+
+    cases = split_pt_cases()
+    for pt in cases:
+        live, rows, inert_min = esd._split_pt(pt)
+        ref_live, ref_rows, ref_min = split_pt_oracle(pt)
+        assert live.dtype == np.intp and not live.flags.writeable
+        assert live.tolist() == ref_live.tolist()
+        assert hexed(rows) == hexed(ref_rows)
+        assert type(inert_min) is float and inert_min.hex() == ref_min.hex()
+    # -0.0 is a zero and NaN is not: no row of the signed zeros is live, and the rows with a NaN are
+    assert esd._split_pt(cases[-2])[0].tolist() == [] and esd._split_pt(cases[-1])[0].tolist() == [2, 4]
 
 
 #: Factor pairs whose masks zero some entries, (0, 0) all off the diagonal, and two that zero none.

@@ -37,6 +37,11 @@ def test_ansatz_x_zero_is_diagonal():
     assert np.max(np.abs(rho.mat - np.diag(ANSATZ_DIAGONAL))) == 0.0
 
 
+def test_ansatz_x_stores_a_negative_zero_as_zero():
+    # a -0.0 is the state of 0.0, bit for bit: no -0 at the corner slot
+    assert ansatz_x(-0.0).mat.tobytes() == ansatz_x(0.0).mat.tobytes()
+
+
 def test_ansatz_x_boundary_spectrum():
     eigs = hermitian_eigenvalues(ansatz_x(0.25).mat)
     assert np.max(np.abs(eigs - [0.0, 0.125, 0.125, 0.125, 0.125, 0.5])) < 1e-14
