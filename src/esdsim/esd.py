@@ -23,13 +23,13 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .channels import _MASK_TERMS, _mask_products, decay_factor, dephasing_mask
 from .entanglement import negativity_of_spectrum
-from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, SPECTRAL_TOL, _jacobi_matrix, _jacobi_stack, partial_transpose
+from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, SPECTRAL_TOL, _jacobi_kernel, _jacobi_stack, partial_transpose
 from .states import DensityMatrix, ansatz_x
 
 #: Corner values at or below 1/8 never produce entanglement.
@@ -78,15 +78,16 @@ class BracketError(RuntimeError):
 
 
 def _split_pt(pt: np.ndarray) -> tuple:
-    """(live, rows, inert_min) of PT_A(rho0), 6 x 6: what sweep and the death-time probe read of it.
+    """(live, block, inert_min) of PT_A(rho0), 6 x 6: what sweep and the death-time probe read of it.
 
     live holds the ascending indices of the rows with a nonzero
-    off-diagonal entry, as a read-only intp array; rows, the live block's
-    real and its imaginary rows as tuples, each entry next to its index in
-    _MASK_TERMS; inert_min, the least diagonal entry of the other rows in
-    row order, inf when every row is live. The mask's diagonal is 1 and it
-    keeps a zero a zero, so under every mask an inert row keeps its
-    diagonal entry and no other.
+    off-diagonal entry, as a read-only intp array; block, the live block's
+    real and its imaginary parts, each a flat row-major tuple of (entry,
+    its index in _MASK_TERMS) pairs, as the one-matrix kernel reads the
+    block once the probe has masked it; inert_min, the least diagonal
+    entry of the other rows in row order, inf when every row is live. The
+    mask's diagonal is 1 and it keeps a zero a zero, so under every mask
+    an inert row keeps its diagonal entry and no other.
 
     It reads the real and imaginary rows as lists, once per Scenario: at
     6x6 a numpy call costs more than the test of an entry. A row is live
@@ -100,10 +101,10 @@ def _split_pt(pt: np.ndarray) -> tuple:
             live.append(i)
         else:
             inert.append(r[i])
-    rows = tuple(tuple(tuple([(part[i][j], _TERM_ROWS[i][j]) for j in live]) for i in live) for part in (re, im))
+    block = tuple(tuple([(part[i][j], _TERM_ROWS[i][j]) for i in live for j in live]) for part in (re, im))
     live = np.array(live, dtype=np.intp)
     live.setflags(write=False)
-    return live, rows, min(inert, default=math.inf)
+    return live, block, min(inert, default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,14 @@ class Scenario:
     floats plus 0.0, so that a -0.0 is kept as 0.0, and builds the x-state
     and its read-only side-A partial transpose once, split by _split_pt
     into what sweep and the death-time probe read: the live rows, rows
-    {2, 3} of the x-state (none at x = 0), the live block's rows, and the
-    least diagonal entry of the inert rows. It stores the rates as they
-    act, too, which rates returns and gamma_factors reads, so that a probe
-    tests no kind; gamma_factors checks t.
+    {2, 3} of the x-state (none at x = 0), the live block's flat entries,
+    and the least diagonal entry of the inert rows. It keeps the
+    one-matrix kernel for the live block's size, linalg._jacobi_kernel(2)
+    (None when no row is live), so that a probe calls it with no lookup;
+    a kernel is generated once per size per process, on first use. It
+    stores the rates as they act, too, which rates returns and
+    gamma_factors reads, so that a probe tests no kind; gamma_factors
+    checks t.
     """
 
     kind: ScenarioKind
@@ -129,8 +134,9 @@ class Scenario:
     initial_state: DensityMatrix = field(init=False, repr=False, compare=False)
     _initial_pt: np.ndarray = field(init=False, repr=False, compare=False)
     _live: np.ndarray = field(init=False, repr=False, compare=False)
-    _live_rows: tuple = field(init=False, repr=False, compare=False)
+    _live_block: tuple = field(init=False, repr=False, compare=False)
     _inert_min: float = field(init=False, repr=False, compare=False)
+    _kernel: Optional[Callable] = field(init=False, repr=False, compare=False)
     _rates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -138,8 +144,9 @@ class Scenario:
         object.__setattr__(self, "initial_state", ansatz_x(self.x))  # checks x
         object.__setattr__(self, "_initial_pt", partial_transpose(self.initial_state.mat, QUBIT_QUTRIT, "A"))
         self._initial_pt.setflags(write=False)
-        for name, part in zip(("_live", "_live_rows", "_inert_min"), _split_pt(self._initial_pt)):
+        for name, part in zip(("_live", "_live_block", "_inert_min"), _split_pt(self._initial_pt)):
             object.__setattr__(self, name, part)
+        object.__setattr__(self, "_kernel", _jacobi_kernel(self._live.size) if self._live.size else None)
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
@@ -268,9 +275,10 @@ def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
 
     It makes no numpy call: the mask's six products are Python floats,
     rounded as dephasing_mask rounds them, and each entry x + iy of the
-    live block of PT_A(rho0) becomes the rows' entries x * m and y * m, as
-    in evolve and _pt_eigenvalues: the same floats, signed zeros included,
-    for any rho0. Only that block goes to the kernel (rows {2, 3} of the
+    live block of PT_A(rho0) becomes the flat lists' entries x * m and
+    y * m, as in evolve and _pt_eigenvalues: the same floats, signed zeros
+    included, for any rho0. Only that block goes to the kernel the
+    Scenario keeps, which only reads the lists (rows {2, 3} of the
     x-state; no call when none is live), with the full 6x6 solve's bits,
     as in _pt_eigenvalues: an inert row stays exactly zero off the
     diagonal, and the skip rule, the one rule that reads n, takes n = 6.
@@ -286,12 +294,12 @@ def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
     so either order, too, reaches at most the sign of a zero eigenvalue.
     """
     terms = _mask_products(*scenario.gamma_factors(t))
-    re_rows, im_rows = scenario._live_rows
-    if not re_rows:
+    re_block, im_block = scenario._live_block
+    if not re_block:
         return scenario._inert_min
-    re = [[x * terms[j] for x, j in row] for row in re_rows]
-    im = [[y * terms[j] for y, j in row] for row in im_rows]
-    return min(scenario._inert_min, *_jacobi_matrix(re, im, _JACOBI_OFF_TOL, _PROBE_SKIP_TOL))
+    return min(scenario._inert_min, *scenario._kernel([x * terms[j] for x, j in re_block],
+                                                      [y * terms[j] for y, j in im_block],
+                                                      _JACOBI_OFF_TOL, _PROBE_SKIP_TOL))
 
 
 def default_bracket(scenario: Scenario) -> float:

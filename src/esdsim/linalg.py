@@ -9,30 +9,34 @@ hermitian_eigenvalues is the checked entry, for one matrix: it refuses
 non-Hermitian or non-finite input, scales entries above 1e150,
 symmetrizes a copy with real products only, as the unchecked routes
 below dephase, derives the convergence tolerance from its Frobenius
-norm, then passes fresh lists of the copy's real and imaginary rows to
-the pure-Python kernel _jacobi_matrix, and sorts the diagonal it
-returns. The stack kernel, _jacobi_stack, takes a stack of k matrices as
-two float planes, the real and the imaginary parts laid out (n, n, k),
-so that each entry of every matrix is one contiguous k-vector; it
-rotates every matrix at once on them, each with its own rotation
-parameters, and returns the same bits as one call per matrix. Both
-kernels overwrite their input, which each caller builds afresh. Two
-callers in esdsim.esd skip the checks, and say why their input may:
-_pt_eigenvalues builds the planes of the live block of a sweep block's
-partial transposes, the rows that have an off-diagonal entry, for
-_jacobi_stack, and _min_pt_eigenvalue, the death-time probe, builds the
-same live block of one partial transpose as row lists for
-_jacobi_matrix, so that a probe makes no numpy call. Both pass the skip
-rule of the full matrix.
+norm, then solves the copy and sorts the diagonal. Up to 6x6, the size
+of the paper's system, it passes the copy's flat row-major real and
+imaginary parts as lists to the one-matrix kernel _jacobi_kernel(n), a
+pure-Python function generated for that n on first use, which only
+reads them. Above 6x6 it hands the copy to the stack kernel as a stack
+of one, with the same bits, so that no kernel is generated whose source
+grows as n^3. The stack kernel, _jacobi_stack, takes a stack of k
+matrices as two float planes, the real and the imaginary parts laid out
+(n, n, k), so that each entry of every matrix is one contiguous
+k-vector; it rotates every matrix at once on them, each with its own
+rotation parameters, overwriting them, and returns the same bits as one
+call per matrix. Two callers in esdsim.esd skip the checks, and say why
+their input may: _pt_eigenvalues builds the planes of the live block of
+a sweep block's partial transposes, the rows that have an off-diagonal
+entry, for _jacobi_stack, and _min_pt_eigenvalue, the death-time probe,
+builds the same live block of one partial transpose as flat lists for
+the kernel its Scenario keeps, so that a probe makes no numpy call.
+Both pass the skip rule of the full matrix.
 
 Both Jacobi kernels do the same real arithmetic, one float operation at
-a time: _jacobi_matrix in pure Python on the row lists, walking a cached
-plan of the pairs and the rows each rotation updates, _jacobi_stack and
-_jacobi_rotate_stack with one numpy operation on the planes' k-vectors
-per float operation. No complex multiply runs through numpy, whose SIMD
-loops fuse its multiply and add on some hosts, so the eigenvalues' bits
-do not depend on the host's SIMD dispatch. With b the entry a[p][q] and
-r = |b| (libm's hypot), one rotation of the pair (p, q) is:
+a time: _jacobi_kernel(n) in pure Python on local variables, one per
+part of an entry, with one sweep written out pair by pair,
+_jacobi_stack and _jacobi_rotate_stack with one numpy operation on the
+planes' k-vectors per float operation. No complex multiply runs through
+numpy, whose SIMD loops fuse its multiply and add on some hosts, so the
+eigenvalues' bits do not depend on the host's SIMD dispatch. With b the
+entry a[p][q] and r = |b| (libm's hypot), one rotation of the pair
+(p, q) is:
 
     phase  = (b.re * (1 / r), b.im * (1 / r))
     tau    = (a[q][q] - a[p][p]) / (2 r)
@@ -71,6 +75,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -214,9 +219,14 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     m = m + m.conj().T
     m.view(np.float64)[...] *= 0.5
     off_tol = _JACOBI_OFF_TOL * float(max(1.0, np.sqrt(np.sum(np.abs(m) ** 2))))  # from the Frobenius norm
-    # a 1x1 or 0x0 matrix is its own diagonal; at 6x6 the stack kernel would cost several times as much
-    eigs = np.sort(m.diagonal().real if len(m) < 2 else
-                   _jacobi_matrix(m.real.tolist(), m.imag.tolist(), off_tol, off_tol / (2 * len(m))))
+    n = len(m)
+    if n < 2:  # its own diagonal
+        eigs = m.diagonal().real
+    elif n <= QUBIT_QUTRIT.total:  # at 6x6 the stack kernel would cost several times as much
+        eigs = _jacobi_kernel(n)(m.real.ravel().tolist(), m.imag.ravel().tolist(), off_tol, off_tol / (2 * n))
+    else:  # a stack of one, with the same bits: no kernel is generated above 6x6
+        eigs = _jacobi_stack(m.real[..., None].copy(), m.imag[..., None].copy(), off_tol, off_tol / (2 * n))[0]
+    eigs = np.sort(eigs)
     if exponent:
         with np.errstate(over="ignore"):  # a spectrum beyond the float range is +/-inf
             eigs = np.ldexp(eigs, exponent)
@@ -261,95 +271,117 @@ def _cholesky_certifies(mat: np.ndarray) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _jacobi_plan(n: int) -> tuple:
-    """The cyclic order of one sweep: (p, q, the other rows) for each pair p < q, row-major.
+# _jacobi_kernel's source for the rotation of the pair (p, q), at the depth of its sweep loop's body,
+# with {others} holding _JACOBI_OTHER once for each other row k, in ascending order; r{i}_{j} and
+# i{i}_{j} are the real and imaginary parts of entry (i, j). abs(complex(...)) is libm's hypot, as
+# np.hypot in the stack kernel, and t the smaller root of t^2 + 2 tau t - 1 = 0, the numerically
+# stable choice. _JACOBI_OTHER updates columns p and q of row k and their conjugates in rows p and
+# q, keeping in xr, xi and yr only the old entries it reads after overwriting them, so that the
+# source stays as small as it can. Then the column step runs on rows p and q only where the row step
+# reads it, (p, p) and (p, q) of row p and all of (q, p) and (q, q), and the row step on the 2x2
+# block keeps only the real diagonal: s * phase = conj(S), c * phase = conj(C).
+_JACOBI_PAIR = """\
+        if r{p}_{q} or i{p}_{q}:
+            r = abs(complex(r{p}_{q}, i{p}_{q}))
+            if r > skip_tol:
+                inv = 1.0 / r
+                phr = r{p}_{q} * inv
+                phi = i{p}_{q} * inv
+                tau = (r{q}_{q} - r{p}_{p}) / (2.0 * r)
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + sqrt(1.0 + tau * tau))
+                c = 1.0 / sqrt(1.0 + t * t)
+                s = t * c
+                sr = s * phr
+                si = -(s * phi)
+                cr = c * phr
+                ci = -(c * phi)
+{others}\
+                ppr = c * r{p}_{p} - (sr * r{p}_{q} - si * i{p}_{q})
+                pqr = s * r{p}_{p} + (cr * r{p}_{q} - ci * i{p}_{q})
+                qpr = c * r{q}_{p} - (sr * r{q}_{q} - si * i{q}_{q})
+                qpi = c * i{q}_{p} - (sr * i{q}_{q} + si * r{q}_{q})
+                qqr = s * r{q}_{p} + (cr * r{q}_{q} - ci * i{q}_{q})
+                qqi = s * i{q}_{p} + (cr * i{q}_{q} + ci * r{q}_{q})
+                r{p}_{p} = c * ppr - (sr * qpr + si * qpi)
+                r{q}_{q} = s * pqr + (cr * qqr + ci * qqi)
+                r{p}_{q} = i{p}_{q} = r{q}_{p} = i{q}_{p} = 0.0
+"""
+_JACOBI_OTHER = """\
+                xr = r{k}_{p}
+                xi = i{k}_{p}
+                r{k}_{p} = r{p}_{k} = c * xr - (sr * r{k}_{q} - si * i{k}_{q})
+                i{k}_{p} = c * xi - (sr * i{k}_{q} + si * r{k}_{q})
+                i{p}_{k} = -i{k}_{p}
+                yr = r{k}_{q}
+                r{k}_{q} = r{q}_{k} = s * xr + (cr * yr - ci * i{k}_{q})
+                i{k}_{q} = s * xi + (cr * i{k}_{q} + ci * yr)
+                i{q}_{k} = -i{k}_{q}
+"""
 
-    It holds n (n - 1) (n - 2) / 2 row indices, 60 at 6x6: one for each
-    row update of a sweep.
-    """
-    return tuple((p, q, tuple(k for k in range(n) if k != p and k != q))
-                 for p in range(n - 1) for q in range(p + 1, n))
 
+@functools.cache
+def _jacobi_kernel(n: int) -> Callable:
+    """The one-matrix Jacobi kernel for n x n, 2 <= n <= 6, generated and compiled on first use.
 
-def _jacobi_matrix(re: list, im: list, off_tol: float, skip_tol: float) -> list:
-    """Diagonalize one trusted n x n matrix given as real and imaginary rows; its diagonal, unsorted.
-
-    Trusted, not checked: exactly Hermitian, entries far below 1e150, as
-    hermitian_eigenvalues leaves it. The iteration runs in pure Python on
-    the row lists, which it overwrites: at 6x6, numpy's per-call overhead would cost more than
-    the arithmetic. The rotation, skip and stopping rules are the module
-    docstring's, and _jacobi_rotate_stack's; the convergence sum walks
-    the plan's pairs, which are row-major, as the rotations do. A pair
-    that is exactly zero is skipped before its hypot, which is 0 and so
-    not above skip_tol.
+    It is kernel(re, im, off_tol, skip_tol) -> the diagonal, unsorted, as
+    a list: re and im are the real and imaginary parts of one trusted
+    matrix, each a flat row-major sequence of n * n floats, which it only
+    reads. Trusted, not checked: exactly Hermitian, entries far below
+    1e150, as hermitian_eigenvalues leaves it. The matrix lives in local
+    variables, one per real or imaginary part of an entry, and one sweep
+    is written out pair by pair: at 6x6, numpy's per-call overhead, and
+    list subscripts, would cost more than the arithmetic. It does the
+    module docstring's float operations in its order, and
+    _jacobi_rotate_stack's: the rotation, the skip rule, with an exactly
+    zero pair skipped before its hypot, which is 0 and so not above
+    skip_tol, and the stopping rule, whose sum runs over the pairs in
+    row-major order (with no leading 0.0: a term x^2 + y^2 is never -0.0,
+    so 0.0 + term is term). It reads _MAX_JACOBI_SWEEPS when called.
     skip_tol is the caller's, as _jacobi_stack's is: off_tol / (2n) for
     the matrix itself, or the n of a larger matrix whose live block this
     is, as esd._min_pt_eigenvalue passes.
+
+    The source grows as n^3, and so do its compile time and peak memory
+    (about 15 ms and 3 MB at n = 6, 2 vCPU), so no size above
+    QUBIT_QUTRIT's is made: hermitian_eigenvalues solves a larger matrix
+    as a stack of one.
     """
-    n = len(re)
-    plan = _jacobi_plan(n)
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        acc = 0.0
-        for p, q, _ in plan:  # row-major, so the terms come in the module docstring's order
-            x, y = re[p][q], im[p][q]
-            acc += x * x + y * y
-        if math.sqrt(2.0 * acc) < off_tol:
-            return [row[i] for i, row in enumerate(re)]
-        for p, q, others in plan:
-            rp, ip = re[p], im[p]
-            ar, ai = rp[q], ip[q]
-            if not (ar or ai):
-                continue
-            r = abs(complex(ar, ai))  # libm hypot, as np.hypot in the stack kernel
-            if not r > skip_tol:
-                continue
-            rq, iq = re[q], im[q]
-            inv = 1.0 / r
-            phr, phi = ar * inv, ai * inv
-            app, aqq = rp[p], rq[q]
-            tau = (aqq - app) / (2.0 * r)
-            # smaller root of t^2 + 2*tau*t - 1 = 0, the numerically stable choice
-            t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            sr, si, cr, ci = s * phr, -(s * phi), c * phr, -(c * phi)
-            for k in others:  # column p and q of row k, and their conjugates in rows p and q
-                rk, ik = re[k], im[k]
-                xr, xi, yr, yi = rk[p], ik[p], rk[q], ik[q]
-                rk[p] = rp[k] = c * xr - (sr * yr - si * yi)
-                rk[q] = rq[k] = s * xr + (cr * yr - ci * yi)
-                kpi = c * xi - (sr * yi + si * yr)
-                kqi = s * xi + (cr * yi + ci * yr)
-                ik[p], ip[k], ik[q], iq[k] = kpi, -kpi, kqi, -kqi
-            # the column step on rows p and q, only where the row step reads it: (p, p) and (p, q)
-            # of row p, whose entry (p, q) is (ar, ai), and all of (q, p) and (q, q)
-            ppr = c * app - (sr * ar - si * ai)
-            pqr = s * app + (cr * ar - ci * ai)
-            xr, xi, yi = rq[p], iq[p], iq[q]
-            qpr = c * xr - (sr * aqq - si * yi)
-            qpi = c * xi - (sr * yi + si * aqq)
-            qqr = s * xr + (cr * aqq - ci * yi)
-            qqi = s * xi + (cr * yi + ci * aqq)
-            # the row step on the 2x2 block, real parts only: s*phase = conj(S), c*phase = conj(C)
-            rp[p] = c * ppr - (sr * qpr + si * qpi)
-            rq[q] = s * pqr + (cr * qqr + ci * qqi)
-            rp[q] = ip[q] = rq[p] = iq[p] = 0.0
-    raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
+    if not 2 <= n <= QUBIT_QUTRIT.total:
+        raise ValueError(f"the one-matrix kernel takes 2 <= n <= {QUBIT_QUTRIT.total}, got {n}")
+    entries = [(i, j) for i in range(n) for j in range(n)]
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    lines = [
+        f"def _jacobi_{n}x{n}(re, im, off_tol, skip_tol):",
+        "    " + ", ".join(f"r{i}_{j}" for i, j in entries) + " = re",
+        "    " + ", ".join(f"i{i}_{j}" for i, j in entries) + " = im",
+        "    sqrt = math.sqrt",
+        "    for _ in range(_MAX_JACOBI_SWEEPS):",
+        "        if sqrt(2.0 * (" + " + ".join(f"(r{p}_{q} * r{p}_{q} + i{p}_{q} * i{p}_{q})" for p, q in pairs)
+        + ")) < off_tol:",
+        "            return [" + ", ".join(f"r{i}_{i}" for i in range(n)) + "]",
+        *(_JACOBI_PAIR.format(p=p, q=q, others="".join(_JACOBI_OTHER.format(k=k, p=p, q=q)
+                                                       for k in range(n) if k != p and k != q))
+          for p, q in pairs),
+        "    raise RuntimeError('Jacobi iteration did not converge; input may be pathological')",
+    ]
+    namespace = {}
+    # linalg's globals, so that the kernel reads _MAX_JACOBI_SWEEPS when it runs
+    exec(compile("\n".join(lines), f"<jacobi kernel {n}x{n}>", "exec"), globals(), namespace)
+    return namespace[f"_jacobi_{n}x{n}"]
 
 
 def _jacobi_stack(re: np.ndarray, im: np.ndarray, off_tol: float, skip_tol: float) -> np.ndarray:
     """Diagonalize k trusted n x n matrices, n >= 2, as (n, n, k) float planes; their diagonals, unsorted, shape (k, n).
 
     re and im are the real and imaginary parts, each entry of every
-    matrix one contiguous k-vector, trusted as _jacobi_matrix's rows are;
-    the kernel overwrites them, as _jacobi_matrix overwrites its rows. A
-    sweep runs over the matrices not yet converged, each exactly as
-    _jacobi_matrix would run it with the same off_tol (Golub & Van Loan,
-    Matrix Computations, section 8.5, with per-matrix rotation
-    parameters); a converged matrix leaves the planes with its diagonal.
+    matrix one contiguous k-vector, trusted as _jacobi_kernel's input is;
+    the kernel overwrites them. A sweep runs over the matrices not yet
+    converged, each with _jacobi_kernel's float operations and the same
+    off_tol (Golub & Van Loan, Matrix Computations, section 8.5, with
+    per-matrix rotation parameters); a converged matrix leaves the planes
+    with its diagonal.
     skip_tol is the caller's: off_tol / (2n) gives each matrix
-    _jacobi_matrix's bits, and a caller that solves blocks of larger
+    _jacobi_kernel's bits, and a caller that solves blocks of larger
     matrices, as esd._pt_eigenvalues does, passes the n of the larger ones.
     """
     n, _, k = re.shape
@@ -374,10 +406,10 @@ def _jacobi_stack(re: np.ndarray, im: np.ndarray, off_tol: float, skip_tol: floa
 
 
 def _jacobi_rotate_stack(re: np.ndarray, im: np.ndarray, p: int, q: int, skip_tol: float) -> None:
-    """_jacobi_matrix's rotation of (p, q), in place, on each matrix of the (n, n, k) float planes re and im.
+    """_jacobi_kernel's rotation of (p, q), in place, on each matrix of the (n, n, k) float planes re and im.
 
     Each matrix gets its own rotation, and the one skip_tol. Each float
-    operation of _jacobi_matrix is one array operation here, on
+    operation of _jacobi_kernel is one array operation here, on
     k-vectors, so no complex multiply is fused; the few more, on the 2x2
     block's entries that the row step does not read, are overwritten. The
     matrices whose pair is skipped are left out, and the others rotated

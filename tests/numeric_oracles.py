@@ -4,6 +4,9 @@ The eigenvalue oracles work straight from the characteristic polynomial
 with closed-form root formulas, so they share no code path with the
 package's iterative eigensolver. The death-time and corner oracles run in
 stdlib decimal arithmetic, sharing no code with the package, numpy or libm.
+jacobi_matrix_reference is not independent: it is the package's earlier
+one-matrix Jacobi kernel, frozen here as the bit reference of the
+generated one.
 """
 
 import decimal
@@ -65,6 +68,63 @@ def charpoly_eigs_3x3(h):
         theta = math.acos(arg) / 3.0
         roots = np.array([amp * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)])
     return np.sort(roots + shift)
+
+
+def jacobi_matrix_reference(re, im, off_tol, skip_tol, max_sweeps=60):
+    """The plan-walking one-matrix Jacobi kernel, kept as the bit reference of the generated one.
+
+    re and im are the real and imaginary rows of one trusted n x n
+    matrix, which it overwrites; it returns the diagonal, unsorted. Each
+    sweep walks the pairs p < q in row-major order with the rows each
+    rotation updates, and does esdsim.linalg's rotation, skip and
+    stopping rules one float operation at a time, as that module's
+    docstring states them. It shares no code with the package.
+    """
+    n = len(re)
+    plan = [(p, q, [k for k in range(n) if k != p and k != q]) for p in range(n - 1) for q in range(p + 1, n)]
+    for _ in range(max_sweeps):
+        acc = 0.0
+        for p, q, _ in plan:
+            x, y = re[p][q], im[p][q]
+            acc += x * x + y * y
+        if math.sqrt(2.0 * acc) < off_tol:
+            return [row[i] for i, row in enumerate(re)]
+        for p, q, others in plan:
+            rp, ip = re[p], im[p]
+            ar, ai = rp[q], ip[q]
+            if not (ar or ai):
+                continue
+            r = abs(complex(ar, ai))
+            if not r > skip_tol:
+                continue
+            rq, iq = re[q], im[q]
+            inv = 1.0 / r
+            phr, phi = ar * inv, ai * inv
+            app, aqq = rp[p], rq[q]
+            tau = (aqq - app) / (2.0 * r)
+            t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            sr, si, cr, ci = s * phr, -(s * phi), c * phr, -(c * phi)
+            for k in others:
+                rk, ik = re[k], im[k]
+                xr, xi, yr, yi = rk[p], ik[p], rk[q], ik[q]
+                rk[p] = rp[k] = c * xr - (sr * yr - si * yi)
+                rk[q] = rq[k] = s * xr + (cr * yr - ci * yi)
+                kpi = c * xi - (sr * yi + si * yr)
+                kqi = s * xi + (cr * yi + ci * yr)
+                ik[p], ip[k], ik[q], iq[k] = kpi, -kpi, kqi, -kqi
+            ppr = c * app - (sr * ar - si * ai)
+            pqr = s * app + (cr * ar - ci * ai)
+            xr, xi, yi = rq[p], iq[p], iq[q]
+            qpr = c * xr - (sr * aqq - si * yi)
+            qpi = c * xi - (sr * yi + si * aqq)
+            qqr = s * xr + (cr * aqq - ci * yi)
+            qqi = s * xi + (cr * yi + ci * aqq)
+            rp[p] = c * ppr - (sr * qpr + si * qpi)
+            rq[q] = s * pqr + (cr * qqr + ci * qqi)
+            rp[q] = ip[q] = rq[p] = iq[p] = 0.0
+    raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
 
 
 def random_hermitian(rng, n):

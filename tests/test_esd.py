@@ -229,20 +229,22 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
     # both hand their kernel only the live 2x2 block, rows {2, 3}, with the skip rule of
     # the full 6x6, and no call at x = 0
     probe_inputs, blocks = [], []
-    kernel, stack_kernel = esd._jacobi_matrix, esd._jacobi_stack
+    kernel, stack_kernel = esd._jacobi_kernel, esd._jacobi_stack
 
-    def recording_kernel(re, im, off_tol, skip_tol):
-        assert skip_tol == off_tol / 12
-        m = np.empty((len(re), len(re)), dtype=complex)
-        m.real, m.imag = re, im  # copied before the kernel overwrites its rows
-        probe_inputs.append(m)
-        return kernel(re, im, off_tol, skip_tol)
+    def recording_kernel(n):  # each Scenario below is built after the patch, and keeps this kernel
+        def record(re, im, off_tol, skip_tol):
+            assert skip_tol == off_tol / 12
+            m = np.empty((n, n), dtype=complex)
+            m.real.flat, m.imag.flat = re, im
+            probe_inputs.append(m)
+            return kernel(n)(re, im, off_tol, skip_tol)
+        return record
 
     def recording(re, im, off_tol, skip_tol):
         blocks.append((re.copy(), im.copy()))  # copied before the kernel overwrites its planes
         return stack_kernel(re, im, off_tol, skip_tol)
 
-    monkeypatch.setattr(esd, "_jacobi_matrix", recording_kernel)
+    monkeypatch.setattr(esd, "_jacobi_kernel", recording_kernel)
     monkeypatch.setattr(esd, "_jacobi_stack", recording)
     for rate in (0.0, *np.logspace(-9.0, 3.0, 13)):
         for x in (0.0, 0.125, 0.13, 0.2, 0.25):
@@ -324,34 +326,38 @@ def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
 
 
 def test_deflated_probe_equals_the_full_solve_bit_for_bit(monkeypatch):
-    # the probe solves only the live block, L x L rows with the skip rule of n = 6, and takes the
-    # inert rows' least diagonal entry: its value must be min of the full 6x6 kernel diagonal, and
-    # the block's diagonal the full diagonal's live entries, bit for bit; no kernel call when L = 0
+    # the probe solves only the live block, the L x L kernel on flat rows with the skip rule of n = 6,
+    # and takes the inert rows' least diagonal entry: its value must be min of the full 6x6 kernel
+    # diagonal, and the block's diagonal the full diagonal's live entries, bit for bit; no kernel
+    # call when L = 0
     off_tol = linalg._JACOBI_OFF_TOL
-    kernel, calls = esd._jacobi_matrix, []
+    calls = []
 
-    def recording_kernel(re, im, off_tol, skip_tol):
-        calls.append((len(re), [len(row) for row in re + im], skip_tol))
-        diag = kernel(re, im, off_tol, skip_tol)
-        calls[-1] += (diag,)
-        return diag
+    def recording_kernel(n):
+        def record(re, im, off_tol, skip_tol):
+            calls.append((n, len(re), len(im), skip_tol))
+            diag = linalg._jacobi_kernel(n)(re, im, off_tol, skip_tol)
+            calls[-1] += (diag,)
+            return diag
+        return record
 
-    monkeypatch.setattr(esd, "_jacobi_matrix", recording_kernel)
     masks = channels.dephasing_mask(DEFLATION_GA, DEFLATION_GB)
     for pt, live in live_block_pts():
-        live_idx, rows, inert_min = esd._split_pt(pt)
+        live_idx, block, inert_min = esd._split_pt(pt)
         assert live_idx.tolist() == live and not live_idx.flags.writeable
-        stand_in = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_rows=rows, _inert_min=inert_min)
+        stand_in = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_block=block, _inert_min=inert_min,
+                                         _kernel=recording_kernel(len(live)) if live else None)
         for i, pair in enumerate(zip(DEFLATION_GA.tolist(), DEFLATION_GB.tolist())):
             del calls[:]
             got = esd._min_pt_eigenvalue(stand_in, pair)
-            full = kernel((pt.real * masks[..., i]).tolist(), (pt.imag * masks[..., i]).tolist(), off_tol, off_tol / 12)
+            full = linalg._jacobi_kernel(6)((pt.real * masks[..., i]).ravel().tolist(),
+                                            (pt.imag * masks[..., i]).ravel().tolist(), off_tol, off_tol / 12)
             assert got.hex() == min(full).hex(), (live, pair)
             if not live:
                 assert calls == []
                 continue
-            [(n, row_lengths, skip_tol, diag)] = calls
-            assert n == len(live) and row_lengths == [len(live)] * (2 * len(live))
+            [(n, re_length, im_length, skip_tol, diag)] = calls
+            assert n == len(live) and re_length == im_length == len(live) ** 2
             assert skip_tol == off_tol / 12
             assert np.array(diag).tobytes() == np.array(full)[live].tobytes(), (live, pair)
 
@@ -362,11 +368,10 @@ def split_pt_oracle(pt):
     np.fill_diagonal(coupled, False)
     live = np.flatnonzero(coupled.any(axis=1))
     live.setflags(write=False)
-    block = np.ix_(live, live)
-    rows = tuple(tuple(tuple(zip(row, terms)) for row, terms in
-                       zip(part[block].tolist(), channels._MASK_TERMS[block].tolist()))
-                 for part in (pt.real, pt.imag))
-    return live, rows, min(np.delete(pt.diagonal().real, live).tolist(), default=math.inf)
+    rows = np.ix_(live, live)
+    block = tuple(tuple(zip(part[rows].ravel().tolist(), channels._MASK_TERMS[rows].ravel().tolist()))
+                  for part in (pt.real, pt.imag))
+    return live, block, min(np.delete(pt.diagonal().real, live).tolist(), default=math.inf)
 
 
 def split_pt_cases():
@@ -386,18 +391,18 @@ def split_pt_cases():
 
 
 def test_split_pt_equals_its_numpy_oracle():
-    # _split_pt reads row lists: the live rows, the live block's rows with their term indices and
-    # the inert rows' least diagonal entry must be the numpy formulation's, bit for bit
-    def hexed(rows):
-        return [[[(v.hex(), j) for v, j in row] for row in part] for part in rows]
+    # _split_pt reads row lists: the live rows, the live block's flat row-major entries with their
+    # term indices and the inert rows' least diagonal entry must be the numpy formulation's, bit for bit
+    def hexed(block):
+        return [[(v.hex(), j) for v, j in part] for part in block]
 
     cases = split_pt_cases()
     for pt in cases:
-        live, rows, inert_min = esd._split_pt(pt)
-        ref_live, ref_rows, ref_min = split_pt_oracle(pt)
+        live, block, inert_min = esd._split_pt(pt)
+        ref_live, ref_block, ref_min = split_pt_oracle(pt)
         assert live.dtype == np.intp and not live.flags.writeable
         assert live.tolist() == ref_live.tolist()
-        assert hexed(rows) == hexed(ref_rows)
+        assert hexed(block) == hexed(ref_block)
         assert type(inert_min) is float and inert_min.hex() == ref_min.hex()
     # -0.0 is a zero and NaN is not: no row of the signed zeros is live, and the rows with a NaN are
     assert esd._split_pt(cases[-2])[0].tolist() == [] and esd._split_pt(cases[-1])[0].tolist() == [2, 4]
@@ -416,22 +421,22 @@ def test_every_route_dephases_a_general_state_with_the_same_floats(seed, monkeyp
     mat = random_density_matrix(np.random.default_rng(seed)).mat
     rho0 = DensityMatrix(0.5 * (mat + mat.conj().T), QUBIT_QUTRIT)  # exactly Hermitian
     pt = partial_transpose(rho0.mat, QUBIT_QUTRIT, "A")
-    live, live_rows, inert_min = esd._split_pt(pt)
+    live, live_block, inert_min = esd._split_pt(pt)
     assert live.tolist() == list(range(6)) and inert_min == math.inf
-    stand_in = types.SimpleNamespace(  # a Scenario of rho0, as much as evolve and the probe read
-        initial_state=rho0, gamma_factors=lambda pair: pair, _live_rows=live_rows, _inert_min=inert_min)
     rows, planes = [], []
-    matrix_kernel, stack_kernel = esd._jacobi_matrix, esd._jacobi_stack
+    matrix_kernel, stack_kernel = linalg._jacobi_kernel(6), esd._jacobi_stack
 
     def record_rows(re, im, off_tol, skip_tol):
-        rows.append((np.array(re), np.array(im)))  # copied before the kernel overwrites them
+        rows.append((np.reshape(re, (6, 6)), np.reshape(im, (6, 6))))
         return matrix_kernel(re, im, off_tol, skip_tol)
 
     def record_planes(re, im, off_tol, skip_tol):
-        planes.append((re.copy(), im.copy()))
+        planes.append((re.copy(), im.copy()))  # copied before the kernel overwrites them
         return stack_kernel(re, im, off_tol, skip_tol)
 
-    monkeypatch.setattr(esd, "_jacobi_matrix", record_rows)
+    stand_in = types.SimpleNamespace(  # a Scenario of rho0, as much as evolve and the probe read
+        initial_state=rho0, gamma_factors=lambda pair: pair, _live_block=live_block, _inert_min=inert_min,
+        _kernel=record_rows)
     monkeypatch.setattr(esd, "_jacobi_stack", record_planes)
     ga, gb = (np.array(factors) for factors in zip(*GENERAL_PAIRS))
     esd._pt_eigenvalues(pt, np.arange(6), ga, gb)

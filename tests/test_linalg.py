@@ -15,6 +15,7 @@ from esdsim.linalg import (
     QUBIT_QUTRIT,
     BipartiteDims,
     DimensionMismatchError,
+    SPECTRAL_TOL,
     NonHermitianError,
     hermitian_eigenvalues,
     partial_trace,
@@ -22,9 +23,16 @@ from esdsim.linalg import (
 )
 
 from esdsim.esd import EsdOutcome, Scenario, ScenarioKind, evolve, numeric_esd_time
-from esdsim.states import JOINT_COHERENCE_SLOTS, ansatz_x, random_density_matrix
+from esdsim.entanglement import negativity
+from esdsim.states import JOINT_COHERENCE_SLOTS, ansatz_x, format_state, parse_state, random_density_matrix
 
-from numeric_oracles import charpoly_eigs_2x2, charpoly_eigs_3x3, random_hermitian, random_unitary
+from numeric_oracles import (
+    charpoly_eigs_2x2,
+    charpoly_eigs_3x3,
+    jacobi_matrix_reference,
+    random_hermitian,
+    random_unitary,
+)
 
 
 def corner_matrix(corner):
@@ -317,15 +325,22 @@ def trusted(mats):
 
 
 def matrix_eigenvalues(m, off_tol):
-    """Ascending eigenvalues of one trusted n x n matrix through the one-matrix kernel, shape (n,).
+    """Ascending eigenvalues of one trusted n x n matrix, 2 <= n <= 6, through the one-matrix kernel, shape (n,).
 
-    The kernel overwrites the row lists it is given, so it gets fresh ones,
-    and the checked entry's skip_tol, off_tol / (2n); n < 2 leaves nothing
-    to rotate.
+    The kernel takes the flat row-major real and imaginary parts and the
+    checked entry's skip_tol, off_tol / (2n); n < 2 leaves nothing to rotate.
     """
-    if len(m) < 2:
+    n = len(m)
+    if n < 2:
         return np.sort(m.diagonal().real)
-    return np.sort(linalg._jacobi_matrix(m.real.tolist(), m.imag.tolist(), off_tol, off_tol / (2 * len(m))))
+    diag = linalg._jacobi_kernel(n)(m.real.ravel().tolist(), m.imag.ravel().tolist(), off_tol, off_tol / (2 * n))
+    return np.sort(diag)
+
+
+def reference_eigenvalues(m, off_tol):
+    """Ascending eigenvalues of one trusted n x n matrix, n >= 2, through the frozen plan-walking kernel."""
+    n = len(m)
+    return np.sort(jacobi_matrix_reference(m.real.tolist(), m.imag.tolist(), off_tol, off_tol / (2 * n)))
 
 
 def planes(stack):
@@ -362,8 +377,8 @@ def test_stack_eigenvalues_match_eigvalsh_and_single_calls(kinds):
 
 @pytest.mark.parametrize("read_only", [False, True])
 def test_kernels_overwrite_their_input_and_the_entries_only_read_theirs(read_only):
-    # hermitian_eigenvalues and esd._pt_eigenvalues only read their matrix; the two kernels
-    # overwrite the row lists and the float planes they are given, which their callers build afresh
+    # hermitian_eigenvalues and esd._pt_eigenvalues only read their matrix, and the one-matrix
+    # kernel its flat rows; the stack kernel overwrites the float planes its callers build afresh
     rng = np.random.default_rng(26)
     off_tol = linalg._JACOBI_OFF_TOL
     m = trusted(random_hermitian(rng, 6))
@@ -373,10 +388,10 @@ def test_kernels_overwrite_their_input_and_the_entries_only_read_theirs(read_onl
     assert m.tobytes() == before.tobytes()
     assert eigs.dtype == np.float64 and eigs.shape == (6,)
     assert eigs.tobytes() == matrix_eigenvalues(before, off_tol).tobytes()
-    re, im = m.real.tolist(), m.imag.tolist()
-    diag = linalg._jacobi_matrix(re, im, off_tol, off_tol / 12)
+    re, im = m.real.ravel().tolist(), m.imag.ravel().tolist()
+    diag = linalg._jacobi_kernel(6)(re, im, off_tol, off_tol / 12)
     assert len(diag) == 6 and np.sort(diag).tobytes() == eigs.tobytes()
-    assert re != before.real.tolist() and im != before.imag.tolist()
+    assert np.array(re).tobytes() == before.real.tobytes() and np.array(im).tobytes() == before.imag.tobytes()
     stack = trusted(stack_of(rng, STACKS["mixed"]))  # planes() copies: the stack route only reads the stack
     stack.flags.writeable = not read_only
     before = stack.copy()
@@ -398,16 +413,22 @@ def test_kernels_overwrite_their_input_and_the_entries_only_read_theirs(read_onl
     assert np.max(np.abs(eigs - np.linalg.eigvalsh(masked))) < 1e-12
 
 
-def test_exact_zero_pairs_and_signed_zeros_give_the_same_eigenvalue_bits():
-    # a diagonal plus one 2x2 block with an imaginary coupling: every other pair is an exact
-    # zero, skipped before its hypot, and a zero written as -0.0, off the diagonal, as an
-    # imaginary part or as the coupling's real part, changes no eigenvalue, none of which is zero
+def signed_zero_pair():
+    """A diagonal plus one 2x2 block, rows {1, 4}, with an imaginary coupling; and its copy with every zero -0.0."""
     m = np.diag([0.25, 0.125, -0.0625, 0.125, 0.375, 0.25]).astype(complex)
     m[1, 4] = -0.05j
     m[4, 1] = np.conj(m[1, 4])
     signed = m.copy()
     for part in (signed.real, signed.imag):  # views: 30 real and 34 imaginary zeros become -0.0
         part[part == 0.0] = -0.0
+    return m, signed
+
+
+def test_exact_zero_pairs_and_signed_zeros_give_the_same_eigenvalue_bits():
+    # a diagonal plus one 2x2 block with an imaginary coupling: every other pair is an exact
+    # zero, skipped before its hypot, and a zero written as -0.0, off the diagonal, as an
+    # imaginary part or as the coupling's real part, changes no eigenvalue, none of which is zero
+    m, signed = signed_zero_pair()
     assert np.signbit(signed.real).sum() == 30 + 1 and np.signbit(signed.imag).sum() == 34 + 1  # +1: a negative entry
     expected = hermitian_eigenvalues(m)
     assert np.max(np.abs(expected - np.linalg.eigvalsh(m))) < 1e-15
@@ -418,6 +439,88 @@ def test_exact_zero_pairs_and_signed_zeros_give_the_same_eigenvalue_bits():
     assert stacked.tobytes() == np.array([expected] * 3).tobytes()
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_generated_kernel_gives_the_reference_bits_and_only_reads_its_input(n, monkeypatch):
+    # the kernel generated for n x n must give the frozen plan-walking kernel's bits on dense
+    # matrices, dense ones with exact-zero pairs, one-pair and diagonal ones, blocks of the
+    # signed-zero matrix holding its coupled rows {1, 4} and, at n = 2, the death-time probes'
+    # live blocks, with their skip_tol; it only reads the flat rows it is given
+    rng = np.random.default_rng(70 + n)
+    off_tol = linalg._JACOBI_OFF_TOL
+    mats = list(trusted(np.array([random_hermitian(rng, n) for _ in range(40)])))
+    for _ in range(40):
+        h = random_hermitian(rng, n)
+        zero = np.triu(rng.random((n, n)) < 0.5, 1)
+        h[zero | zero.T] = 0.0
+        mats.append(trusted(h))
+    mats += list(trusted(stack_of(rng, ["sparse", "diagonal"] * 5, n)))
+    rows = [1, 4, 0, 2, 3, 5][:n]
+    mats += [a[np.ix_(rows, rows)] for a in signed_zero_pair()]
+    if n >= 3:  # a degenerate diagonal that stops at once when its pairs are summed in row-major order,
+        # and is rotated when they are summed in reverse
+        edge = np.diag(np.full(n, 0.25)).astype(complex)
+        for (i, j), entry in zip([(0, 1), (0, 2), (1, 2)], ["0x1.ba7096d0dd02ep-45", "0x1.b8f61e33abcd9p-45",
+                                                            "0x1.f12a0317dc283p-47"]):
+            edge[i, j] = edge[j, i] = float.fromhex(entry)
+        assert matrix_eigenvalues(edge, off_tol).tolist() == [0.25] * n
+        mats.append(edge)
+    cases = [(m.real, m.imag, off_tol / (2 * n)) for m in mats]  # real and imaginary parts, skip_tol
+    if n == 2:
+        kernel = esd._jacobi_kernel
+
+        def recording_kernel(size):
+            def record(re, im, off_tol, skip_tol):
+                cases.append((np.reshape(re, (size, size)), np.reshape(im, (size, size)), skip_tol))
+                return kernel(size)(re, im, off_tol, skip_tol)
+            return record
+
+        monkeypatch.setattr(esd, "_jacobi_kernel", recording_kernel)
+        for kind in ScenarioKind:
+            for x in (0.126, 0.2, 0.25):
+                numeric_esd_time(Scenario(kind, x, 1.3, 0.7))
+        assert len(cases) > len(mats) + 100
+    kernel = linalg._jacobi_kernel(n)
+    for re, im, skip_tol in cases:
+        flat_re, flat_im = re.ravel().tolist(), im.ravel().tolist()
+        diag = kernel(flat_re, flat_im, off_tol, skip_tol)
+        reference = jacobi_matrix_reference(re.tolist(), im.tolist(), off_tol, skip_tol)
+        assert type(diag) is list and np.array(diag).tobytes() == np.array(reference).tobytes()
+        assert np.array(flat_re).tobytes() == re.tobytes() and np.array(flat_im).tobytes() == im.tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_a_matrix_above_six_goes_through_the_stack_kernel_with_the_reference_bits(n, monkeypatch):
+    # no kernel is generated above 6x6: the checked entry solves the matrix as a stack of one,
+    # which gives the frozen one-matrix kernel's bits
+    sizes, kernel = [], linalg._jacobi_kernel
+    monkeypatch.setattr(linalg, "_jacobi_kernel", lambda size: sizes.append(size) or kernel(size))
+    rng = np.random.default_rng(80 + n)
+    mats = [*trusted(np.array([random_hermitian(rng, n) for _ in range(5)])), trusted(one_pair(rng, n))]
+    for m in mats:
+        assert hermitian_eigenvalues(m).tobytes() == reference_eigenvalues(m, linalg._JACOBI_OFF_TOL).tobytes()
+    assert sizes == []
+
+
+def test_no_kernel_is_generated_above_six(monkeypatch):
+    # a 16x16 matrix and a dims 3 3 state's negativity take the stack route: the kernel cache
+    # gains no size, and each answer agrees with LAPACK
+    sizes, kernel = [], linalg._jacobi_kernel
+    monkeypatch.setattr(linalg, "_jacobi_kernel", lambda size: sizes.append(size) or kernel(size))
+    cached = kernel.cache_info().currsize
+    rng = np.random.default_rng(73)
+    h = random_hermitian(rng, 16)
+    assert np.max(np.abs(hermitian_eigenvalues(h) - np.linalg.eigvalsh(h))) < 1e-12
+    rho = parse_state(format_state(random_density_matrix(rng, BipartiteDims(3, 3))))
+    eigs = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims, "A"))
+    result = negativity(rho)
+    assert abs(result.min_pt_eigenvalue - eigs[0]) < 1e-12
+    assert abs(result.value - (-eigs[eigs < -SPECTRAL_TOL].sum())) < 1e-12
+    assert sizes == [] and kernel.cache_info().currsize == cached
+    for size in (0, 1, 7, 16):
+        with pytest.raises(ValueError, match="the one-matrix kernel takes 2 <= n <= 6"):
+            kernel(size)
+
+
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600], ids=["unscaled", "scaled"])
 def test_checked_entry_hands_the_kernel_the_signed_zeros_of_its_input(scale, monkeypatch):
     # the checked entry scales and symmetrizes with no complex product: a real part -0.0 beside a
@@ -425,13 +528,15 @@ def test_checked_entry_hands_the_kernel_the_signed_zeros_of_its_input(scale, mon
     # numpy's complex product by a real, (x + iy)(s + 0i), made -0.0 - 0.0 * y a +0.0 where y < 0
     m = np.array([[0.25 * scale, complex(-0.0, -0.1 * scale)], [complex(-0.0, 0.1 * scale), 0.25 * scale]])
     assert np.signbit(m.real).tolist() == [[False, True], [True, False]]
-    rows, kernel = [], linalg._jacobi_matrix
+    rows, kernel = [], linalg._jacobi_kernel
 
-    def recording_kernel(re, im, off_tol, skip_tol):
-        rows.append((np.array(re), np.array(im)))  # copied before the kernel overwrites them
-        return kernel(re, im, off_tol, skip_tol)
+    def recording_kernel(n):
+        def record(re, im, off_tol, skip_tol):
+            rows.append((np.reshape(re, (n, n)), np.reshape(im, (n, n))))
+            return kernel(n)(re, im, off_tol, skip_tol)
+        return record
 
-    monkeypatch.setattr(linalg, "_jacobi_matrix", recording_kernel)
+    monkeypatch.setattr(linalg, "_jacobi_kernel", recording_kernel)
     eigs = hermitian_eigenvalues(m)
     [(re, im)] = rows
     assert np.signbit(re).tolist() == [[False, True], [True, False]]
