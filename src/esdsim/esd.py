@@ -46,8 +46,8 @@ _CURVE_DTYPE = np.dtype([(name, float) for name in CURVE_FIELDS])
 # sweep solves this many grid points at a time, so its working memory does not grow with the grid
 _SWEEP_BLOCK = 1024
 
-# the skip rule of the full 6x6 partial transpose, off_tol / (2n), for the probe's live block
-_PROBE_SKIP_TOL = _JACOBI_OFF_TOL / (2 * QUBIT_QUTRIT.total)
+# the skip rule of the full 6x6 partial transpose, off_tol / (2n), for the live block sweep and the probe solve
+_PT_SKIP_TOL = _JACOBI_OFF_TOL / (2 * QUBIT_QUTRIT.total)
 
 # _MASK_TERMS as row lists, for _split_pt
 _TERM_ROWS = _MASK_TERMS.tolist()
@@ -78,16 +78,17 @@ class BracketError(RuntimeError):
 
 
 def _split_pt(pt: np.ndarray) -> tuple:
-    """(live, block, inert_min) of PT_A(rho0), 6 x 6: what sweep and the death-time probe read of it.
+    """(block, inert_min) of PT_A(rho0), 6 x 6: the one form of it that sweep and the death-time probe read.
 
-    live holds the ascending indices of the rows with a nonzero
-    off-diagonal entry, as a read-only intp array; block, the live block's
-    real and its imaginary parts, each a flat row-major tuple of (entry,
-    its index in _MASK_TERMS) pairs, as the one-matrix kernel reads the
-    block once the probe has masked it; inert_min, the least diagonal
-    entry of the other rows in row order, inf when every row is live. The
-    mask's diagonal is 1 and it keeps a zero a zero, so under every mask
-    an inert row keeps its diagonal entry and no other.
+    block holds the live block, the rows with a nonzero off-diagonal
+    entry and their columns: its real and its imaginary parts, each a flat
+    row-major tuple of (entry, its index in _MASK_TERMS) pairs, as the
+    one-matrix kernel reads the block once the probe has masked it;
+    inert_min, the least diagonal entry of the other rows in row order,
+    inf when every row is live. The mask's diagonal is 1 and it keeps a
+    zero a zero, so under every mask an inert row keeps its diagonal entry
+    and no other, and that entry is one of the partial transpose's
+    eigenvalues.
 
     It reads the real and imaginary rows as lists, once per Scenario: at
     6x6 a numpy call costs more than the test of an entry. A row is live
@@ -102,9 +103,7 @@ def _split_pt(pt: np.ndarray) -> tuple:
         else:
             inert.append(r[i])
     block = tuple(tuple([(part[i][j], _TERM_ROWS[i][j]) for i in live for j in live]) for part in (re, im))
-    live = np.array(live, dtype=np.intp)
-    live.setflags(write=False)
-    return live, block, min(inert, default=math.inf)
+    return block, min(inert, default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -115,16 +114,15 @@ class Scenario:
     in MULTI_LOCAL. Construction is the one check of kind (a ScenarioKind
     or its value, stored as the member), x and the rates, stored as Python
     floats plus 0.0, so that a -0.0 is kept as 0.0, and builds the x-state
-    and its read-only side-A partial transpose once, split by _split_pt
-    into what sweep and the death-time probe read: the live rows, rows
-    {2, 3} of the x-state (none at x = 0), the live block's flat entries,
-    and the least diagonal entry of the inert rows. It keeps the
-    one-matrix kernel for the live block's size, linalg._jacobi_kernel(2)
-    (None when no row is live), so that a probe calls it with no lookup;
-    a kernel is generated once per size per process, on first use. It
-    stores the rates as they act, too, which rates returns and
-    gamma_factors reads, so that a probe tests no kind; gamma_factors
-    checks t.
+    and keeps its side-A partial transpose in one form, _split_pt's, which
+    sweep and the death-time probe both read: the live block's flat
+    entries, rows {2, 3} of the x-state (none at x = 0), and the least
+    diagonal entry of the inert rows. It keeps the one-matrix kernel for
+    the live block's size, linalg._jacobi_kernel(2) (None when no row is
+    live), so that a probe calls it with no lookup; a kernel is generated
+    once per size per process, on first use. It stores the rates as they
+    act, too, which rates returns and gamma_factors reads, so that a probe
+    tests no kind; gamma_factors checks t.
     """
 
     kind: ScenarioKind
@@ -132,8 +130,6 @@ class Scenario:
     rate_a: float = 1.0
     rate_b: float = 1.0
     initial_state: DensityMatrix = field(init=False, repr=False, compare=False)
-    _initial_pt: np.ndarray = field(init=False, repr=False, compare=False)
-    _live: np.ndarray = field(init=False, repr=False, compare=False)
     _live_block: tuple = field(init=False, repr=False, compare=False)
     _inert_min: float = field(init=False, repr=False, compare=False)
     _kernel: Optional[Callable] = field(init=False, repr=False, compare=False)
@@ -142,11 +138,11 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
         object.__setattr__(self, "initial_state", ansatz_x(self.x))  # checks x
-        object.__setattr__(self, "_initial_pt", partial_transpose(self.initial_state.mat, QUBIT_QUTRIT, "A"))
-        self._initial_pt.setflags(write=False)
-        for name, part in zip(("_live", "_live_block", "_inert_min"), _split_pt(self._initial_pt)):
+        for name, part in zip(("_live_block", "_inert_min"),
+                              _split_pt(partial_transpose(self.initial_state.mat, QUBIT_QUTRIT, "A"))):
             object.__setattr__(self, name, part)
-        object.__setattr__(self, "_kernel", _jacobi_kernel(self._live.size) if self._live.size else None)
+        size = math.isqrt(len(self._live_block[0]))
+        object.__setattr__(self, "_kernel", _jacobi_kernel(size) if size else None)
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
@@ -157,7 +153,7 @@ class Scenario:
         if not math.isfinite(self.effective_rate()):
             raise ValueError(f"rate_a + rate_b must be finite, got {self.rate_a} + {self.rate_b}")
 
-    def __reduce__(self):  # a copied array comes back writable; __post_init__ builds a read-only one
+    def __reduce__(self):  # the generated kernel does not pickle; __post_init__ rebuilds the fields
         return type(self), (self.kind, self.x, self.rate_a, self.rate_b)
 
     @property
@@ -240,34 +236,28 @@ def analytic_esd_time(scenario: Scenario) -> EsdTime:
     return 2.0 * math.log(8.0 * scenario.x) / rate
 
 
-def _pt_eigenvalues(initial_pt: np.ndarray, live: np.ndarray, gamma_a, gamma_b) -> np.ndarray:
-    """Ascending side-A PT eigenvalues of rho0 dephased by arrays of factors, a row per pair of them; for sweep.
+def _pt_eigenvalues(re: np.ndarray, im: np.ndarray, terms: np.ndarray, gamma_a, gamma_b) -> np.ndarray:
+    """The live block's side-A PT eigenvalues of rho0 dephased by arrays of factors, unsorted, shape (k, L); for sweep.
 
-    initial_pt is PT_A(rho0), n x n, and live the ascending indices of its
-    rows with a nonzero off-diagonal entry. M_A is symmetric, so PT_A(rho0
-    o M) = PT_A(rho0) o M, and the planes Re(PT_A(rho0)) * M and
-    Im(PT_A(rho0)) * M are evolve's state's PT, bit for bit, for any rho0.
-    They need none of hermitian_eigenvalues' checks: an exactly Hermitian
-    rho0 gives exactly Hermitian planes, which symmetrizing changes at most
-    in the sign of a zero (see _min_pt_eigenvalue); no entry exceeds 1/4,
-    so none is scaled; and the Frobenius norm is below 0.56, so off_tol is 1e-13.
+    re, im and terms are the (L, L) real and imaginary parts of the live
+    block of PT_A(rho0) and its block of _MASK_TERMS, which it only reads.
+    M_A is symmetric, so PT_A(rho0 o M) = PT_A(rho0) o M, and the planes
+    Re(PT_A(rho0)) * M and Im(PT_A(rho0)) * M are evolve's state's PT, bit
+    for bit, for any rho0. They need none of hermitian_eigenvalues'
+    checks: an exactly Hermitian rho0 gives exactly Hermitian planes,
+    which symmetrizing changes at most in the sign of a zero (see
+    _min_pt_eigenvalue); no entry exceeds 1/4, so none is scaled; and the
+    Frobenius norm is below 0.56, so off_tol is 1e-13.
 
-    Only the live block goes to the stack kernel (rows {2, 3} of the
-    x-state; no call when none is live), with the full solve's bits: an
-    inert row stays exactly zero off the diagonal under every rotation, a
-    zero pair is skipped before its hypot, and the convergence sum only
-    gains +0.0 terms. The skip rule, r > off_tol / (2n), alone reads n, so
-    it takes the full n, not the block's. An inert row keeps its diagonal
-    entry x, as x times the mask's 1.
+    The block (rows {2, 3} of the x-state; 0 x 0 at x = 0, which gives
+    (k, 0)) goes to the stack kernel with the full solve's bits: an inert
+    row stays exactly zero off the diagonal under every rotation, a zero
+    pair is skipped before its hypot, and the convergence sum only gains
+    +0.0 terms. The skip rule alone reads n, so it takes _PT_SKIP_TOL, the
+    full 6x6's.
     """
-    n = len(initial_pt)
-    diag = np.tile(initial_pt.diagonal().real, (len(gamma_a), 1))
-    if live.size:
-        block = np.ix_(live, live)
-        mask = dephasing_mask(gamma_a, gamma_b, _MASK_TERMS[block])  # (L, L, k), entry-major
-        re, im = (part[block][..., None] * mask for part in (initial_pt.real, initial_pt.imag))
-        diag[:, live] = _jacobi_stack(re, im, _JACOBI_OFF_TOL, _JACOBI_OFF_TOL / (2 * n))
-    return np.sort(diag, axis=-1)
+    mask = dephasing_mask(gamma_a, gamma_b, terms)  # (L, L, k), entry-major
+    return _jacobi_stack(re[..., None] * mask, im[..., None] * mask, _JACOBI_OFF_TOL, _PT_SKIP_TOL)
 
 
 def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
@@ -283,15 +273,16 @@ def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
     as in _pt_eigenvalues: an inert row stays exactly zero off the
     diagonal, and the skip rule, the one rule that reads n, takes n = 6.
     The inert rows' eigenvalues are their diagonal entries, x * 1.0 = x,
-    whose least the Scenario keeps.
+    whose least the Scenario keeps; the value is min(inert least entry,
+    block eigenvalues), the rule sweep applies to its rows too.
 
     The checked route symmetrizes the same floats with no complex product,
     which for an exactly Hermitian rho0 changes at most the sign of a zero
     entry; no kernel step divides by an entry, so that reaches at most the
     sign of an exactly zero eigenvalue. It takes the sorted spectrum's
-    first entry where this takes min of the inert least entry and then
-    the block's diagonal: equal floats other than zeros have equal bits,
-    so either order, too, reaches at most the sign of a zero eigenvalue.
+    first entry where this takes the min: equal floats other than zeros
+    have equal bits, so either order, too, reaches at most the sign of a
+    zero eigenvalue.
     """
     terms = _mask_products(*scenario.gamma_factors(t))
     re_block, im_block = scenario._live_block
@@ -299,7 +290,7 @@ def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
         return scenario._inert_min
     return min(scenario._inert_min, *scenario._kernel([x * terms[j] for x, j in re_block],
                                                       [y * terms[j] for y, j in im_block],
-                                                      _JACOBI_OFF_TOL, _PROBE_SKIP_TOL))
+                                                      _JACOBI_OFF_TOL, _PT_SKIP_TOL))
 
 
 def default_bracket(scenario: Scenario) -> float:
@@ -368,6 +359,15 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
     form run side by side, batched over the grid: each row equals what
     evolve, negativity and analytic_negativity give at its time alone,
     bit for bit; the corner, x * (gamma_a * gamma_b), is the closed form's x*g(t).
+
+    It solves only the live block, as the probe does, and takes the probe's
+    rule: min_pt_eigenvalue is the least of the block's eigenvalues and the
+    inert rows' least diagonal entry, and the negativity counts the block's
+    eigenvalues alone. An inert row's eigenvalue is a diagonal entry of
+    rho0, 1/4 or 1/8 for the family and at least lambda_min(rho0) >=
+    -SPECTRAL_TOL for any valid state, so it never counts; and a 2x3
+    partial transpose has at most two negative eigenvalues (Rana, PRA 87,
+    054301, 2013), whose sum does not depend on their order.
     """
     times = np.asarray(t_grid, dtype=float)  # read only: the record array below takes its own copy
     if times.ndim != 1:
@@ -375,11 +375,14 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
     ga, gb = scenario.gamma_factors(times)
     curve = np.empty(len(times), dtype=_CURVE_DTYPE).view(np.recarray)
     curve.t, curve.gamma_a, curve.gamma_b = times, ga, gb
+    size = math.isqrt(len(scenario._live_block[0]))  # the (entry, term) pairs as (L, L) planes and terms
+    pairs = np.array(scenario._live_block).reshape(2, size, size, 2)
+    re, im, terms = *pairs[..., 0], pairs[0, ..., 1].astype(np.intp)
     for start in range(0, len(times), _SWEEP_BLOCK):
         block = slice(start, start + _SWEEP_BLOCK)
-        eigs = _pt_eigenvalues(scenario._initial_pt, scenario._live, ga[block], gb[block])
+        eigs = _pt_eigenvalues(re, im, terms, ga[block], gb[block])
         curve.negativity_numeric[block] = negativity_of_spectrum(eigs)
-        curve.min_pt_eigenvalue[block] = eigs[:, 0]
+        curve.min_pt_eigenvalue[block] = eigs.min(axis=-1, initial=scenario._inert_min)
     curve.corner = scenario.x * (ga * gb)
     curve.negativity_analytic = _closed_negativity(curve.corner)
     curve.flags.writeable = False

@@ -2,8 +2,10 @@
 
 Everything operates on plain numpy arrays of complex128 in row-major
 layout. The eigensolver is a self-contained cyclic Jacobi iteration, so
-the whole numeric path stays inspectable end to end; matrices here are
-tiny (6x6 at most).
+the whole numeric path stays inspectable end to end. The paper's
+matrices are 6x6; hermitian_eigenvalues solves any n, at a cost that
+grows fast above that (a parsed dims 8 8 state's negativity takes
+about a second).
 
 hermitian_eigenvalues is the checked entry, for one matrix: it refuses
 non-Hermitian or non-finite input, scales entries above 1e150,
@@ -21,12 +23,12 @@ matrices as two float planes, the real and the imaginary parts laid out
 k-vector; it rotates every matrix at once on them, each with its own
 rotation parameters, overwriting them, and returns the same bits as one
 call per matrix. Two callers in esdsim.esd skip the checks, and say why
-their input may: _pt_eigenvalues builds the planes of the live block of
-a sweep block's partial transposes, the rows that have an off-diagonal
-entry, for _jacobi_stack, and _min_pt_eigenvalue, the death-time probe,
-builds the same live block of one partial transpose as flat lists for
-the kernel its Scenario keeps, so that a probe makes no numpy call.
-Both pass the skip rule of the full matrix.
+their input may. Both read the live block of PT_A(rho0), the rows that
+have an off-diagonal entry, from the one split their Scenario keeps:
+_pt_eigenvalues builds its planes for a sweep block, for _jacobi_stack,
+and _min_pt_eigenvalue, the death-time probe, its flat lists for the
+kernel the Scenario keeps, so that a probe makes no numpy call. Both
+pass the skip rule of the full 6x6 matrix.
 
 Both Jacobi kernels do the same real arithmetic, one float operation at
 a time: _jacobi_kernel(n) in pure Python on local variables, one per
@@ -371,22 +373,21 @@ def _jacobi_kernel(n: int) -> Callable:
 
 
 def _jacobi_stack(re: np.ndarray, im: np.ndarray, off_tol: float, skip_tol: float) -> np.ndarray:
-    """Diagonalize k trusted n x n matrices, n >= 2, as (n, n, k) float planes; their diagonals, unsorted, shape (k, n).
+    """Diagonalize k trusted n x n matrices as (n, n, k) float planes; their diagonals, unsorted, shape (k, n).
 
     re and im are the real and imaginary parts, each entry of every
     matrix one contiguous k-vector, trusted as _jacobi_kernel's input is;
-    the kernel overwrites them. A sweep runs over the matrices not yet
+    the kernel overwrites them. A sweep rotates the matrices not yet
     converged, each with _jacobi_kernel's float operations and the same
     off_tol (Golub & Van Loan, Matrix Computations, section 8.5, with
-    per-matrix rotation parameters); a converged matrix leaves the planes
-    with its diagonal.
+    per-matrix rotation parameters); a converged matrix is left as it is,
+    so it stays converged, and the diagonals are read once none is going.
+    An n below 2 leaves nothing to rotate: 0 x 0 matrices give (k, 0).
     skip_tol is the caller's: off_tol / (2n) gives each matrix
     _jacobi_kernel's bits, and a caller that solves blocks of larger
     matrices, as esd._pt_eigenvalues does, passes the n of the larger ones.
     """
-    n, _, k = re.shape
-    diag = np.empty((k, n))
-    active = np.arange(k)
+    n = len(re)
     for _ in range(_MAX_JACOBI_SWEEPS):
         acc = 0.0
         for p in range(n - 1):
@@ -394,36 +395,35 @@ def _jacobi_stack(re: np.ndarray, im: np.ndarray, off_tol: float, skip_tol: floa
             for term in row_re * row_re + row_im * row_im:  # re^2 + im^2 of (p, q), q > p
                 acc += term
         going = ~(np.sqrt(2.0 * acc) < off_tol)
-        if not going.all():
-            diag[active] = re.diagonal()  # final for the converged rows; a later sweep rewrites the others
-            active, re, im = active[going], re[..., going], im[..., going]
-        if not active.size:
-            return diag
+        if not going.any():
+            return re.diagonal()
         for p in range(n - 1):
             for q in range(p + 1, n):
-                _jacobi_rotate_stack(re, im, p, q, skip_tol)
+                _jacobi_rotate_stack(re, im, p, q, skip_tol, going)
     raise RuntimeError("Jacobi iteration did not converge; input may be pathological")
 
 
-def _jacobi_rotate_stack(re: np.ndarray, im: np.ndarray, p: int, q: int, skip_tol: float) -> None:
-    """_jacobi_kernel's rotation of (p, q), in place, on each matrix of the (n, n, k) float planes re and im.
+def _jacobi_rotate_stack(re: np.ndarray, im: np.ndarray, p: int, q: int, skip_tol: float,
+                         going: np.ndarray | bool) -> None:
+    """_jacobi_kernel's rotation of (p, q), in place, on the going matrices of the (n, n, k) float planes re and im.
 
     Each matrix gets its own rotation, and the one skip_tol. Each float
     operation of _jacobi_kernel is one array operation here, on
     k-vectors, so no complex multiply is fused; the few more, on the 2x2
-    block's entries that the row step does not read, are overwritten. The
-    matrices whose pair is skipped are left out, and the others rotated
-    as planes of their own.
+    block's entries that the row step does not read, are overwritten.
+    going marks the matrices not yet converged (True for all). Those
+    whose pair is skipped, and the converged ones, are left out, and the
+    others rotated as planes of their own.
     """
     ar, ai = re[p, q], im[p, q]
     if not (ar.any() or ai.any()):  # a pair that is zero in every matrix: no hypot to take
         return
     r = np.hypot(ar, ai)  # libm hypot, as abs() of a Python complex; np.abs is not
-    hit = r > skip_tol
+    hit = (r > skip_tol) & going
     if not hit.all():
         if hit.any():
             sub_re, sub_im = re[..., hit], im[..., hit]
-            _jacobi_rotate_stack(sub_re, sub_im, p, q, skip_tol)
+            _jacobi_rotate_stack(sub_re, sub_im, p, q, skip_tol, True)
             re[..., hit], im[..., hit] = sub_re, sub_im
         return
     inv = 1.0 / r

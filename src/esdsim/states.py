@@ -227,7 +227,13 @@ def format_state(rho: DensityMatrix) -> str:
 
 
 def parse_state(text: str) -> DensityMatrix:
-    """Parse the plain-text matrix format and validate the result."""
+    """Parse the plain-text matrix format and validate the result.
+
+    Any `dims dA dB` header is accepted, and nothing bounds the size. Above
+    6x6, negativity solves the partial transpose through the stack kernel
+    as a stack of one, whose time grows about as n^2: about 0.06-0.07 s
+    for dims 4 4 and 1.1-1.4 s for dims 8 8 on a 2-vCPU VM.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty state text")

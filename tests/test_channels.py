@@ -1,11 +1,12 @@
 import copy
+import dataclasses
 import math
 import pickle
 
 import numpy as np
 import pytest
 
-from esdsim import channels, states
+from esdsim import channels, esd, states
 from esdsim.channels import (
     COMPLETENESS_TOL,
     IncompleteChannelError,
@@ -198,14 +199,15 @@ def test_dephasing_mask_is_its_own_partial_transpose(side):
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_scenario_keeps_the_read_only_partial_transpose_of_its_state(kind):
+    # the Scenario keeps PT_A(rho0) in one form, _split_pt's (block, inert_min): immutable tuples
+    # and a float, which every copy rebuilds unchanged, with the same kernel
     s = Scenario(kind, 0.2, 1.3, 0.7)
-    pt = s._initial_pt
-    assert pt.tobytes() == partial_transpose(s.initial_state.mat, QUBIT_QUTRIT, "A").tobytes()
-    with pytest.raises(ValueError):
-        pt[0, 0] = 1.0
-    for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-        assert copied == s and not copied._initial_pt.flags.writeable
-        assert copied._initial_pt.tobytes() == pt.tobytes()
+    split = esd._split_pt(partial_transpose(s.initial_state.mat, QUBIT_QUTRIT, "A"))
+    assert repr((s._live_block, s._inert_min)) == repr(split)
+    assert isinstance(s._live_block, tuple) and all(type(part) is tuple for part in s._live_block)
+    for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s)), dataclasses.replace(s)):
+        assert copied == s and repr((copied._live_block, copied._inert_min)) == repr(split)
+        assert copied._kernel is s._kernel
 
 
 def test_multilocal_corner_product():

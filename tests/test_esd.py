@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from esdsim import channels, esd, linalg
-from esdsim.entanglement import negativity, pt_spectrum
+from esdsim.entanglement import negativity, negativity_of_spectrum, pt_spectrum
 from esdsim.esd import (
     BracketError,
     EsdOutcome,
@@ -27,7 +27,8 @@ from esdsim.esd import (
 )
 from esdsim.esd import CURVE_FIELDS
 from esdsim.linalg import QUBIT_QUTRIT, hermitian_eigenvalues, partial_transpose
-from esdsim.states import DensityMatrix, ansatz_x, extract_corner, random_density_matrix, validate
+from esdsim.states import (JOINT_COHERENCE_SLOTS, DensityMatrix, ansatz_general, ansatz_x, extract_corner,
+                           random_density_matrix, validate)
 
 from numeric_oracles import exact_corner, exact_esd_time, random_hermitian, random_pattern_state
 
@@ -227,7 +228,7 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
     # the probe and sweep skip hermitian_eigenvalues' checks: they must give the
     # checked route's bits, on input that is exactly Hermitian with Frobenius norm <= 1;
     # both hand their kernel only the live 2x2 block, rows {2, 3}, with the skip rule of
-    # the full 6x6, and no call at x = 0
+    # the full 6x6; at x = 0 the probe makes no call and sweep hands the stack kernel a 0x0 block
     probe_inputs, blocks = [], []
     kernel, stack_kernel = esd._jacobi_kernel, esd._jacobi_stack
 
@@ -260,11 +261,11 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
                 assert esd._min_pt_eigenvalue(s, t).hex() == checked.hex(), (rate, x, t)
             grid = [*times, 0.0, *np.geomspace(1e-12, 1e12, 25), math.inf]
             curve = sweep(s, grid)
-            assert len(probe_inputs) == (2 * len(times) if x else 0) and len(blocks) == (1 if x else 0)
+            assert len(probe_inputs) == (2 * len(times) if x else 0) and len(blocks) == 1
             assert all(m.shape == (2, 2) for m in probe_inputs)
             for re, im in blocks:
                 assert re.dtype == im.dtype == np.float64
-                assert re.shape == im.shape == (2, 2, len(times) + 27)
+                assert re.shape == im.shape == ((2, 2) if x else (0, 0)) + (len(times) + 27,)
             for pts in (*probe_inputs, *(complex_stack(re, im) for re, im in blocks)):
                 assert np.array_equal(pts, np.swapaxes(pts, -1, -2).conj()), (rate, x)
                 assert np.all(np.linalg.norm(pts, axis=(-2, -1)) <= 1.0), (rate, x)
@@ -313,16 +314,39 @@ def live_block_pts():
     return pts
 
 
-def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
-    # _pt_eigenvalues solves only the live rows: off the x-family, it must give the bits of
-    # the full 6x6 stack solve, whose skip rule reads n = 6, under masks that zero live pairs
+def full_pt_solve(pt, ga, gb):
+    """The unsorted (k, 6) diagonals of the full 6x6 stack solve of pt dephased by each factor pair."""
     off_tol = linalg._JACOBI_OFF_TOL
-    masks = channels.dephasing_mask(DEFLATION_GA, DEFLATION_GB)
+    masks = channels.dephasing_mask(ga, gb)
+    return linalg._jacobi_stack(pt.real[..., None] * masks, pt.imag[..., None] * masks, off_tol, off_tol / 12)
+
+
+def sweep_stand_in(pt, ga, gb):
+    """A Scenario of the state whose PT_A is pt, as much as sweep reads; a grid of len(ga) times gets ga and gb."""
+    block, inert_min = esd._split_pt(pt)
+    return types.SimpleNamespace(x=0.0, gamma_factors=lambda times: (ga, gb), _live_block=block, _inert_min=inert_min)
+
+
+def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
+    # _pt_eigenvalues solves only the live block: off the x-family, its eigenvalues must be the live
+    # entries of the full 6x6 stack solve's diagonal, whose skip rule reads n = 6, under masks that
+    # zero live pairs, and sweep's rule must read the full spectrum's least entry and negativity
     for pt, live in live_block_pts():
-        re, im = pt.real[..., None] * masks, pt.imag[..., None] * masks
-        full = np.sort(linalg._jacobi_stack(re, im, off_tol, off_tol / 12), axis=-1)
-        got = esd._pt_eigenvalues(pt, np.array(live, dtype=int), DEFLATION_GA, DEFLATION_GB)
-        assert got.tobytes() == full.tobytes(), live
+        full = full_pt_solve(pt, DEFLATION_GA, DEFLATION_GB)
+        rows = np.ix_(live, live)
+        got = esd._pt_eigenvalues(pt.real[rows], pt.imag[rows], channels._MASK_TERMS[rows], DEFLATION_GA, DEFLATION_GB)
+        assert got.shape == (len(DEFLATION_GA), len(live))
+        assert got.tobytes() == full[:, live].tobytes(), live
+        spectrum = np.sort(full, axis=-1)
+        curve = sweep(sweep_stand_in(pt, DEFLATION_GA, DEFLATION_GB), np.zeros(len(DEFLATION_GA)))
+        assert curve.min_pt_eigenvalue.tobytes() == spectrum[:, 0].tobytes(), live
+        # sweep's negativity counts the live block alone, in its own order. That holds for the partial
+        # transpose of a valid 2x3 state (see the test below): no inert entry is below -SPECTRAL_TOL,
+        # and at most two eigenvalues are negative, whose sum does not depend on their order. The
+        # inert stand-in's -0.0625 diagonal entry, which no valid state has, counts in the full
+        # spectrum, and the dense stand-in has three negative eigenvalues: neither is checked here
+        if live and np.count_nonzero(spectrum < -linalg.SPECTRAL_TOL, axis=-1).max() <= 2:
+            assert curve.negativity_numeric.tobytes() == negativity_of_spectrum(spectrum).tobytes(), live
 
 
 def test_deflated_probe_equals_the_full_solve_bit_for_bit(monkeypatch):
@@ -343,8 +367,8 @@ def test_deflated_probe_equals_the_full_solve_bit_for_bit(monkeypatch):
 
     masks = channels.dephasing_mask(DEFLATION_GA, DEFLATION_GB)
     for pt, live in live_block_pts():
-        live_idx, block, inert_min = esd._split_pt(pt)
-        assert live_idx.tolist() == live and not live_idx.flags.writeable
+        block, inert_min = esd._split_pt(pt)
+        assert len(block[0]) == len(block[1]) == len(live) ** 2
         stand_in = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_block=block, _inert_min=inert_min,
                                          _kernel=recording_kernel(len(live)) if live else None)
         for i, pair in enumerate(zip(DEFLATION_GA.tolist(), DEFLATION_GB.tolist())):
@@ -367,11 +391,10 @@ def split_pt_oracle(pt):
     coupled = pt != 0
     np.fill_diagonal(coupled, False)
     live = np.flatnonzero(coupled.any(axis=1))
-    live.setflags(write=False)
     rows = np.ix_(live, live)
     block = tuple(tuple(zip(part[rows].ravel().tolist(), channels._MASK_TERMS[rows].ravel().tolist()))
                   for part in (pt.real, pt.imag))
-    return live, block, min(np.delete(pt.diagonal().real, live).tolist(), default=math.inf)
+    return block, min(np.delete(pt.diagonal().real, live).tolist(), default=math.inf)
 
 
 def split_pt_cases():
@@ -391,21 +414,62 @@ def split_pt_cases():
 
 
 def test_split_pt_equals_its_numpy_oracle():
-    # _split_pt reads row lists: the live rows, the live block's flat row-major entries with their
-    # term indices and the inert rows' least diagonal entry must be the numpy formulation's, bit for bit
+    # _split_pt reads row lists: the live block's flat row-major entries with their term indices
+    # and the inert rows' least diagonal entry must be the numpy formulation's, bit for bit
     def hexed(block):
         return [[(v.hex(), j) for v, j in part] for part in block]
 
     cases = split_pt_cases()
     for pt in cases:
-        live, block, inert_min = esd._split_pt(pt)
-        ref_live, ref_block, ref_min = split_pt_oracle(pt)
-        assert live.dtype == np.intp and not live.flags.writeable
-        assert live.tolist() == ref_live.tolist()
+        block, inert_min = esd._split_pt(pt)
+        ref_block, ref_min = split_pt_oracle(pt)
+        assert all(type(part) is tuple for part in block)
         assert hexed(block) == hexed(ref_block)
         assert type(inert_min) is float and inert_min.hex() == ref_min.hex()
-    # -0.0 is a zero and NaN is not: no row of the signed zeros is live, and the rows with a NaN are
-    assert esd._split_pt(cases[-2])[0].tolist() == [] and esd._split_pt(cases[-1])[0].tolist() == [2, 4]
+    # -0.0 is a zero and NaN is not: no row of the signed zeros is live, and the rows with a NaN are,
+    # whose block holds the mask terms of rows and columns {2, 4}
+    assert esd._split_pt(cases[-2])[0] == ((), ())
+    nan_terms = [[j for _, j in part] for part in esd._split_pt(cases[-1])[0]]
+    assert nan_terms == [channels._MASK_TERMS[np.ix_([2, 4], [2, 4])].ravel().tolist()] * 2
+
+
+def test_sweep_and_probe_rule_equals_the_full_spectrum_on_states_with_inert_rows():
+    # sweep and the probe read lambda_min as min(inert least entry, live block) and the negativity
+    # off the live block alone. For valid 2x3 states with inert rows, the x-family and jointly
+    # coherent states with some coherences zero, both must be the full 6x6 solve's, bit for bit,
+    # at every factor pair; one state's inert least entry lies below all of its block's eigenvalues
+    states = [ansatz_x(x) for x in (0.125, 0.2, 0.25)]
+    # coherence (1, 3) alone: PT_A couples rows {0, 4}, diagonal 0.3, around inert rows down to 0.05
+    states.append(ansatz_general([0.3, 0.05, 0.1, 0.1, 0.3, 0.15], [0.0, 0.0, 0.05, 0.0, 0.0, 0.0]))
+    rng = np.random.default_rng(29)
+    for zeros in ([0, 2, 3, 4, 5], [1, 3, 5], [0, 1], [1, 3, 4, 5]):  # four, one, one and two rows inert
+        rho = random_pattern_state(rng)
+        coherences = [rho.mat[i, j].real for i, j in JOINT_COHERENCE_SLOTS]
+        states.append(ansatz_general(rho.mat.diagonal().real, [0.0 if k in zeros else c
+                                                               for k, c in enumerate(coherences)]))
+    # coherences (0, 5) and (2, 4): an entangled live block on rows {1, 2, 3, 5}
+    states.append(ansatz_general([0.25, 0.1, 0.1, 0.1, 0.1, 0.35], [0.0, 0.2, 0.0, 0.0, 0.0, 0.05]))
+    ga, gb = (np.concatenate([factors, deflation]) for factors, deflation
+              in zip(zip(*GENERAL_PAIRS), (DEFLATION_GA, DEFLATION_GB)))
+    entangled = inert_below = False
+    for rho in states:
+        pt = partial_transpose(rho.mat, QUBIT_QUTRIT, "A")
+        stand_in = sweep_stand_in(pt, ga, gb)
+        size = math.isqrt(len(stand_in._live_block[0]))
+        assert 0 < size < 6 and stand_in._inert_min < math.inf
+        solved = full_pt_solve(pt, ga, gb)
+        full = np.sort(solved, axis=-1)
+        curve = sweep(stand_in, np.zeros(len(ga)))
+        assert curve.min_pt_eigenvalue.tobytes() == full[:, 0].tobytes()
+        assert curve.negativity_numeric.tobytes() == negativity_of_spectrum(full).tobytes()
+        probe = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_block=stand_in._live_block,
+                                      _inert_min=stand_in._inert_min, _kernel=linalg._jacobi_kernel(size))
+        for i, pair in enumerate(zip(ga.tolist(), gb.tolist())):
+            assert esd._min_pt_eigenvalue(probe, pair).hex() == full[i, 0].hex(), pair
+        entangled |= bool(curve.negativity_numeric.any())
+        live = np.flatnonzero((pt - np.diag(pt.diagonal())).any(axis=1))
+        inert_below |= bool((stand_in._inert_min < solved[:, live].min(axis=-1)).any())
+    assert entangled and inert_below
 
 
 #: Factor pairs whose masks zero some entries, (0, 0) all off the diagonal, and two that zero none.
@@ -421,8 +485,8 @@ def test_every_route_dephases_a_general_state_with_the_same_floats(seed, monkeyp
     mat = random_density_matrix(np.random.default_rng(seed)).mat
     rho0 = DensityMatrix(0.5 * (mat + mat.conj().T), QUBIT_QUTRIT)  # exactly Hermitian
     pt = partial_transpose(rho0.mat, QUBIT_QUTRIT, "A")
-    live, live_block, inert_min = esd._split_pt(pt)
-    assert live.tolist() == list(range(6)) and inert_min == math.inf
+    live_block, inert_min = esd._split_pt(pt)
+    assert len(live_block[0]) == 36 and inert_min == math.inf
     rows, planes = [], []
     matrix_kernel, stack_kernel = linalg._jacobi_kernel(6), esd._jacobi_stack
 
@@ -434,12 +498,12 @@ def test_every_route_dephases_a_general_state_with_the_same_floats(seed, monkeyp
         planes.append((re.copy(), im.copy()))  # copied before the kernel overwrites them
         return stack_kernel(re, im, off_tol, skip_tol)
 
-    stand_in = types.SimpleNamespace(  # a Scenario of rho0, as much as evolve and the probe read
-        initial_state=rho0, gamma_factors=lambda pair: pair, _live_block=live_block, _inert_min=inert_min,
-        _kernel=record_rows)
-    monkeypatch.setattr(esd, "_jacobi_stack", record_planes)
     ga, gb = (np.array(factors) for factors in zip(*GENERAL_PAIRS))
-    esd._pt_eigenvalues(pt, np.arange(6), ga, gb)
+    stand_in = types.SimpleNamespace(  # a Scenario of rho0, as much as evolve, the probe and sweep read
+        x=0.0, initial_state=rho0, _live_block=live_block, _inert_min=inert_min, _kernel=record_rows,
+        gamma_factors=lambda t: (ga, gb) if isinstance(t, np.ndarray) else t)  # the sweep's times are ignored
+    monkeypatch.setattr(esd, "_jacobi_stack", record_planes)
+    sweep(stand_in, np.zeros(len(GENERAL_PAIRS)))
     [(re_planes, im_planes)] = planes
     for i, pair in enumerate(GENERAL_PAIRS):
         esd._min_pt_eigenvalue(stand_in, pair)

@@ -377,8 +377,9 @@ def test_stack_eigenvalues_match_eigvalsh_and_single_calls(kinds):
 
 @pytest.mark.parametrize("read_only", [False, True])
 def test_kernels_overwrite_their_input_and_the_entries_only_read_theirs(read_only):
-    # hermitian_eigenvalues and esd._pt_eigenvalues only read their matrix, and the one-matrix
-    # kernel its flat rows; the stack kernel overwrites the float planes its callers build afresh
+    # hermitian_eigenvalues and esd._pt_eigenvalues only read their matrix (the latter its real and
+    # imaginary planes), and the one-matrix kernel its flat rows; the stack kernel overwrites the
+    # float planes its callers build afresh
     rng = np.random.default_rng(26)
     off_tol = linalg._JACOBI_OFF_TOL
     m = trusted(random_hermitian(rng, 6))
@@ -407,10 +408,11 @@ def test_kernels_overwrite_their_input_and_the_entries_only_read_theirs(read_onl
     pt.flags.writeable = not read_only
     before = pt.copy()
     ga, gb = np.array([1.0, 0.6, 0.0]), np.array([1.0, 0.3, 0.5])
-    eigs = esd._pt_eigenvalues(pt, np.arange(6), ga, gb)
+    eigs = esd._pt_eigenvalues(pt.real, pt.imag, channels._MASK_TERMS, ga, gb)  # every row taken as live
     assert pt.tobytes() == before.tobytes()
+    assert eigs.shape == (3, 6)
     masked = before * np.moveaxis(channels.dephasing_mask(ga, gb), -1, 0)
-    assert np.max(np.abs(eigs - np.linalg.eigvalsh(masked))) < 1e-12
+    assert np.max(np.abs(np.sort(eigs, axis=-1) - np.linalg.eigvalsh(masked))) < 1e-12
 
 
 def signed_zero_pair():
