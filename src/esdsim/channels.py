@@ -41,6 +41,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import QUBIT_QUTRIT
+from .scalar import _TERM_ROWS, _mask_products, decay_factor
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-12
@@ -48,18 +49,6 @@ COMPLETENESS_TOL = 1e-12
 
 class IncompleteChannelError(ValueError):
     """Kraus operators do not sum to the identity within tolerance."""
-
-
-def decay_factor(rate: float, t: float) -> float:
-    """gamma(t) = exp(-t * rate / 2), exactly 1 when rate or t is 0.
-
-    rate and t are taken as Python floats first, so a numpy float32 or
-    float16 computes in float64 too. It checks neither: Scenario checks
-    the rate and gamma_factors the time, and the Kraus builders check the
-    gamma they are given.
-    """
-    rate, t = float(rate), float(t)
-    return 1.0 if rate == 0.0 else math.exp(-0.5 * t * rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,22 +106,10 @@ def dephasing_qutrit(gamma: float) -> KrausChannel:
 
 
 # dephasing_mask gathers each entry of M_A(ga) (x) M_B(gb) from its one product in
-# (1, ga, gb, gb^2, ga*gb, ga*gb^2): a qubit exponent in {0, 1} (rows) times a
-# qutrit exponent in {0, 1, 2} (columns) picks the term.
-_MASK_TERMS = np.array([[0, 2, 3], [1, 4, 5]])[
-    np.array([[0, 1], [1, 0]])[:, None, :, None], np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]])[None, :, None, :]
-].reshape(6, 6)
+# (1, ga, gb, gb^2, ga*gb, ga*gb^2), _mask_products': a qubit exponent in {0, 1}
+# times a qutrit exponent in {0, 1, 2} picks the term (scalar._TERM_ROWS).
+_MASK_TERMS = np.array(_TERM_ROWS)
 _MASK_TERMS.flags.writeable = False
-
-
-def _mask_products(gamma_a, gamma_b) -> tuple:
-    """The six products (1.0, ga, gb, gb^2, ga*gb, ga*gb^2) that _MASK_TERMS indexes, one rounding each.
-
-    dephasing_mask takes them of float arrays and esd's death-time probe
-    of Python floats, which round alike.
-    """
-    gb2 = gamma_b * gamma_b
-    return 1.0, gamma_a, gamma_b, gb2, gamma_a * gamma_b, gamma_a * gb2
 
 
 def dephasing_mask(gamma_a, gamma_b, terms: np.ndarray = _MASK_TERMS) -> np.ndarray:

@@ -6,6 +6,11 @@ dump-state writes the evolved state in the plain-text matrix format.
 Exit codes: 0 success, 1 usage error, no death time found in the
 esd-time search window or a curve too large to allocate, 2 selfcheck
 failure, 3 I/O error on --out or stdout.
+
+Only curve, dump-state and selfcheck load numpy, on their first run in
+a process: esd-time, --help and a usage error run on esdsim.scalar
+alone, which imports none, so an `esd esd-time` process starts in about
+half the time (see the README).
 """
 
 from __future__ import annotations
@@ -16,11 +21,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .esd import (CURVE_FIELDS, BracketError, EsdOutcome, Scenario, ScenarioKind, analytic_esd_time, evolve,
-                  numeric_esd_time, sweep)
-from .states import format_state
+from .scalar import CURVE_FIELDS, BracketError, EsdOutcome, Scenario, ScenarioKind, analytic_esd_time, numeric_esd_time
 
 MODES = ("curve", "esd-time", "selfcheck", "dump-state")
 
@@ -64,6 +65,16 @@ def _build_parser() -> _Parser:
     parser.add_argument("--steps", type=int, default=101, help="grid points incl. endpoints (default: 101)")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     return parser
+
+
+@functools.cache  # on the first run of a mode that builds arrays, not at import
+def _array_modules() -> tuple:
+    """numpy, esdsim.esd and esdsim.states, for curve and dump-state."""
+    import numpy
+
+    from . import esd, states
+
+    return numpy, esd, states
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -114,14 +125,16 @@ def run(config: argparse.Namespace) -> int:
         passed, lines = selfcheck.run()
         return _emit("\n".join(lines) + "\n", config.out) or (0 if passed else 2)
     if config.mode == "dump-state":
-        return _emit(format_state(evolve(scenario, config.t_max)), config.out)
+        _, esd, states = _array_modules()
+        return _emit(states.format_state(esd.evolve(scenario, config.t_max)), config.out)
     if config.mode == "curve":
+        np, esd, _ = _array_modules()
         try:
             try:
                 t_grid = np.linspace(0.0, config.t_max, config.steps)
             except ValueError as exc:  # numpy refuses a grid past its own size limit before allocating
                 raise MemoryError(exc) from None
-            csv = render_csv(sweep(scenario, t_grid))
+            csv = render_csv(esd.sweep(scenario, t_grid))
         except MemoryError as exc:  # a --steps grid beyond what can be allocated
             print(f"esd: cannot allocate the {config.steps}-point curve: {exc}", file=sys.stderr)
             return 1

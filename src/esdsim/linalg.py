@@ -15,19 +15,23 @@ norm, then solves the copy and sorts the diagonal. Up to 6x6, the size
 of the paper's system, it passes the copy's flat row-major real and
 imaginary parts as lists to the one-matrix kernel _jacobi_kernel(n), a
 pure-Python function generated for that n on first use, which only
-reads them. Above 6x6 it hands the copy to the stack kernel as a stack
+reads them. The generator lives in esdsim.scalar, the package's
+numpy-free half, beside SPECTRAL_TOL, _JACOBI_OFF_TOL and
+_MAX_JACOBI_SWEEPS, so that a death-time probe runs without numpy;
+this module imports those names from there. Above 6x6 it hands the copy to the stack kernel as a stack
 of one, with the same bits, so that no kernel is generated whose source
 grows as n^3. The stack kernel, _jacobi_stack, takes a stack of k
 matrices as two float planes, the real and the imaginary parts laid out
 (n, n, k), so that each entry of every matrix is one contiguous
 k-vector; it rotates every matrix at once on them, each with its own
 rotation parameters, overwriting them, and returns the same bits as one
-call per matrix. Two callers in esdsim.esd skip the checks, and say why
-their input may. Both read the live block of PT_A(rho0), the rows that
-have an off-diagonal entry, from the one split their Scenario keeps:
-_pt_eigenvalues builds its planes for a sweep block, for _jacobi_stack,
-and _min_pt_eigenvalue, the death-time probe, its flat lists for the
-kernel the Scenario keeps, so that a probe makes no numpy call. Both
+call per matrix. Two callers skip the checks, and say why their input
+may. Both read the live block of PT_A(rho0), the rows that have an
+off-diagonal entry, from the one split their Scenario keeps:
+esd._pt_eigenvalues builds its planes for a sweep block, for
+_jacobi_stack, and scalar._min_pt_eigenvalue, the death-time probe, its
+flat lists for the kernel the Scenario keeps, so that a probe makes no
+numpy call. Both
 pass the skip rule of the full 6x6 matrix.
 
 Both Jacobi kernels do the same real arithmetic, one float operation at
@@ -74,20 +78,16 @@ eigensolver, it calls no LAPACK routine.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-# Structural checks (Hermiticity, trace) are held to 1e-12; anything
-# that passes through the eigensolver is compared at 1e-10.
-HERMITIAN_TOL = 1e-12
-SPECTRAL_TOL = 1e-10
+from .scalar import _JACOBI_OFF_TOL, _MAX_JACOBI_SWEEPS, SPECTRAL_TOL, _jacobi_kernel
 
-_JACOBI_OFF_TOL = 1e-13
-_MAX_JACOBI_SWEEPS = 60
+# Structural checks (Hermiticity, trace) are held to 1e-12; anything
+# that passes through the eigensolver is compared at SPECTRAL_TOL, 1e-10.
+HERMITIAN_TOL = 1e-12
 # Entries above this are scaled by a power of two first, so that the
 # squared norms cannot overflow.
 _JACOBI_SCALE_LIMIT = 1e150
@@ -271,105 +271,6 @@ def _cholesky_certifies(mat: np.ndarray) -> bool:
         li.append(math.sqrt(d))
         factor.append(li)
     return True
-
-
-# _jacobi_kernel's source for the rotation of the pair (p, q), at the depth of its sweep loop's body,
-# with {others} holding _JACOBI_OTHER once for each other row k, in ascending order; r{i}_{j} and
-# i{i}_{j} are the real and imaginary parts of entry (i, j). abs(complex(...)) is libm's hypot, as
-# np.hypot in the stack kernel, and t the smaller root of t^2 + 2 tau t - 1 = 0, the numerically
-# stable choice. _JACOBI_OTHER updates columns p and q of row k and their conjugates in rows p and
-# q, keeping in xr, xi and yr only the old entries it reads after overwriting them, so that the
-# source stays as small as it can. Then the column step runs on rows p and q only where the row step
-# reads it, (p, p) and (p, q) of row p and all of (q, p) and (q, q), and the row step on the 2x2
-# block keeps only the real diagonal: s * phase = conj(S), c * phase = conj(C).
-_JACOBI_PAIR = """\
-        if r{p}_{q} or i{p}_{q}:
-            r = abs(complex(r{p}_{q}, i{p}_{q}))
-            if r > skip_tol:
-                inv = 1.0 / r
-                phr = r{p}_{q} * inv
-                phi = i{p}_{q} * inv
-                tau = (r{q}_{q} - r{p}_{p}) / (2.0 * r)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + sqrt(1.0 + tau * tau))
-                c = 1.0 / sqrt(1.0 + t * t)
-                s = t * c
-                sr = s * phr
-                si = -(s * phi)
-                cr = c * phr
-                ci = -(c * phi)
-{others}\
-                ppr = c * r{p}_{p} - (sr * r{p}_{q} - si * i{p}_{q})
-                pqr = s * r{p}_{p} + (cr * r{p}_{q} - ci * i{p}_{q})
-                qpr = c * r{q}_{p} - (sr * r{q}_{q} - si * i{q}_{q})
-                qpi = c * i{q}_{p} - (sr * i{q}_{q} + si * r{q}_{q})
-                qqr = s * r{q}_{p} + (cr * r{q}_{q} - ci * i{q}_{q})
-                qqi = s * i{q}_{p} + (cr * i{q}_{q} + ci * r{q}_{q})
-                r{p}_{p} = c * ppr - (sr * qpr + si * qpi)
-                r{q}_{q} = s * pqr + (cr * qqr + ci * qqi)
-                r{p}_{q} = i{p}_{q} = r{q}_{p} = i{q}_{p} = 0.0
-"""
-_JACOBI_OTHER = """\
-                xr = r{k}_{p}
-                xi = i{k}_{p}
-                r{k}_{p} = r{p}_{k} = c * xr - (sr * r{k}_{q} - si * i{k}_{q})
-                i{k}_{p} = c * xi - (sr * i{k}_{q} + si * r{k}_{q})
-                i{p}_{k} = -i{k}_{p}
-                yr = r{k}_{q}
-                r{k}_{q} = r{q}_{k} = s * xr + (cr * yr - ci * i{k}_{q})
-                i{k}_{q} = s * xi + (cr * i{k}_{q} + ci * yr)
-                i{q}_{k} = -i{k}_{q}
-"""
-
-
-@functools.cache
-def _jacobi_kernel(n: int) -> Callable:
-    """The one-matrix Jacobi kernel for n x n, 2 <= n <= 6, generated and compiled on first use.
-
-    It is kernel(re, im, off_tol, skip_tol) -> the diagonal, unsorted, as
-    a list: re and im are the real and imaginary parts of one trusted
-    matrix, each a flat row-major sequence of n * n floats, which it only
-    reads. Trusted, not checked: exactly Hermitian, entries far below
-    1e150, as hermitian_eigenvalues leaves it. The matrix lives in local
-    variables, one per real or imaginary part of an entry, and one sweep
-    is written out pair by pair: at 6x6, numpy's per-call overhead, and
-    list subscripts, would cost more than the arithmetic. It does the
-    module docstring's float operations in its order, and
-    _jacobi_rotate_stack's: the rotation, the skip rule, with an exactly
-    zero pair skipped before its hypot, which is 0 and so not above
-    skip_tol, and the stopping rule, whose sum runs over the pairs in
-    row-major order (with no leading 0.0: a term x^2 + y^2 is never -0.0,
-    so 0.0 + term is term). It reads _MAX_JACOBI_SWEEPS when called.
-    skip_tol is the caller's, as _jacobi_stack's is: off_tol / (2n) for
-    the matrix itself, or the n of a larger matrix whose live block this
-    is, as esd._min_pt_eigenvalue passes.
-
-    The source grows as n^3, and so do its compile time and peak memory
-    (about 15 ms and 3 MB at n = 6, 2 vCPU), so no size above
-    QUBIT_QUTRIT's is made: hermitian_eigenvalues solves a larger matrix
-    as a stack of one.
-    """
-    if not 2 <= n <= QUBIT_QUTRIT.total:
-        raise ValueError(f"the one-matrix kernel takes 2 <= n <= {QUBIT_QUTRIT.total}, got {n}")
-    entries = [(i, j) for i in range(n) for j in range(n)]
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    lines = [
-        f"def _jacobi_{n}x{n}(re, im, off_tol, skip_tol):",
-        "    " + ", ".join(f"r{i}_{j}" for i, j in entries) + " = re",
-        "    " + ", ".join(f"i{i}_{j}" for i, j in entries) + " = im",
-        "    sqrt = math.sqrt",
-        "    for _ in range(_MAX_JACOBI_SWEEPS):",
-        "        if sqrt(2.0 * (" + " + ".join(f"(r{p}_{q} * r{p}_{q} + i{p}_{q} * i{p}_{q})" for p, q in pairs)
-        + ")) < off_tol:",
-        "            return [" + ", ".join(f"r{i}_{i}" for i in range(n)) + "]",
-        *(_JACOBI_PAIR.format(p=p, q=q, others="".join(_JACOBI_OTHER.format(k=k, p=p, q=q)
-                                                       for k in range(n) if k != p and k != q))
-          for p, q in pairs),
-        "    raise RuntimeError('Jacobi iteration did not converge; input may be pathological')",
-    ]
-    namespace = {}
-    # linalg's globals, so that the kernel reads _MAX_JACOBI_SWEEPS when it runs
-    exec(compile("\n".join(lines), f"<jacobi kernel {n}x{n}>", "exec"), globals(), namespace)
-    return namespace[f"_jacobi_{n}x{n}"]
 
 
 def _jacobi_stack(re: np.ndarray, im: np.ndarray, off_tol: float, skip_tol: float) -> np.ndarray:

@@ -1,0 +1,472 @@
+"""The pure-Python half of esdsim: everything a death time runs, with no numpy import.
+
+`esd esd-time` runs on this module alone, so its process never loads
+numpy (about 0.1 s of a 0.15 s start-up). It holds:
+
+- the family's Scenario, which builds the x-state's side-A partial
+  transpose as row lists and keeps it split (_split_rows);
+- the death-time route: the probe (_min_pt_eigenvalue), Illinois
+  regula falsi (numeric_esd_time) and the closed form (analytic_esd_time);
+- the decay factor and the six products that the dephasing mask gathers;
+- the generator of the one-matrix Jacobi kernel, _jacobi_kernel(n), which
+  linalg's checked entry calls too; the kernel's float operations are set
+  out in the linalg module docstring.
+
+esdsim.esd, channels, linalg and states import these names and keep
+them under their old names; the numpy routes (sweep, evolve, the mask
+arrays, the stack kernel) stay there. Nothing here imports numpy:
+Scenario.gamma_factors takes an array of times only from a caller that
+has loaded numpy, and Scenario.initial_state, a DensityMatrix, is built
+on first read.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+import sys
+from dataclasses import dataclass, field
+from functools import cache, cached_property
+from typing import Callable, Optional, Union
+
+# anything that passes through the eigensolver is compared at 1e-10
+SPECTRAL_TOL = 1e-10
+
+_JACOBI_OFF_TOL = 1e-13
+_MAX_JACOBI_SWEEPS = 60
+
+#: Fixed diagonal of the one-parameter family.
+ANSATZ_DIAGONAL = (0.25, 0.125, 0.125, 0.125, 0.125, 0.25)
+
+#: Largest corner coherence compatible with positivity of that diagonal.
+ANSATZ_X_MAX = 0.25
+
+#: The slot carrying the one-parameter family's single coherence.
+CORNER_SLOT = (0, 5)
+
+#: Corner values at or below 1/8 never produce entanglement.
+ENTANGLEMENT_THRESHOLD_X = 0.125
+
+#: The columns of a sampled curve, in CSV order; the record array sweep returns has one float field each.
+CURVE_FIELDS = ("t", "gamma_a", "gamma_b", "corner", "negativity_numeric", "negativity_analytic",
+                "min_pt_eigenvalue")
+
+_EPS = sys.float_info.epsilon
+_MAX_ROOT_ITERATIONS = 200
+
+# the qubit-qutrit composite's size, 2 x 3: the largest one-matrix kernel, and the n of the skip rule below
+_DIM_A, _DIM_B = 2, 3
+_N = _DIM_A * _DIM_B
+
+# the skip rule of the full 6x6 partial transpose, off_tol / (2n), for the live block sweep and the probe solve
+_PT_SKIP_TOL = _JACOBI_OFF_TOL / (2 * _N)
+
+# _TERM_ROWS[i][j] is the index in _mask_products' six products of entry (i, j) of M_A(ga) (x) M_B(gb): a
+# qubit exponent in {0, 1} (rows of ((0, 2, 3), (1, 4, 5))) times a qutrit exponent in {0, 1, 2} (columns)
+_QUBIT_EXPONENTS = ((0, 1), (1, 0))
+_QUTRIT_EXPONENTS = ((0, 1, 1), (1, 0, 2), (1, 2, 0))
+_TERM_ROWS = [[((0, 2, 3), (1, 4, 5))[_QUBIT_EXPONENTS[i // _DIM_B][j // _DIM_B]]
+               [_QUTRIT_EXPONENTS[i % _DIM_B][j % _DIM_B]] for j in range(_N)] for i in range(_N)]
+
+# PT_A[(a, b), (a', b')] = rho[(a', b), (a, b')], with index i = 3a + b: the (row, column) of rho for each entry
+_PT_A_INDEX = tuple(tuple((_DIM_B * (j // _DIM_B) + i % _DIM_B, _DIM_B * (i // _DIM_B) + j % _DIM_B)
+                          for j in range(_N)) for i in range(_N))
+
+
+def decay_factor(rate: float, t: float) -> float:
+    """gamma(t) = exp(-t * rate / 2), exactly 1 when rate or t is 0.
+
+    rate and t are taken as Python floats first, so a numpy float32 or
+    float16 computes in float64 too. It checks neither: Scenario checks
+    the rate and gamma_factors the time, and the Kraus builders check the
+    gamma they are given.
+    """
+    rate, t = float(rate), float(t)
+    return 1.0 if rate == 0.0 else math.exp(-0.5 * t * rate)
+
+
+def _mask_products(gamma_a, gamma_b) -> tuple:
+    """The six products (1.0, ga, gb, gb^2, ga*gb, ga*gb^2) that _TERM_ROWS indexes, one rounding each.
+
+    channels.dephasing_mask takes them of float arrays and the death-time
+    probe of Python floats, which round alike.
+    """
+    gb2 = gamma_b * gamma_b
+    return 1.0, gamma_a, gamma_b, gb2, gamma_a * gamma_b, gamma_a * gb2
+
+
+class ScenarioKind(enum.Enum):
+    QUBIT_ONLY = "qubit"
+    QUTRIT_ONLY = "qutrit"
+    MULTI_LOCAL = "multilocal"
+
+
+class EsdOutcome(enum.Enum):
+    """Non-numeric death-time results."""
+
+    NEVER_ENTANGLED = "never-entangled"
+    NO_DEATH = "no-death"
+
+
+EsdTime = Union[float, EsdOutcome]
+
+
+class BracketError(RuntimeError):
+    """The death-time search has no usable window or did not converge.
+
+    Raised when no noise acts, when the default window overflows to
+    infinity, or when the root finder hits its iteration cap.
+    """
+
+
+def _x_state_rows(x) -> list:
+    """The x-state's real parts as six row lists; its imaginary parts are all +0.0.
+
+    Diagonal ANSATZ_DIAGONAL; the only off-diagonal entries are x + 0.0
+    (so a -0.0 is stored as 0.0), taken in float64, at CORNER_SLOT and its
+    mirror. Any x outside [0, ANSATZ_X_MAX] raises ValueError: the one
+    check of x, made when a Scenario is built and by states.ansatz_x.
+    """
+    if not 0.0 <= x <= ANSATZ_X_MAX:
+        raise ValueError(f"x must lie in the positivity range [0, {ANSATZ_X_MAX}], got {x}")
+    rows = [[d if i == j else 0.0 for j in range(_N)] for i, d in enumerate(ANSATZ_DIAGONAL)]
+    i, j = CORNER_SLOT
+    rows[i][j] = rows[j][i] = float(x + 0.0)
+    return rows
+
+
+def _pt_a_rows(rows) -> list:
+    """The side-A partial transpose of a 2x3 matrix given as six row lists, as linalg.partial_transpose maps it."""
+    return [[rows[r][c] for r, c in index_row] for index_row in _PT_A_INDEX]
+
+
+def _split_rows(re, im) -> tuple:
+    """(block, inert_min) of PT_A(rho0), 6 x 6 real and imaginary row lists: the form sweep and the probe read.
+
+    block holds the live block, the rows with a nonzero off-diagonal
+    entry and their columns: its real and its imaginary parts, each a flat
+    row-major tuple of (entry, its index in _TERM_ROWS) pairs, as the
+    one-matrix kernel reads the block once the probe has masked it;
+    inert_min, the least diagonal entry of the other rows in row order,
+    inf when every row is live. The mask's diagonal is 1 and it keeps a
+    zero a zero, so under every mask an inert row keeps its diagonal entry
+    and no other, and that entry is one of the partial transpose's
+    eigenvalues.
+
+    It reads the lists once per Scenario: at 6x6 a numpy call costs more
+    than the test of an entry. A row is live when an off-diagonal entry's
+    part is true, as pt != 0 tests it: -0.0 is a zero and NaN is not.
+    """
+    live, inert = [], []
+    for i, (r, m) in enumerate(zip(re, im)):
+        if any(r[:i]) or any(r[i + 1:]) or any(m[:i]) or any(m[i + 1:]):
+            live.append(i)
+        else:
+            inert.append(r[i])
+    block = tuple(tuple([(part[i][j], _TERM_ROWS[i][j]) for i in live for j in live]) for part in (re, im))
+    return block, min(inert, default=math.inf)
+
+
+# the x-state's imaginary rows, and so those of its partial transpose: every entry +0.0; only read
+_ZERO_ROWS = [[0.0] * _N] * _N
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Which subsystems are noisy, the initial corner x, and the rates.
+
+    rate_a is ignored by QUTRIT_ONLY and rate_b by QUBIT_ONLY; both act
+    in MULTI_LOCAL. Construction is the one check of kind (a ScenarioKind
+    or its value, stored as the member), x and the rates, stored as Python
+    floats plus 0.0, so that a -0.0 is kept as 0.0. It builds the
+    x-state's side-A partial transpose as row lists, by the index map
+    PT_A[(a, b), (a', b')] = rho[(a', b), (a, b')], and keeps it in one
+    form, _split_rows's, which sweep and the death-time probe both read:
+    the live block's flat entries, rows {2, 3} of the x-state (none at
+    x = 0), and the least diagonal entry of the inert rows. It keeps the
+    one-matrix kernel for the live block's size, _jacobi_kernel(2) (None
+    when no row is live), so that a probe calls it with no lookup; a
+    kernel is generated once per size per process, on first use. It
+    stores the rates as they act, too, which rates returns and
+    gamma_factors reads, so that a probe tests no kind; gamma_factors
+    checks t. None of this imports numpy. initial_state, the x-state as a
+    DensityMatrix, which evolve reads, is built on first read.
+    """
+
+    kind: ScenarioKind
+    x: float
+    rate_a: float = 1.0
+    rate_b: float = 1.0
+    _live_block: tuple = field(init=False, repr=False, compare=False)
+    _inert_min: float = field(init=False, repr=False, compare=False)
+    _kernel: Optional[Callable] = field(init=False, repr=False, compare=False)
+    _rates: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
+        pt = _pt_a_rows(_x_state_rows(self.x))  # checks x
+        for name, part in zip(("_live_block", "_inert_min"), _split_rows(pt, _ZERO_ROWS)):
+            object.__setattr__(self, name, part)
+        size = math.isqrt(len(self._live_block[0]))
+        object.__setattr__(self, "_kernel", _jacobi_kernel(size) if size else None)
+        for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
+            if not math.isfinite(rate) or rate < 0.0:
+                raise ValueError(f"{name} must be finite and >= 0, got {rate}")
+        for name in ("x", "rate_a", "rate_b"):  # checked above, so a str has raised TypeError
+            object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
+        object.__setattr__(self, "_rates", (0.0 if self.kind is ScenarioKind.QUTRIT_ONLY else self.rate_a,
+                                            0.0 if self.kind is ScenarioKind.QUBIT_ONLY else self.rate_b))
+        if not math.isfinite(self.effective_rate()):
+            raise ValueError(f"rate_a + rate_b must be finite, got {self.rate_a} + {self.rate_b}")
+
+    def __reduce__(self):  # the generated kernel does not pickle; __post_init__ rebuilds the fields
+        return type(self), (self.kind, self.x, self.rate_a, self.rate_b)
+
+    @cached_property
+    def initial_state(self):
+        """The x-state as a read-only DensityMatrix, states.ansatz_x(x), built on first read and kept."""
+        from .states import ansatz_x  # numpy: only evolve and the tests read it
+
+        return ansatz_x(self.x)
+
+    @property
+    def rates(self) -> tuple:
+        """(rate_a, rate_b) as they act: an idle side's rate is 0.0."""
+        return self._rates
+
+    def effective_rate(self) -> float:
+        """Sum of the rates that actually act in this scenario."""
+        return sum(self.rates)
+
+    def gamma_factors(self, t) -> tuple:
+        """(gamma_a, gamma_b) at time t >= 0 (else ValueError); rate 0 keeps factor 1.
+
+        For a numpy array of times the factors are arrays of its shape,
+        each entry bit-equal to decay_factor's for that time alone, and
+        every entry is checked. A time of any float type is taken in
+        float64. An array comes from a caller that has loaded numpy, so
+        this reaches for numpy only then, in sys.modules.
+        """
+        rate_a, rate_b = self._rates
+        np = None if isinstance(t, float) else sys.modules.get("numpy")
+        if np is not None and isinstance(t, np.ndarray) and t.ndim:
+            bad = ~(t >= 0.0)
+            if bad.any():
+                raise ValueError(f"t must be >= 0, got {t[bad][0]}")
+            # decay_factor's exp(-0.5 * t * rate), its product rounded as Python rounds it: it may
+            # overflow to -inf, whose exp is 0.0, and at t = 0 it is a zero, whose exp is 1.0. An
+            # idle side gets ones. math.exp runs point by point: np.exp differs from it in the last bit.
+            half = -0.5 * t.ravel().astype(float)
+            with np.errstate(over="ignore"):
+                return tuple(np.fromiter(map(math.exp, (half * rate).tolist()), float, t.size).reshape(t.shape)
+                             if rate else np.ones(t.shape) for rate in (rate_a, rate_b))
+        if not t >= 0.0:
+            raise ValueError(f"t must be >= 0, got {t}")
+        return decay_factor(rate_a, t), decay_factor(rate_b, t)
+
+    def gamma_product(self, t):
+        return math.prod(self.gamma_factors(t))
+
+
+def analytic_esd_time(scenario: Scenario) -> EsdTime:
+    """Closed-form death time, or the variant explaining why there is none.
+
+    NEVER_ENTANGLED when x <= 1/8 (negativity starts at zero); NO_DEATH
+    when x > 1/8 but no noise acts, so the entanglement persists forever.
+    """
+    if scenario.x <= ENTANGLEMENT_THRESHOLD_X:
+        return EsdOutcome.NEVER_ENTANGLED
+    rate = scenario.effective_rate()
+    if rate == 0.0:
+        return EsdOutcome.NO_DEATH
+    return 2.0 * math.log(8.0 * scenario.x) / rate
+
+
+def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
+    """One probe, PT_A(rho0) o mask -> Jacobi: negativity(evolve(scenario, t)).min_pt_eigenvalue, bit for bit.
+
+    It makes no numpy call: the mask's six products are Python floats,
+    rounded as channels.dephasing_mask rounds them, and each entry x + iy
+    of the live block of PT_A(rho0) becomes the flat lists' entries x * m
+    and y * m, as in evolve and esd._pt_eigenvalues: the same floats,
+    signed zeros included, for any rho0. Only that block goes to the
+    kernel the Scenario keeps, which only reads the lists (rows {2, 3} of
+    the x-state; no call when none is live), with the full 6x6 solve's
+    bits, as in esd._pt_eigenvalues: an inert row stays exactly zero off
+    the diagonal, and the skip rule, the one rule that reads n, takes
+    n = 6. The inert rows' eigenvalues are their diagonal entries,
+    x * 1.0 = x, whose least the Scenario keeps; the value is min(inert
+    least entry, block eigenvalues), the rule sweep applies to its rows too.
+
+    The checked route symmetrizes the same floats with no complex product,
+    which for an exactly Hermitian rho0 changes at most the sign of a zero
+    entry; no kernel step divides by an entry, so that reaches at most the
+    sign of an exactly zero eigenvalue. It takes the sorted spectrum's
+    first entry where this takes the min: equal floats other than zeros
+    have equal bits, so either order, too, reaches at most the sign of a
+    zero eigenvalue.
+    """
+    terms = _mask_products(*scenario.gamma_factors(t))
+    re_block, im_block = scenario._live_block
+    if not re_block:
+        return scenario._inert_min
+    return min(scenario._inert_min, *scenario._kernel([x * terms[j] for x, j in re_block],
+                                                      [y * terms[j] for y, j in im_block],
+                                                      _JACOBI_OFF_TOL, _PT_SKIP_TOL))
+
+
+def default_bracket(scenario: Scenario) -> float:
+    """Search window generous enough for any x in range: 10x the worst t*."""
+    rate = scenario.effective_rate()
+    if rate == 0.0:
+        raise BracketError("no noise acts in this scenario; negativity never decays")
+    return 10.0 * (2.0 * math.log(2.0)) / rate
+
+
+def numeric_esd_time(scenario: Scenario) -> EsdTime:
+    """Find the death time as the root of the smallest PT eigenvalue.
+
+    Every probe dephases, transposes and solves with evolve's bits (see
+    _min_pt_eigenvalue), so this is an independent check on the closed form. The
+    bracket [0, default_bracket(scenario)] is closed by Illinois regula
+    falsi (Dowell & Jarratt, BIT 11, 1971) until its width is at most
+    4*eps*max(|a|, |b|), i.e. to machine precision; the midpoint of the
+    final bracket is returned. The window is 10x the largest possible
+    t*, so the eigenvalue at its end is (1 - 8x/2^10)/8 > 0.12 and the
+    bracket always holds the sign change.
+
+    Returns NEVER_ENTANGLED when the state starts with zero negativity.
+    Raises BracketError when no noise acts, when the window is not
+    finite (rates below about 7.7e-308) or when the iteration cap is
+    reached.
+    """
+    a, fa = 0.0, _min_pt_eigenvalue(scenario, 0.0)
+    if not fa < -SPECTRAL_TOL:  # the negativity's test of entanglement
+        return EsdOutcome.NEVER_ENTANGLED
+    b = default_bracket(scenario)
+    if not math.isfinite(b):
+        raise BracketError(f"search window t_max = {b} is not finite; the dephasing rate is too small")
+    fb = _min_pt_eigenvalue(scenario, b)
+    side = 0  # which end moved last: -1 for a, +1 for b
+    for _ in range(_MAX_ROOT_ITERATIONS):
+        if b - a <= 4.0 * _EPS * max(abs(a), abs(b)):
+            return a + 0.5 * (b - a)
+        c = b - fb * (b - a) / (fb - fa)
+        if not a < c < b:
+            c = a + 0.5 * (b - a)
+            if not a < c < b:  # a and b are adjacent floats
+                return c
+        fc = _min_pt_eigenvalue(scenario, c)
+        if fc == 0.0:
+            return c
+        if fc < 0.0:
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = c, fc
+            if side == +1:
+                fa *= 0.5
+            side = +1
+    raise BracketError(f"no convergence in {_MAX_ROOT_ITERATIONS} iterations; last bracket [{a!r}, {b!r}]")
+
+
+# _jacobi_kernel's source for the rotation of the pair (p, q), at the depth of its sweep loop's body,
+# with {others} holding _JACOBI_OTHER once for each other row k, in ascending order; r{i}_{j} and
+# i{i}_{j} are the real and imaginary parts of entry (i, j). abs(complex(...)) is libm's hypot, as
+# np.hypot in the stack kernel, and t the smaller root of t^2 + 2 tau t - 1 = 0, the numerically
+# stable choice. _JACOBI_OTHER updates columns p and q of row k and their conjugates in rows p and
+# q, keeping in xr, xi and yr only the old entries it reads after overwriting them, so that the
+# source stays as small as it can. Then the column step runs on rows p and q only where the row step
+# reads it, (p, p) and (p, q) of row p and all of (q, p) and (q, q), and the row step on the 2x2
+# block keeps only the real diagonal: s * phase = conj(S), c * phase = conj(C).
+_JACOBI_PAIR = """\
+        if r{p}_{q} or i{p}_{q}:
+            r = abs(complex(r{p}_{q}, i{p}_{q}))
+            if r > skip_tol:
+                inv = 1.0 / r
+                phr = r{p}_{q} * inv
+                phi = i{p}_{q} * inv
+                tau = (r{q}_{q} - r{p}_{p}) / (2.0 * r)
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + sqrt(1.0 + tau * tau))
+                c = 1.0 / sqrt(1.0 + t * t)
+                s = t * c
+                sr = s * phr
+                si = -(s * phi)
+                cr = c * phr
+                ci = -(c * phi)
+{others}\
+                ppr = c * r{p}_{p} - (sr * r{p}_{q} - si * i{p}_{q})
+                pqr = s * r{p}_{p} + (cr * r{p}_{q} - ci * i{p}_{q})
+                qpr = c * r{q}_{p} - (sr * r{q}_{q} - si * i{q}_{q})
+                qpi = c * i{q}_{p} - (sr * i{q}_{q} + si * r{q}_{q})
+                qqr = s * r{q}_{p} + (cr * r{q}_{q} - ci * i{q}_{q})
+                qqi = s * i{q}_{p} + (cr * i{q}_{q} + ci * r{q}_{q})
+                r{p}_{p} = c * ppr - (sr * qpr + si * qpi)
+                r{q}_{q} = s * pqr + (cr * qqr + ci * qqi)
+                r{p}_{q} = i{p}_{q} = r{q}_{p} = i{q}_{p} = 0.0
+"""
+_JACOBI_OTHER = """\
+                xr = r{k}_{p}
+                xi = i{k}_{p}
+                r{k}_{p} = r{p}_{k} = c * xr - (sr * r{k}_{q} - si * i{k}_{q})
+                i{k}_{p} = c * xi - (sr * i{k}_{q} + si * r{k}_{q})
+                i{p}_{k} = -i{k}_{p}
+                yr = r{k}_{q}
+                r{k}_{q} = r{q}_{k} = s * xr + (cr * yr - ci * i{k}_{q})
+                i{k}_{q} = s * xi + (cr * i{k}_{q} + ci * yr)
+                i{q}_{k} = -i{k}_{q}
+"""
+
+
+@cache
+def _jacobi_kernel(n: int) -> Callable:
+    """The one-matrix Jacobi kernel for n x n, 2 <= n <= 6, generated and compiled on first use.
+
+    It is kernel(re, im, off_tol, skip_tol) -> the diagonal, unsorted, as
+    a list: re and im are the real and imaginary parts of one trusted
+    matrix, each a flat row-major sequence of n * n floats, which it only
+    reads. Trusted, not checked: exactly Hermitian, entries far below
+    1e150, as linalg.hermitian_eigenvalues leaves it. The matrix lives in
+    local variables, one per real or imaginary part of an entry, and one
+    sweep is written out pair by pair: at 6x6, numpy's per-call overhead,
+    and list subscripts, would cost more than the arithmetic. It does the
+    linalg module docstring's float operations in its order, and
+    linalg._jacobi_rotate_stack's: the rotation, the skip rule, with an
+    exactly zero pair skipped before its hypot, which is 0 and so not
+    above skip_tol, and the stopping rule, whose sum runs over the pairs
+    in row-major order (with no leading 0.0: a term x^2 + y^2 is never
+    -0.0, so 0.0 + term is term). It reads this module's
+    _MAX_JACOBI_SWEEPS when called. skip_tol is the caller's, as
+    linalg._jacobi_stack's is: off_tol / (2n) for the matrix itself, or
+    the n of a larger matrix whose live block this is, as
+    _min_pt_eigenvalue passes.
+
+    The source grows as n^3, and so do its compile time and peak memory
+    (about 15 ms and 3 MB at n = 6, 2 vCPU), so no size above the
+    qubit-qutrit composite's is made: hermitian_eigenvalues solves a
+    larger matrix as a stack of one.
+    """
+    if not 2 <= n <= _N:
+        raise ValueError(f"the one-matrix kernel takes 2 <= n <= {_N}, got {n}")
+    entries = [(i, j) for i in range(n) for j in range(n)]
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    lines = [
+        f"def _jacobi_{n}x{n}(re, im, off_tol, skip_tol):",
+        "    " + ", ".join(f"r{i}_{j}" for i, j in entries) + " = re",
+        "    " + ", ".join(f"i{i}_{j}" for i, j in entries) + " = im",
+        "    sqrt = math.sqrt",
+        "    for _ in range(_MAX_JACOBI_SWEEPS):",
+        "        if sqrt(2.0 * (" + " + ".join(f"(r{p}_{q} * r{p}_{q} + i{p}_{q} * i{p}_{q})" for p, q in pairs)
+        + ")) < off_tol:",
+        "            return [" + ", ".join(f"r{i}_{i}" for i in range(n)) + "]",
+        *(_JACOBI_PAIR.format(p=p, q=q, others="".join(_JACOBI_OTHER.format(k=k, p=p, q=q)
+                                                       for k in range(n) if k != p and k != q))
+          for p, q in pairs),
+        "    raise RuntimeError('Jacobi iteration did not converge; input may be pathological')",
+    ]
+    namespace = {}
+    # this module's globals, so that the kernel reads _MAX_JACOBI_SWEEPS when it runs
+    exec(compile("\n".join(lines), f"<jacobi kernel {n}x{n}>", "exec"), globals(), namespace)
+    return namespace[f"_jacobi_{n}x{n}"]

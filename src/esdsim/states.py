@@ -18,23 +18,16 @@ import numpy as np
 
 from . import linalg
 from .linalg import QUBIT_QUTRIT, BipartiteDims
+# the family's constants are defined with its rows, in the numpy-free scalar module, and kept here too
+from .scalar import ANSATZ_DIAGONAL, ANSATZ_X_MAX, CORNER_SLOT, _x_state_rows
 
 TRACE_TOL = 1e-12
 PATTERN_TOL = 1e-14
-
-#: Fixed diagonal of the one-parameter family.
-ANSATZ_DIAGONAL = (0.25, 0.125, 0.125, 0.125, 0.125, 0.25)
-
-#: Largest corner coherence compatible with positivity of that diagonal.
-ANSATZ_X_MAX = 0.25
 
 #: Upper-triangle slots (i, j) where both the qubit index and the qutrit
 #: index differ; coherence confined to these slots leaves both reduced
 #: states diagonal. Listed row-major.
 JOINT_COHERENCE_SLOTS = ((0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4))
-
-#: The slot carrying the one-parameter family's single coherence.
-CORNER_SLOT = (0, 5)
 
 #: Off-diagonal slots outside JOINT_COHERENCE_SLOTS and their mirrors.
 _STRAY_SLOTS = ~np.eye(6, dtype=bool)
@@ -143,14 +136,11 @@ def ansatz_x(x: float) -> DensityMatrix:
     entries are x at the corner slot and its mirror. Every x in
     [0, 1/4] gives a valid state; x = 1/4 is rank-deficient (one zero
     eigenvalue) and x > 1/8 is where the state is entangled. Any other x
-    raises ValueError: the one check of x, made once per esd.Scenario.
+    raises ValueError. The entries are scalar._x_state_rows', which a
+    Scenario transposes and splits without numpy: x + 0.0 in float64 (a
+    -0.0 is stored as 0.0), and every imaginary part +0.0.
     """
-    if not 0.0 <= x <= ANSATZ_X_MAX:
-        raise ValueError(f"x must lie in the positivity range [0, {ANSATZ_X_MAX}], got {x}")
-    m = np.diag(np.array(ANSATZ_DIAGONAL, dtype=complex))
-    i, j = CORNER_SLOT
-    m[i, j] = m[j, i] = x + 0.0  # a -0.0 is stored as 0.0
-    return DensityMatrix(m, QUBIT_QUTRIT)
+    return DensityMatrix(_x_state_rows(x), QUBIT_QUTRIT)
 
 
 def ansatz_general(diagonal: Sequence[float], coherences: Sequence[float]) -> DensityMatrix:

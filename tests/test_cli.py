@@ -385,3 +385,99 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     config = parse_args([])
     assert (config.mode, config.t_max, config.steps, config.out) == ("curve", 4.0, 101, None)
     assert config.scenario == Scenario(ScenarioKind.MULTI_LOCAL, x=0.25, rate_a=1.0, rate_b=1.0)
+
+
+# `esd esd-time` on each of its outcomes, run as `python -m esdsim` in a fresh interpreter, with the
+# stdout, stderr and exit code it gave when the package imported numpy at start-up
+NUMPY_FREE_RUNS = {
+    "finite": (["--x", "0.2"], 0, "analytic_esd_time 0.47000362924573563\nnumeric_esd_time 0.47000362924573558\n"
+                                  "difference 5.5511151231257827e-17\n", ""),
+    "never-entangled": (["--x", "0"], 0, "never-entangled\n", ""),
+    "no-death": (["--rate-a", "0", "--rate-b", "0"], 0, "no-death\n", ""),
+    "bracket-error": (["--scenario", "qubit", "--x", "0.2", "--rate-a", "5e-324"], 1, "",
+                      "esd: search window t_max = inf is not finite; the dephasing rate is too small\n"),
+    "usage-error": (["--x", "nan"], 1, "",
+                    "esd: x must lie in the positivity range [0, 0.25], got nan\n"
+                    "usage: esd [-h] [--scenario {qubit,qutrit,multilocal}] [--x X]\n"
+                    "           [--rate-a RATE_A] [--rate-b RATE_B] [--t-max T_MAX] [--steps STEPS]\n"
+                    "           [--out OUT]\n"
+                    "           [{curve,esd-time,selfcheck,dump-state}]\n"),
+}
+
+# python -m esdsim, then whether numpy was loaded, written to the file named first
+_RUN_AND_REPORT_NUMPY = """\
+import runpy, sys
+report, sys.argv = sys.argv[1], ["esd", *sys.argv[2:]]
+try:
+    runpy.run_module("esdsim", run_name="__main__", alter_sys=True)
+finally:
+    with open(report, "w") as fh:
+        fh.write(str("numpy" in sys.modules))
+"""
+
+
+def test_import_loads_no_numpy():
+    proc = subprocess.run([sys.executable, "-c", "import sys, esdsim, esdsim.cli; print('numpy' in sys.modules)"],
+                          capture_output=True, text=True, check=True, env=_subprocess_env(PYTHONWARNINGS="error"))
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("outcome", list(NUMPY_FREE_RUNS))
+def test_esd_time_runs_without_numpy(outcome, tmp_path):
+    # the death-time path runs on esdsim.scalar alone: no outcome, usage errors included, loads numpy
+    argv, code, out, err = NUMPY_FREE_RUNS[outcome]
+    report = tmp_path / "numpy-loaded"
+    proc = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY, str(report), "esd-time", *argv],
+                          capture_output=True, text=True, check=False,
+                          env=_subprocess_env(PYTHONWARNINGS="error", COLUMNS="80"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert report.read_text() == "False"
+
+
+# each public name's defining module, and its name there
+PUBLIC_SOURCES = {
+    "channels": ["IncompleteChannelError", "KrausChannel", "apply_multilocal", "dephasing_qubit", "dephasing_qutrit",
+                 "identity_channel", ("apply_channel", "apply")],
+    "entanglement": ["NegativityResult", "is_ppt", "negativity", "pt_spectrum"],
+    "esd": ["BracketError", "EsdOutcome", "Scenario", "ScenarioKind", "analytic_esd_time", "analytic_negativity",
+            "evolve", "numeric_esd_time", "pt_spectrum_closed_form", "sweep"],
+    "linalg": ["QUBIT_QUTRIT", "BipartiteDims", "DimensionMismatchError", "NonHermitianError",
+               "hermitian_eigenvalues", "partial_trace", "partial_transpose"],
+    "states": ["DensityMatrix", "InvalidStateError", "ansatz_general", "ansatz_x", "format_state", "parse_state",
+               "random_density_matrix", "reduce_a", "reduce_b", "validate"],
+}
+
+
+def test_package_namespace_resolves_each_name_to_its_defining_module():
+    import importlib
+
+    names = []
+    for module_name, entries in PUBLIC_SOURCES.items():
+        module = importlib.import_module(f"esdsim.{module_name}")
+        for entry in entries:
+            name, attr = entry if isinstance(entry, tuple) else (entry, entry)
+            assert getattr(esdsim, name) is getattr(module, attr), name
+            names.append(name)
+    assert esdsim.__all__ == [*sorted(names), "__version__"]
+    assert esdsim.__version__ == "0.1.0"
+    star = {}
+    exec("from esdsim import *", star)
+    assert all(star[name] is getattr(esdsim, name) for name in esdsim.__all__)
+    assert set(esdsim.__all__) <= set(dir(esdsim))
+    with pytest.raises(AttributeError, match="^module 'esdsim' has no attribute 'no_such_name'$"):
+        getattr(esdsim, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from esdsim import no_such_name", {})
+
+
+def test_submodules_resolve_after_a_bare_import():
+    # as when the package imported them at start-up; cli and selfcheck are imported only by name
+    program = ("import esdsim, sys\n"
+               "assert 'numpy' not in sys.modules\n"
+               "assert esdsim.esd.sweep is esdsim.sweep and esdsim.linalg.QUBIT_QUTRIT.total == 6\n"
+               "assert all(getattr(esdsim, m).__name__ == 'esdsim.' + m for m in "
+               "('channels', 'entanglement', 'esd', 'linalg', 'scalar', 'states'))\n"
+               "assert not hasattr(esdsim, 'cli') and not hasattr(esdsim, 'selfcheck')\n"
+               "from esdsim import cli\n"
+               "assert esdsim.cli is cli\n")
+    subprocess.run([sys.executable, "-c", program], check=True, env=_subprocess_env(PYTHONWARNINGS="error"))

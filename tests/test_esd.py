@@ -11,7 +11,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from esdsim import channels, esd, linalg
+from esdsim import channels, esd, linalg, scalar
 from esdsim.entanglement import negativity, negativity_of_spectrum, pt_spectrum
 from esdsim.esd import (
     BracketError,
@@ -168,13 +168,13 @@ def test_numeric_esd_time_matches_analytic():
 def probe_calls(monkeypatch):
     """Count the probes the death-time search makes: each dephases, transposes and solves."""
     calls = []
-    probe = esd._min_pt_eigenvalue
+    probe = scalar._min_pt_eigenvalue
 
     def counting_probe(scenario, t):
         calls.append(t)
         return probe(scenario, t)
 
-    monkeypatch.setattr(esd, "_min_pt_eigenvalue", counting_probe)
+    monkeypatch.setattr(scalar, "_min_pt_eigenvalue", counting_probe)  # where numeric_esd_time reads it
     return calls
 
 
@@ -230,7 +230,7 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
     # both hand their kernel only the live 2x2 block, rows {2, 3}, with the skip rule of
     # the full 6x6; at x = 0 the probe makes no call and sweep hands the stack kernel a 0x0 block
     probe_inputs, blocks = [], []
-    kernel, stack_kernel = esd._jacobi_kernel, esd._jacobi_stack
+    kernel, stack_kernel = scalar._jacobi_kernel, esd._jacobi_stack
 
     def recording_kernel(n):  # each Scenario below is built after the patch, and keeps this kernel
         def record(re, im, off_tol, skip_tol):
@@ -245,7 +245,7 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
         blocks.append((re.copy(), im.copy()))  # copied before the kernel overwrites its planes
         return stack_kernel(re, im, off_tol, skip_tol)
 
-    monkeypatch.setattr(esd, "_jacobi_kernel", recording_kernel)
+    monkeypatch.setattr(scalar, "_jacobi_kernel", recording_kernel)
     monkeypatch.setattr(esd, "_jacobi_stack", recording)
     for rate in (0.0, *np.logspace(-9.0, 3.0, 13)):
         for x in (0.0, 0.125, 0.13, 0.2, 0.25):
@@ -529,6 +529,9 @@ def test_death_time_probe_makes_no_numpy_call(monkeypatch):
     for module in (esd, channels, linalg):
         monkeypatch.setattr(module, "np", types.SimpleNamespace(ndarray=np.ndarray))
     assert [numeric_esd_time(s).hex() for s in scenarios] == before
+    # the route lives in scalar, which holds no numpy name at all (test_cli.py runs it in a process without numpy)
+    assert numeric_esd_time is scalar.numeric_esd_time
+    assert not [name for name, value in vars(scalar).items() if getattr(value, "__name__", "").startswith("numpy")]
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
@@ -550,26 +553,27 @@ def test_sweep_makes_no_checked_eigensolve(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_death_time_and_sweep_transpose_no_evolved_state(kind, monkeypatch):
-    # the x-state is transposed once, when the Scenario is built; the probes and the
+    # the x-state is transposed once, as row lists, when the Scenario is built; the probes and the
     # sweep blocks scale that partial transpose by the mask and wrap no DensityMatrix
     calls = []
 
-    def counted(name):
-        real = getattr(esd, name)
+    def counted(module, name):
+        real = getattr(module, name)
         return lambda *args: calls.append(name) or real(*args)
 
+    for module, name in ((linalg, "partial_transpose"), (scalar, "_pt_a_rows"), (esd, "DensityMatrix")):
+        monkeypatch.setattr(module, name, counted(module, name))
     s = scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7)
-    for name in ("partial_transpose", "DensityMatrix"):
-        monkeypatch.setattr(esd, name, counted(name))
+    assert calls == ["_pt_a_rows"]
     assert close_to_death_time(numeric_esd_time(s), analytic_esd_time(s))
     assert len(sweep(s, np.linspace(0.0, 4.0, 600))) == 600
-    assert calls == []
-    evolve(scenario(kind), 1.0)  # the counters see the calls they count
-    assert calls == ["partial_transpose", "DensityMatrix"]
+    assert calls == ["_pt_a_rows"]
+    evolve(s, 1.0)  # the counters see the calls they count
+    assert calls == ["_pt_a_rows", "DensityMatrix"]
 
 
 def test_numeric_esd_time_iteration_cap(monkeypatch):
-    monkeypatch.setattr(esd, "_MAX_ROOT_ITERATIONS", 2)
+    monkeypatch.setattr(scalar, "_MAX_ROOT_ITERATIONS", 2)
     with pytest.raises(BracketError, match="2 iterations"):
         numeric_esd_time(scenario(ScenarioKind.QUBIT_ONLY))
 
@@ -734,10 +738,11 @@ def test_gamma_factors_at_infinite_time(kind):
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_x_and_rates_are_checked_once(kind, monkeypatch):
-    # the x-state is built when the Scenario is, and the evolve path builds
-    # no Kraus channel: it dephases through the mask alone
+    # the x-state's rows are built and checked when the Scenario is, its DensityMatrix on evolve's
+    # first read of initial_state, once; the evolve path builds no Kraus channel: it dephases
+    # through the mask alone
     ansatz_calls = []
-    build = esd.ansatz_x
+    build = ansatz_x
 
     def counting_ansatz_x(x):
         ansatz_calls.append(x)
@@ -746,14 +751,16 @@ def test_x_and_rates_are_checked_once(kind, monkeypatch):
     def no_kraus(*args):
         raise AssertionError("the pipeline built a Kraus channel")
 
-    monkeypatch.setattr(esd, "ansatz_x", counting_ansatz_x)
+    monkeypatch.setattr("esdsim.states.ansatz_x", counting_ansatz_x)
     monkeypatch.setattr(channels, "dephasing_qubit", no_kraus)
     monkeypatch.setattr(channels, "dephasing_qutrit", no_kraus)
     monkeypatch.setattr(channels, "_phase_damping", no_kraus)  # reached however a builder was imported
     s = scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7)
     sweep(s, np.linspace(0.0, 4.0, 101))
     assert close_to_death_time(numeric_esd_time(s), analytic_esd_time(s))
+    assert ansatz_calls == []
     evolve(s, 1.0)
+    evolve(s, 2.0)
     assert ansatz_calls == [0.2]
 
 
@@ -862,3 +869,40 @@ def test_sweep_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 0.125, 0.2, 0.25])
+def test_scenario_splits_the_partial_transpose_of_its_state_bit_for_bit(x):
+    # the Scenario builds PT_A(rho0) from the x-state's row lists by the index map, with no numpy;
+    # its split must be the one of linalg.partial_transpose on ansatz_x's DensityMatrix, and its
+    # initial_state, built on first read, ansatz_x's bits
+    s = Scenario("multilocal", x)
+    split = esd._split_pt(partial_transpose(ansatz_x(x).mat, QUBIT_QUTRIT, "A"))
+    assert repr((s._live_block, s._inert_min)) == repr(split)
+    assert "initial_state" not in vars(s)
+    assert s.initial_state.mat.tobytes() == ansatz_x(x).mat.tobytes()
+    assert s.initial_state is s.initial_state and not s.initial_state.mat.flags.writeable
+
+
+def test_row_index_map_is_the_partial_transpose():
+    # PT_A[(a, b), (a', b')] = rho[(a', b), (a, b')] on row lists, against linalg.partial_transpose,
+    # signed zeros and NaN included
+    rng = np.random.default_rng(41)
+    mats = [random_density_matrix(rng).mat for _ in range(8)]
+    mats.append(np.array([[complex(rng.choice([0.0, -0.0, math.nan, 0.3]), rng.choice([0.0, -0.0, -0.2]))
+                           for _ in range(6)] for _ in range(6)]))
+    for mat in mats:
+        rows = scalar._pt_a_rows(mat.tolist())
+        assert np.array(rows).tobytes() == partial_transpose(mat, QUBIT_QUTRIT, "A").tobytes()
+
+
+@pytest.mark.parametrize("x, error, message", [
+    (0.3, ValueError, "x must lie in the positivity range [0, 0.25], got 0.3"),
+    ("0.2", TypeError, "'<=' not supported between instances of 'float' and 'str'"),
+    (Decimal("0.2"), TypeError, "unsupported operand type(s) for +: 'decimal.Decimal' and 'float'"),
+])
+def test_scenario_refuses_an_x_as_ansatz_x_does(x, error, message):
+    for build in (lambda: Scenario("multilocal", x), lambda: ansatz_x(x)):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message

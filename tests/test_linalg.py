@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import esdsim
-from esdsim import channels, esd, linalg
+from esdsim import channels, esd, linalg, scalar
 from esdsim.linalg import (
     QUBIT_QUTRIT,
     BipartiteDims,
@@ -468,7 +468,7 @@ def test_generated_kernel_gives_the_reference_bits_and_only_reads_its_input(n, m
         mats.append(edge)
     cases = [(m.real, m.imag, off_tol / (2 * n)) for m in mats]  # real and imaginary parts, skip_tol
     if n == 2:
-        kernel = esd._jacobi_kernel
+        kernel = scalar._jacobi_kernel
 
         def recording_kernel(size):
             def record(re, im, off_tol, skip_tol):
@@ -476,7 +476,7 @@ def test_generated_kernel_gives_the_reference_bits_and_only_reads_its_input(n, m
                 return kernel(size)(re, im, off_tol, skip_tol)
             return record
 
-        monkeypatch.setattr(esd, "_jacobi_kernel", recording_kernel)
+        monkeypatch.setattr(scalar, "_jacobi_kernel", recording_kernel)  # where Scenario reads it
         for kind in ScenarioKind:
             for x in (0.126, 0.2, 0.25):
                 numeric_esd_time(Scenario(kind, x, 1.3, 0.7))
@@ -655,7 +655,8 @@ def test_public_entries_refuse_a_stack(shape):
 @pytest.mark.parametrize("kernel", ["matrix", "stack"])
 def test_jacobi_sweep_cap_raises(kernel, monkeypatch):
     # a dense 6x6 needs several sweeps: past the cap, either kernel must raise, not return a half-rotated diagonal
-    monkeypatch.setattr(linalg, "_MAX_JACOBI_SWEEPS", 1)
+    # each kernel reads the cap in its own module: the generated one in scalar, the stack one in linalg
+    monkeypatch.setattr(scalar if kernel == "matrix" else linalg, "_MAX_JACOBI_SWEEPS", 1)
     rng = np.random.default_rng(31)
     with pytest.raises(RuntimeError, match="Jacobi iteration did not converge"):
         if kernel == "matrix":
