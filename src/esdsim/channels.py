@@ -18,7 +18,7 @@ and qutrit noise three,
 
 These are the d-level phase-damping set at d = 2 and d = 3, and the
 builders take gamma, as dephasing_mask() does: Scenario.gamma_factors(t)
-or decay_factor(rate, t) gives it.
+or esdsim.scalar.decay_factor(rate, t) gives it.
 
 Both operator sets are diagonal, so the channels act entrywise: with
 M_A(g) = [[1, g], [g, 1]] and M_B(g) = [[1, g, g], [g, 1, g^2], [g, g^2, 1]],
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import QUBIT_QUTRIT
-from .scalar import _TERM_ROWS, _mask_products, decay_factor
+from .scalar import _TERM_ROWS, _mask_products
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-12

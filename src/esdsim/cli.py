@@ -67,16 +67,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-@functools.cache  # on the first run of a mode that builds arrays, not at import
-def _array_modules() -> tuple:
-    """numpy, esdsim.esd and esdsim.states, for curve and dump-state."""
-    import numpy
-
-    from . import esd, states
-
-    return numpy, esd, states
-
-
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse and range-check argv (sys.argv[1:] if None); raises UsageError on any problem.
 
@@ -125,16 +115,21 @@ def run(config: argparse.Namespace) -> int:
         passed, lines = selfcheck.run()
         return _emit("\n".join(lines) + "\n", config.out) or (0 if passed else 2)
     if config.mode == "dump-state":
-        _, esd, states = _array_modules()
-        return _emit(states.format_state(esd.evolve(scenario, config.t_max)), config.out)
+        from .esd import evolve  # numpy: imported by the modes that build arrays only
+        from .states import format_state
+
+        return _emit(format_state(evolve(scenario, config.t_max)), config.out)
     if config.mode == "curve":
-        np, esd, _ = _array_modules()
+        import numpy as np
+
+        from .esd import sweep
+
         try:
             try:
                 t_grid = np.linspace(0.0, config.t_max, config.steps)
             except ValueError as exc:  # numpy refuses a grid past its own size limit before allocating
                 raise MemoryError(exc) from None
-            csv = render_csv(esd.sweep(scenario, t_grid))
+            csv = render_csv(sweep(scenario, t_grid))
         except MemoryError as exc:  # a --steps grid beyond what can be allocated
             print(f"esd: cannot allocate the {config.steps}-point curve: {exc}", file=sys.stderr)
             return 1

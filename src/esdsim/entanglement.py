@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from .scalar import SPECTRAL_TOL
 from .states import DensityMatrix
 
 
@@ -41,14 +41,14 @@ def pt_spectrum(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
 
 
 def negativity_of_spectrum(eigs: np.ndarray):
-    """Sum of |eigenvalues| below -linalg.SPECTRAL_TOL over the last axis; the rest count as zero."""
-    return np.where(eigs < -linalg.SPECTRAL_TOL, -eigs, 0.0).sum(axis=-1)
+    """Sum of |eigenvalues| below -SPECTRAL_TOL over the last axis; the rest count as zero."""
+    return np.where(eigs < -SPECTRAL_TOL, -eigs, 0.0).sum(axis=-1)
 
 
 def negativity(rho: DensityMatrix, subsystem: str = "A") -> NegativityResult:
     """Sum of |negative PT eigenvalues|; zero iff the spectrum is nonnegative.
 
-    Eigenvalues within linalg.SPECTRAL_TOL (the eigensolver's noise
+    Eigenvalues within SPECTRAL_TOL (the eigensolver's noise
     floor, 1e-10) of zero are treated as zero, so value == 0.0 exactly
     for PPT states and is_entangled is simply value > 0. Transposing
     either subsystem gives the same answer, bit for bit, from the one

@@ -15,12 +15,6 @@ inverts the exponential decay factors; the numeric root finder below double-chec
 it rather than trusting it, by locating the sign change of the smallest
 partial-transpose eigenvalue (1 - 8*x*g(t))/8, which is continuous and crosses
 zero at t*. Its probes and sweep take PT_A(rho(t)) as PT_A(rho0) o M(t).
-
-Scenario, the death-time route (analytic_esd_time, numeric_esd_time and
-its probe _min_pt_eigenvalue) and CURVE_FIELDS live in esdsim.scalar,
-which imports no numpy, so that `esd esd-time` never loads it; this
-module re-exports them and adds the numpy routes: sweep, evolve and the
-closed-form arrays.
 """
 
 from __future__ import annotations
@@ -32,21 +26,14 @@ import numpy as np
 
 from .channels import dephasing_mask
 from .entanglement import negativity_of_spectrum
-from .linalg import _JACOBI_OFF_TOL, QUBIT_QUTRIT, _jacobi_stack
-from .scalar import (CURVE_FIELDS, ENTANGLEMENT_THRESHOLD_X, _PT_SKIP_TOL, BracketError, EsdOutcome, EsdTime,
-                     Scenario, ScenarioKind, _min_pt_eigenvalue, _split_rows, analytic_esd_time, default_bracket,
-                     numeric_esd_time)
+from .linalg import QUBIT_QUTRIT, _jacobi_stack
+from .scalar import _JACOBI_OFF_TOL, _PT_SKIP_TOL, CURVE_FIELDS, Scenario
 from .states import DensityMatrix
 
 _CURVE_DTYPE = np.dtype([(name, float) for name in CURVE_FIELDS])
 
 # sweep solves this many grid points at a time, so its working memory does not grow with the grid
 _SWEEP_BLOCK = 1024
-
-
-def _split_pt(pt: np.ndarray) -> tuple:
-    """scalar._split_rows of a 6 x 6 partial transpose given as an array, read as real and imaginary row lists."""
-    return _split_rows(pt.real.tolist(), pt.imag.tolist())
 
 
 def evolve(scenario: Scenario, t: float) -> DensityMatrix:

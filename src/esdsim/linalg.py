@@ -13,26 +13,22 @@ symmetrizes a copy with real products only, as the unchecked routes
 below dephase, derives the convergence tolerance from its Frobenius
 norm, then solves the copy and sorts the diagonal. Up to 6x6, the size
 of the paper's system, it passes the copy's flat row-major real and
-imaginary parts as lists to the one-matrix kernel _jacobi_kernel(n), a
-pure-Python function generated for that n on first use, which only
-reads them. The generator lives in esdsim.scalar, the package's
-numpy-free half, beside SPECTRAL_TOL, _JACOBI_OFF_TOL and
-_MAX_JACOBI_SWEEPS, so that a death-time probe runs without numpy;
-this module imports those names from there. Above 6x6 it hands the copy to the stack kernel as a stack
-of one, with the same bits, so that no kernel is generated whose source
-grows as n^3. The stack kernel, _jacobi_stack, takes a stack of k
-matrices as two float planes, the real and the imaginary parts laid out
-(n, n, k), so that each entry of every matrix is one contiguous
-k-vector; it rotates every matrix at once on them, each with its own
-rotation parameters, overwriting them, and returns the same bits as one
-call per matrix. Two callers skip the checks, and say why their input
-may. Both read the live block of PT_A(rho0), the rows that have an
-off-diagonal entry, from the one split their Scenario keeps:
-esd._pt_eigenvalues builds its planes for a sweep block, for
+imaginary parts as lists to the one-matrix kernel
+scalar._jacobi_kernel(n), a pure-Python function generated for that n
+on first use, which only reads them. Above 6x6 it hands the copy to the
+stack kernel as a stack of one, with the same bits, so that no kernel
+is generated whose source grows as n^3. The stack kernel, _jacobi_stack,
+takes a stack of k matrices as two float planes, the real and the
+imaginary parts laid out (n, n, k), so that each entry of every matrix
+is one contiguous k-vector; it rotates every matrix at once on them,
+each with its own rotation parameters, overwriting them, and returns the
+same bits as one call per matrix. Two callers skip the checks, and say
+why their input may. Both read the live block of PT_A(rho0), the rows
+that have an off-diagonal entry, from the one split their Scenario
+keeps: esd._pt_eigenvalues builds its planes for a sweep block, for
 _jacobi_stack, and scalar._min_pt_eigenvalue, the death-time probe, its
 flat lists for the kernel the Scenario keeps, so that a probe makes no
-numpy call. Both
-pass the skip rule of the full 6x6 matrix.
+numpy call. Both pass the skip rule of the full 6x6 matrix.
 
 Both Jacobi kernels do the same real arithmetic, one float operation at
 a time: _jacobi_kernel(n) in pure Python on local variables, one per
@@ -83,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import _JACOBI_OFF_TOL, _MAX_JACOBI_SWEEPS, SPECTRAL_TOL, _jacobi_kernel
+from . import scalar
 
 # Structural checks (Hermiticity, trace) are held to 1e-12; anything
 # that passes through the eigensolver is compared at SPECTRAL_TOL, 1e-10.
@@ -220,12 +216,12 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     # complex product by a real would change the sign of some zeros that the other routes keep
     m = m + m.conj().T
     m.view(np.float64)[...] *= 0.5
-    off_tol = _JACOBI_OFF_TOL * float(max(1.0, np.sqrt(np.sum(np.abs(m) ** 2))))  # from the Frobenius norm
+    off_tol = scalar._JACOBI_OFF_TOL * float(max(1.0, np.sqrt(np.sum(np.abs(m) ** 2))))  # from the Frobenius norm
     n = len(m)
     if n < 2:  # its own diagonal
         eigs = m.diagonal().real
     elif n <= QUBIT_QUTRIT.total:  # at 6x6 the stack kernel would cost several times as much
-        eigs = _jacobi_kernel(n)(m.real.ravel().tolist(), m.imag.ravel().tolist(), off_tol, off_tol / (2 * n))
+        eigs = scalar._jacobi_kernel(n)(m.real.ravel().tolist(), m.imag.ravel().tolist(), off_tol, off_tol / (2 * n))
     else:  # a stack of one, with the same bits: no kernel is generated above 6x6
         eigs = _jacobi_stack(m.real[..., None].copy(), m.imag[..., None].copy(), off_tol, off_tol / (2 * n))[0]
     eigs = np.sort(eigs)
@@ -254,7 +250,7 @@ def _cholesky_certifies(mat: np.ndarray) -> bool:
     1e-13 at that norm, would return a value above -SPECTRAL_TOL.
     """
     a = mat.tolist()
-    shift = 0.5 * SPECTRAL_TOL
+    shift = 0.5 * scalar.SPECTRAL_TOL
     factor = []  # rows of L; row i holds L[i][:i] and then the real pivot root L[i][i]
     for i, row in enumerate(a):
         li = []
@@ -289,7 +285,7 @@ def _jacobi_stack(re: np.ndarray, im: np.ndarray, off_tol: float, skip_tol: floa
     matrices, as esd._pt_eigenvalues does, passes the n of the larger ones.
     """
     n = len(re)
-    for _ in range(_MAX_JACOBI_SWEEPS):
+    for _ in range(scalar._MAX_JACOBI_SWEEPS):
         acc = 0.0
         for p in range(n - 1):
             row_re, row_im = re[p, p + 1:], im[p, p + 1:]

@@ -12,12 +12,9 @@ numpy (about 0.1 s of a 0.15 s start-up). It holds:
   linalg's checked entry calls too; the kernel's float operations are set
   out in the linalg module docstring.
 
-esdsim.esd, channels, linalg and states import these names and keep
-them under their old names; the numpy routes (sweep, evolve, the mask
-arrays, the stack kernel) stay there. Nothing here imports numpy:
-Scenario.gamma_factors takes an array of times only from a caller that
-has loaded numpy, and Scenario.initial_state, a DensityMatrix, is built
-on first read.
+Nothing here imports numpy: Scenario.gamma_factors takes an array of
+times only from a caller that has loaded numpy, and
+Scenario.initial_state, a DensityMatrix, is built on first read.
 """
 
 from __future__ import annotations
@@ -438,7 +435,8 @@ def _jacobi_kernel(n: int) -> Callable:
     above skip_tol, and the stopping rule, whose sum runs over the pairs
     in row-major order (with no leading 0.0: a term x^2 + y^2 is never
     -0.0, so 0.0 + term is term). It reads this module's
-    _MAX_JACOBI_SWEEPS when called. skip_tol is the caller's, as
+    _MAX_JACOBI_SWEEPS when called, as linalg._jacobi_stack does: the two
+    kernels share one cap. skip_tol is the caller's, as
     linalg._jacobi_stack's is: off_tol / (2n) for the matrix itself, or
     the n of a larger matrix whose live block this is, as
     _min_pt_eigenvalue passes.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import channels, esd, linalg, states
+from . import channels, esd, linalg, scalar, states
 from .entanglement import negativity, negativity_of_spectrum, pt_spectrum
 
 _SEED = 20230817
@@ -23,29 +23,29 @@ def _check_completeness():
     rng = np.random.default_rng(_SEED)
     for t in rng.uniform(0.0, 5.0, size=20):
         for rate in (0.25, 1.0, 3.0):
-            gamma = channels.decay_factor(rate, float(t))
+            gamma = scalar.decay_factor(rate, float(t))
             yield channels.dephasing_qubit(gamma).completeness_defect(), channels.COMPLETENESS_TOL
             yield channels.dephasing_qutrit(gamma).completeness_defect(), channels.COMPLETENESS_TOL
 
 
 def _check_negativity_curves():
-    for kind in esd.ScenarioKind:
-        curve = esd.sweep(esd.Scenario(kind=kind, x=0.25, rate_a=1.0, rate_b=1.0), np.linspace(0.0, 5.0, 50))
+    for kind in scalar.ScenarioKind:
+        curve = esd.sweep(scalar.Scenario(kind=kind, x=0.25, rate_a=1.0, rate_b=1.0), np.linspace(0.0, 5.0, 50))
         yield np.max(np.abs(curve.negativity_numeric - curve.negativity_analytic)), 1e-10
 
 
 def _check_esd_times():
-    for kind in esd.ScenarioKind:
-        scenario = esd.Scenario(kind=kind, x=0.25, rate_a=1.0, rate_b=1.0)
-        analytic = esd.analytic_esd_time(scenario)
-        yield abs(esd.numeric_esd_time(scenario) - analytic), 1e-12 * max(1.0, analytic)
+    for kind in scalar.ScenarioKind:
+        scenario = scalar.Scenario(kind=kind, x=0.25, rate_a=1.0, rate_b=1.0)
+        analytic = scalar.analytic_esd_time(scenario)
+        yield abs(scalar.numeric_esd_time(scenario) - analytic), 1e-12 * max(1.0, analytic)
 
 
 def _check_pt_spectrum():
     rng = np.random.default_rng(_SEED + 1)
     for _ in range(20):
-        scenario = esd.Scenario(
-            kind=esd.ScenarioKind.QUBIT_ONLY,
+        scenario = scalar.Scenario(
+            kind=scalar.ScenarioKind.QUBIT_ONLY,
             x=float(rng.uniform(0.0, 0.25)),
             rate_a=float(rng.uniform(0.1, 3.0)),
         )
@@ -68,8 +68,8 @@ def _check_pt_sides_agree():
 def _check_corner_additivity():
     rng = np.random.default_rng(_SEED + 3)
     for _ in range(20):
-        scenario = esd.Scenario(
-            kind=esd.ScenarioKind.MULTI_LOCAL,
+        scenario = scalar.Scenario(
+            kind=scalar.ScenarioKind.MULTI_LOCAL,
             x=0.25,
             rate_a=float(rng.uniform(0.1, 3.0)),
             rate_b=float(rng.uniform(0.1, 3.0)),

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import QUBIT_QUTRIT, BipartiteDims
-# the family's constants are defined with its rows, in the numpy-free scalar module, and kept here too
-from .scalar import ANSATZ_DIAGONAL, ANSATZ_X_MAX, CORNER_SLOT, _x_state_rows
+from .scalar import CORNER_SLOT, SPECTRAL_TOL, _x_state_rows
 
 TRACE_TOL = 1e-12
 PATTERN_TOL = 1e-14
@@ -124,7 +123,7 @@ def validate(mat, dims: BipartiteDims = QUBIT_QUTRIT) -> DensityMatrix:
         raise InvalidStateError("trace", trace_defect)
     if not linalg._cholesky_certifies(arr):
         lowest = float(linalg.hermitian_eigenvalues(arr)[0])
-        if lowest < -linalg.SPECTRAL_TOL:
+        if lowest < -SPECTRAL_TOL:
             raise InvalidStateError("positivity", -lowest)
     return rho
 

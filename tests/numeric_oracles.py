@@ -6,7 +6,8 @@ package's iterative eigensolver. The death-time and corner oracles run in
 stdlib decimal arithmetic, sharing no code with the package, numpy or libm.
 jacobi_matrix_reference is not independent: it is the package's earlier
 one-matrix Jacobi kernel, frozen here as the bit reference of the
-generated one.
+generated one. split_pt is no oracle either: it hands a partial transpose
+given as an array to the package's own split.
 """
 
 import decimal
@@ -152,9 +153,16 @@ def random_pattern_state(rng):
     Coherences are capped by the smallest diagonal entry so the matrix is
     strictly diagonally dominant, hence positive semidefinite outright.
     """
-    from esdsim.states import ansatz_general
+    from esdsim import ansatz_general
 
     diag = rng.dirichlet(np.ones(6))
     cap = diag.min() / 2.5
     coh = rng.uniform(-cap, cap, size=6)
     return ansatz_general(diag, coh)
+
+
+def split_pt(pt):
+    """scalar._split_rows of a 6 x 6 partial transpose given as an array, read as real and imaginary row lists."""
+    from esdsim.scalar import _split_rows
+
+    return _split_rows(pt.real.tolist(), pt.imag.tolist())

@@ -8,11 +8,12 @@ import math
 
 import numpy as np
 
-from esdsim import channels, esd, states
-from esdsim.channels import decay_factor, dephasing_qubit, dephasing_qutrit
-from esdsim.entanglement import negativity, negativity_of_spectrum, pt_spectrum
-from esdsim.linalg import hermitian_eigenvalues, partial_transpose
-from esdsim.states import ansatz_x, extract_corner, random_density_matrix, validate
+import esdsim
+from esdsim import (ansatz_x, channels, dephasing_qubit, dephasing_qutrit, esd, hermitian_eigenvalues, negativity,
+                    partial_transpose, pt_spectrum, random_density_matrix, states, validate)
+from esdsim.entanglement import negativity_of_spectrum
+from esdsim.scalar import decay_factor
+from esdsim.states import extract_corner
 
 from numeric_oracles import charpoly_eigs_2x2, charpoly_eigs_3x3, random_hermitian, random_pattern_state
 
@@ -32,7 +33,7 @@ def test_criterion_1_pt_spectrum_closed_form():
         x = float(rng.uniform(0.0, 0.25))
         t = float(rng.uniform(0.0, 4.0))
         rate = float(rng.uniform(0.1, 3.0))
-        scenario = esd.Scenario(kind=esd.ScenarioKind.QUBIT_ONLY, x=x, rate_a=rate)
+        scenario = esdsim.Scenario(kind=esdsim.ScenarioKind.QUBIT_ONLY, x=x, rate_a=rate)
         numeric = pt_spectrum(esd.evolve(scenario, t))
         xg = x * math.exp(-0.5 * t * rate)
         expected = np.sort([0.25, 0.25, 0.125, 0.125, (1.0 + 8.0 * xg) / 8.0, (1.0 - 8.0 * xg) / 8.0])
@@ -44,8 +45,8 @@ def test_criterion_1_pt_spectrum_closed_form():
 def test_criterion_2_negativity_formula_all_scenarios():
     """Numeric negativity equals max(0, x*g(t) - 1/8) on dense grids."""
     worst = 0.0
-    for kind in esd.ScenarioKind:
-        scenario = esd.Scenario(kind=kind, x=0.25, rate_a=1.0, rate_b=1.0)
+    for kind in esdsim.ScenarioKind:
+        scenario = esdsim.Scenario(kind=kind, x=0.25, rate_a=1.0, rate_b=1.0)
         rate = scenario.effective_rate()
         for t in np.linspace(0.0, 5.0 / rate, 200):
             t = float(t)
@@ -59,8 +60,8 @@ def test_criterion_2_negativity_formula_all_scenarios():
 
 def test_criterion_3_finite_death_time_qubit_noise():
     """Entanglement dies at 2*ln(2) while the corner coherence persists."""
-    scenario = esd.Scenario(kind=esd.ScenarioKind.QUBIT_ONLY, x=0.25, rate_a=1.0)
-    numeric = esd.numeric_esd_time(scenario)
+    scenario = esdsim.Scenario(kind=esdsim.ScenarioKind.QUBIT_ONLY, x=0.25, rate_a=1.0)
+    numeric = esdsim.numeric_esd_time(scenario)
     time_error = abs(numeric - 2.0 * LN2)
     corner_at_death = extract_corner(esd.evolve(scenario, 2.0 * LN2))
     corner_late = extract_corner(esd.evolve(scenario, 20.0))
@@ -73,8 +74,8 @@ def test_criterion_3_finite_death_time_qubit_noise():
 
 def test_criterion_4_multilocal_death_time_and_corner():
     """Multi-local noise halves the death time; corner factorizes exactly."""
-    scenario = esd.Scenario(kind=esd.ScenarioKind.MULTI_LOCAL, x=0.25, rate_a=1.0, rate_b=1.0)
-    numeric = esd.numeric_esd_time(scenario)
+    scenario = esdsim.Scenario(kind=esdsim.ScenarioKind.MULTI_LOCAL, x=0.25, rate_a=1.0, rate_b=1.0)
+    numeric = esdsim.numeric_esd_time(scenario)
     time_error = abs(numeric - LN2)
     worst_corner = 0.0
     for t in np.linspace(0.0, 4.0, 17):
@@ -152,12 +153,12 @@ def test_criterion_7_boundary_behavior():
     ok = True
     details = []
     for x in (0.0, 0.0625, 0.1, 0.125):
-        scenario = esd.Scenario(kind=esd.ScenarioKind.MULTI_LOCAL, x=x)
+        scenario = esdsim.Scenario(kind=esdsim.ScenarioKind.MULTI_LOCAL, x=x)
         start = negativity(esd.evolve(scenario, 0.0)).value
-        analytic = esd.analytic_esd_time(scenario)
-        numeric = esd.numeric_esd_time(scenario)
-        if not (start == 0.0 and analytic is esd.EsdOutcome.NEVER_ENTANGLED
-                and numeric is esd.EsdOutcome.NEVER_ENTANGLED):
+        analytic = esdsim.analytic_esd_time(scenario)
+        numeric = esdsim.numeric_esd_time(scenario)
+        if not (start == 0.0 and analytic is esdsim.EsdOutcome.NEVER_ENTANGLED
+                and numeric is esdsim.EsdOutcome.NEVER_ENTANGLED):
             ok = False
             details.append(f"x={x} misclassified")
     boundary = ansatz_x(0.25)

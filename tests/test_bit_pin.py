@@ -18,9 +18,8 @@ import random
 import numpy as np
 import pytest
 
-from esdsim import channels, esd
-from esdsim.esd import BracketError, Scenario, ScenarioKind, analytic_esd_time, evolve, numeric_esd_time, sweep
-from esdsim.linalg import hermitian_eigenvalues
+from esdsim import (BracketError, Scenario, ScenarioKind, analytic_esd_time, channels, evolve, hermitian_eigenvalues,
+                    numeric_esd_time, scalar, sweep)
 
 XS = (0.0, 0.125, 0.2, 0.25, 0.13, 0.1251, 0.2499)
 RATES = ((1.0, 1.0), (0.0, 2.0), (1.3, 0.7), (1e-3, 50.0), (1e308, 1e-308))
@@ -69,7 +68,7 @@ def digest_probe():
     digest = hashlib.sha256()
     for s in scenarios():
         for t in SPECIAL_TIMES:
-            digest.update(repr(esd._min_pt_eigenvalue(s, t)).encode())
+            digest.update(repr(scalar._min_pt_eigenvalue(s, t)).encode())
     return digest.hexdigest()
 
 
@@ -99,7 +98,7 @@ def digest_mask():
     factors = [0.0, 5e-324, 1e-160, 0.5, 1.0] + [rng.random() for _ in range(200)]
     digest = hashlib.sha256()
     for ga in factors:
-        digest.update(repr([channels._mask_products(ga, gb) for gb in factors]).encode())
+        digest.update(repr([scalar._mask_products(ga, gb) for gb in factors]).encode())
         digest.update(channels.dephasing_mask(ga, np.array(factors)).tobytes())
     return digest.hexdigest()
 

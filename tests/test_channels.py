@@ -6,24 +6,30 @@ import pickle
 import numpy as np
 import pytest
 
-from esdsim import channels, esd, states
-from esdsim.channels import (
-    COMPLETENESS_TOL,
+from esdsim import (
+    QUBIT_QUTRIT,
+    DimensionMismatchError,
     IncompleteChannelError,
     KrausChannel,
-    apply,
+    Scenario,
+    ScenarioKind,
+    ansatz_x,
     apply_multilocal,
-    decay_factor,
-    dephasing_mask,
+    channels,
     dephasing_qubit,
     dephasing_qutrit,
+    hermitian_eigenvalues,
     identity_channel,
+    partial_transpose,
+    random_density_matrix,
+    states,
+    validate,
 )
-from esdsim.esd import Scenario, ScenarioKind
-from esdsim.linalg import QUBIT_QUTRIT, DimensionMismatchError, hermitian_eigenvalues, max_abs_diff, partial_transpose
-from esdsim.states import ansatz_x, random_density_matrix, validate
+from esdsim.channels import COMPLETENESS_TOL, apply, dephasing_mask
+from esdsim.linalg import max_abs_diff
+from esdsim.scalar import decay_factor
 
-from numeric_oracles import random_pattern_state
+from numeric_oracles import random_pattern_state, split_pt
 
 
 @pytest.mark.parametrize("build", [dephasing_qubit, dephasing_qutrit], ids=lambda f: f.__name__)
@@ -199,10 +205,10 @@ def test_dephasing_mask_is_its_own_partial_transpose(side):
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_scenario_keeps_the_read_only_partial_transpose_of_its_state(kind):
-    # the Scenario keeps PT_A(rho0) in one form, _split_pt's (block, inert_min): immutable tuples
+    # the Scenario keeps PT_A(rho0) in one form, _split_rows's (block, inert_min): immutable tuples
     # and a float, which every copy rebuilds unchanged, with the same kernel
     s = Scenario(kind, 0.2, 1.3, 0.7)
-    split = esd._split_pt(partial_transpose(s.initial_state.mat, QUBIT_QUTRIT, "A"))
+    split = split_pt(partial_transpose(s.initial_state.mat, QUBIT_QUTRIT, "A"))
     assert repr((s._live_block, s._inert_min)) == repr(split)
     assert isinstance(s._live_block, tuple) and all(type(part) is tuple for part in s._live_block)
     for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s)), dataclasses.replace(s)):

@@ -1,3 +1,4 @@
+import ast
 import errno
 import math
 import os
@@ -11,11 +12,8 @@ import numpy as np
 import pytest
 
 import esdsim
-from esdsim import cli, esd, selfcheck
+from esdsim import Scenario, ScenarioKind, cli, esd, negativity, parse_state, selfcheck
 from esdsim.cli import CSV_HEADER, UsageError, main, parse_args
-from esdsim.entanglement import negativity
-from esdsim.esd import Scenario, ScenarioKind
-from esdsim.states import parse_state
 
 
 def test_parse_defaults():
@@ -439,10 +437,10 @@ PUBLIC_SOURCES = {
     "channels": ["IncompleteChannelError", "KrausChannel", "apply_multilocal", "dephasing_qubit", "dephasing_qutrit",
                  "identity_channel", ("apply_channel", "apply")],
     "entanglement": ["NegativityResult", "is_ppt", "negativity", "pt_spectrum"],
-    "esd": ["BracketError", "EsdOutcome", "Scenario", "ScenarioKind", "analytic_esd_time", "analytic_negativity",
-            "evolve", "numeric_esd_time", "pt_spectrum_closed_form", "sweep"],
+    "esd": ["analytic_negativity", "evolve", "pt_spectrum_closed_form", "sweep"],
     "linalg": ["QUBIT_QUTRIT", "BipartiteDims", "DimensionMismatchError", "NonHermitianError",
                "hermitian_eigenvalues", "partial_trace", "partial_transpose"],
+    "scalar": ["BracketError", "EsdOutcome", "Scenario", "ScenarioKind", "analytic_esd_time", "numeric_esd_time"],
     "states": ["DensityMatrix", "InvalidStateError", "ansatz_general", "ansatz_x", "format_state", "parse_state",
                "random_density_matrix", "reduce_a", "reduce_b", "validate"],
 }
@@ -456,7 +454,10 @@ def test_package_namespace_resolves_each_name_to_its_defining_module():
         module = importlib.import_module(f"esdsim.{module_name}")
         for entry in entries:
             name, attr = entry if isinstance(entry, tuple) else (entry, entry)
-            assert getattr(esdsim, name) is getattr(module, attr), name
+            value = getattr(esdsim, name)
+            assert value is getattr(module, attr), name
+            if callable(value):  # a class or a function: defined there, not imported from elsewhere
+                assert value.__module__ == "esdsim." + module_name, name
             names.append(name)
     assert esdsim.__all__ == [*sorted(names), "__version__"]
     assert esdsim.__version__ == "0.1.0"
@@ -468,6 +469,50 @@ def test_package_namespace_resolves_each_name_to_its_defining_module():
         getattr(esdsim, "no_such_name")
     with pytest.raises(ImportError):
         exec("from esdsim import no_such_name", {})
+
+
+def _defined_names(tree: ast.Module) -> set:
+    """The names a module binds at its top level by a def, a class or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_each_submodule_imports_only_what_it_uses_from_where_it_is_defined():
+    # every name in esdsim has one home: no module keeps an import only to re-export it (the package
+    # root's lazy table, _SOURCES, is the one place that does), and none reaches a name through a
+    # module that imports it in turn
+    package = Path(esdsim.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in package.glob("*.py")}
+    defined = {module: _defined_names(tree) for module, tree in trees.items()}
+    unused, elsewhere = [], []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        loads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        submodules = {}  # a `from . import m` binding -> m
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in loads:
+                        unused.append(f"{module}: {bound}")
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        submodules[alias.asname or alias.name] = alias.name
+                    elif alias.name not in defined[node.module]:
+                        elsewhere.append(f"{module}: from .{node.module} import {alias.name}")
+        for node in ast.walk(tree):  # m.name through a `from . import m` binding
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in submodules and node.attr not in defined[submodules[node.value.id]]):
+                elsewhere.append(f"{module}: {node.value.id}.{node.attr}")
+    assert not unused and not elsewhere, (unused, elsewhere)
 
 
 def test_submodules_resolve_after_a_bare_import():

@@ -5,10 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
-from esdsim import esd, linalg
-from esdsim.entanglement import is_ppt, negativity, pt_spectrum
-from esdsim.linalg import QUBIT_QUTRIT, NonHermitianError
-from esdsim.states import DensityMatrix, ansatz_x, random_density_matrix, validate
+import esdsim
+from esdsim import (QUBIT_QUTRIT, DensityMatrix, NonHermitianError, ansatz_x, esd, is_ppt, linalg, negativity,
+                    pt_spectrum, random_density_matrix, validate)
 
 from numeric_oracles import eigvalsh_negativity, random_unitary
 
@@ -67,7 +66,7 @@ def test_negativity_against_library_eigensolver():
 
 
 def test_negativity_matches_corner_formula_under_evolution():
-    scenario = esd.Scenario(kind=esd.ScenarioKind.MULTI_LOCAL, x=0.22, rate_a=0.9, rate_b=1.4)
+    scenario = esdsim.Scenario(kind=esdsim.ScenarioKind.MULTI_LOCAL, x=0.22, rate_a=0.9, rate_b=1.4)
     for t in np.linspace(0.0, 6.0, 40):
         rho = esd.evolve(scenario, float(t))
         expected = max(0.0, 0.22 * scenario.gamma_product(float(t)) - 0.125)
@@ -84,7 +83,7 @@ def test_negativity_invariant_under_local_unitaries():
 
 
 def test_negativity_nonincreasing_under_dephasing():
-    scenario = esd.Scenario(kind=esd.ScenarioKind.QUBIT_ONLY, x=0.25, rate_a=1.0)
+    scenario = esdsim.Scenario(kind=esdsim.ScenarioKind.QUBIT_ONLY, x=0.25, rate_a=1.0)
     values = [negativity(esd.evolve(scenario, float(t))).value for t in np.linspace(0.0, 4.0, 60)]
     for earlier, later in zip(values, values[1:]):
         assert later <= earlier + 1e-12

@@ -11,26 +11,37 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from esdsim import channels, esd, linalg, scalar
-from esdsim.entanglement import negativity, negativity_of_spectrum, pt_spectrum
-from esdsim.esd import (
+from esdsim import (
+    QUBIT_QUTRIT,
     BracketError,
+    DensityMatrix,
     EsdOutcome,
     Scenario,
     ScenarioKind,
     analytic_esd_time,
     analytic_negativity,
+    ansatz_general,
+    ansatz_x,
+    channels,
+    esd,
     evolve,
+    hermitian_eigenvalues,
+    linalg,
+    negativity,
     numeric_esd_time,
+    partial_transpose,
+    pt_spectrum,
     pt_spectrum_closed_form,
+    random_density_matrix,
+    scalar,
     sweep,
+    validate,
 )
-from esdsim.esd import CURVE_FIELDS
-from esdsim.linalg import QUBIT_QUTRIT, hermitian_eigenvalues, partial_transpose
-from esdsim.states import (JOINT_COHERENCE_SLOTS, DensityMatrix, ansatz_general, ansatz_x, extract_corner,
-                           random_density_matrix, validate)
+from esdsim.entanglement import negativity_of_spectrum
+from esdsim.scalar import CURVE_FIELDS
+from esdsim.states import JOINT_COHERENCE_SLOTS, extract_corner
 
-from numeric_oracles import exact_corner, exact_esd_time, random_hermitian, random_pattern_state
+from numeric_oracles import exact_corner, exact_esd_time, random_hermitian, random_pattern_state, split_pt
 
 LN2 = math.log(2.0)
 
@@ -217,7 +228,7 @@ def test_numeric_esd_time_probes_every_point_through_the_pipeline(probe_calls):
     s = scenario(ScenarioKind.MULTI_LOCAL)
     numeric = numeric_esd_time(s)
     # both bracket ends are probed once and reused
-    assert probe_calls[:2] == [0.0, esd.default_bracket(s)]
+    assert probe_calls[:2] == [0.0, scalar.default_bracket(s)]
     assert len(set(probe_calls)) == len(probe_calls)
     assert all(0.0 <= t <= probe_calls[1] for t in probe_calls)
     assert 0.0 < numeric < probe_calls[1]
@@ -230,9 +241,12 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
     # both hand their kernel only the live 2x2 block, rows {2, 3}, with the skip rule of
     # the full 6x6; at x = 0 the probe makes no call and sweep hands the stack kernel a 0x0 block
     probe_inputs, blocks = [], []
-    kernel, stack_kernel = scalar._jacobi_kernel, esd._jacobi_stack
+    kernel, stack_kernel = scalar._jacobi_kernel, linalg._jacobi_stack
 
     def recording_kernel(n):  # each Scenario below is built after the patch, and keeps this kernel
+        if n != 2:  # the checked route's 6x6 solve, which reads the same binding
+            return kernel(n)
+
         def record(re, im, off_tol, skip_tol):
             assert skip_tol == off_tol / 12
             m = np.empty((n, n), dtype=complex)
@@ -251,14 +265,14 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
         for x in (0.0, 0.125, 0.13, 0.2, 0.25):
             s = scenario(kind, x=x, rate_a=float(rate), rate_b=float(rate))
             del probe_calls[:], probe_inputs[:], blocks[:]
-            if rate or x <= esd.ENTANGLEMENT_THRESHOLD_X:  # else no noise acts and there is no window
+            if rate or x <= scalar.ENTANGLEMENT_THRESHOLD_X:  # else no noise acts and there is no window
                 numeric_esd_time(s)
             times = list(probe_calls)
-            if x > esd.ENTANGLEMENT_THRESHOLD_X and rate:
-                assert times[:2] == [0.0, esd.default_bracket(s)]
+            if x > scalar.ENTANGLEMENT_THRESHOLD_X and rate:
+                assert times[:2] == [0.0, scalar.default_bracket(s)]
             for t in times:
                 checked = negativity(evolve(s, t)).min_pt_eigenvalue
-                assert esd._min_pt_eigenvalue(s, t).hex() == checked.hex(), (rate, x, t)
+                assert scalar._min_pt_eigenvalue(s, t).hex() == checked.hex(), (rate, x, t)
             grid = [*times, 0.0, *np.geomspace(1e-12, 1e12, 25), math.inf]
             curve = sweep(s, grid)
             assert len(probe_inputs) == (2 * len(times) if x else 0) and len(blocks) == 1
@@ -294,7 +308,7 @@ def live_block_pts():
     n = 3, and a large pair (2, 4); no live row; one live pair whose mask
     entry is gamma_a * gamma_b; and a dense matrix, every row live.
     """
-    off_tol = linalg._JACOBI_OFF_TOL
+    off_tol = scalar._JACOBI_OFF_TOL
     small = 1.2e-14
     assert off_tol / 12 < small < off_tol / 6
     block = np.diag([0.125, 0.1, 0.125, 0.05, 0.2, 0.15]).astype(complex)
@@ -316,14 +330,14 @@ def live_block_pts():
 
 def full_pt_solve(pt, ga, gb):
     """The unsorted (k, 6) diagonals of the full 6x6 stack solve of pt dephased by each factor pair."""
-    off_tol = linalg._JACOBI_OFF_TOL
+    off_tol = scalar._JACOBI_OFF_TOL
     masks = channels.dephasing_mask(ga, gb)
     return linalg._jacobi_stack(pt.real[..., None] * masks, pt.imag[..., None] * masks, off_tol, off_tol / 12)
 
 
 def sweep_stand_in(pt, ga, gb):
     """A Scenario of the state whose PT_A is pt, as much as sweep reads; a grid of len(ga) times gets ga and gb."""
-    block, inert_min = esd._split_pt(pt)
+    block, inert_min = split_pt(pt)
     return types.SimpleNamespace(x=0.0, gamma_factors=lambda times: (ga, gb), _live_block=block, _inert_min=inert_min)
 
 
@@ -345,7 +359,7 @@ def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
         # and at most two eigenvalues are negative, whose sum does not depend on their order. The
         # inert stand-in's -0.0625 diagonal entry, which no valid state has, counts in the full
         # spectrum, and the dense stand-in has three negative eigenvalues: neither is checked here
-        if live and np.count_nonzero(spectrum < -linalg.SPECTRAL_TOL, axis=-1).max() <= 2:
+        if live and np.count_nonzero(spectrum < -scalar.SPECTRAL_TOL, axis=-1).max() <= 2:
             assert curve.negativity_numeric.tobytes() == negativity_of_spectrum(spectrum).tobytes(), live
 
 
@@ -354,27 +368,27 @@ def test_deflated_probe_equals_the_full_solve_bit_for_bit(monkeypatch):
     # and takes the inert rows' least diagonal entry: its value must be min of the full 6x6 kernel
     # diagonal, and the block's diagonal the full diagonal's live entries, bit for bit; no kernel
     # call when L = 0
-    off_tol = linalg._JACOBI_OFF_TOL
+    off_tol = scalar._JACOBI_OFF_TOL
     calls = []
 
     def recording_kernel(n):
         def record(re, im, off_tol, skip_tol):
             calls.append((n, len(re), len(im), skip_tol))
-            diag = linalg._jacobi_kernel(n)(re, im, off_tol, skip_tol)
+            diag = scalar._jacobi_kernel(n)(re, im, off_tol, skip_tol)
             calls[-1] += (diag,)
             return diag
         return record
 
     masks = channels.dephasing_mask(DEFLATION_GA, DEFLATION_GB)
     for pt, live in live_block_pts():
-        block, inert_min = esd._split_pt(pt)
+        block, inert_min = split_pt(pt)
         assert len(block[0]) == len(block[1]) == len(live) ** 2
         stand_in = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_block=block, _inert_min=inert_min,
                                          _kernel=recording_kernel(len(live)) if live else None)
         for i, pair in enumerate(zip(DEFLATION_GA.tolist(), DEFLATION_GB.tolist())):
             del calls[:]
-            got = esd._min_pt_eigenvalue(stand_in, pair)
-            full = linalg._jacobi_kernel(6)((pt.real * masks[..., i]).ravel().tolist(),
+            got = scalar._min_pt_eigenvalue(stand_in, pair)
+            full = scalar._jacobi_kernel(6)((pt.real * masks[..., i]).ravel().tolist(),
                                             (pt.imag * masks[..., i]).ravel().tolist(), off_tol, off_tol / 12)
             assert got.hex() == min(full).hex(), (live, pair)
             if not live:
@@ -387,7 +401,7 @@ def test_deflated_probe_equals_the_full_solve_bit_for_bit(monkeypatch):
 
 
 def split_pt_oracle(pt):
-    """_split_pt in its numpy formulation: the oracle of the row-list reading."""
+    """split_pt in its numpy formulation: the oracle of the row-list reading."""
     coupled = pt != 0
     np.fill_diagonal(coupled, False)
     live = np.flatnonzero(coupled.any(axis=1))
@@ -414,22 +428,22 @@ def split_pt_cases():
 
 
 def test_split_pt_equals_its_numpy_oracle():
-    # _split_pt reads row lists: the live block's flat row-major entries with their term indices
+    # split_pt reads row lists: the live block's flat row-major entries with their term indices
     # and the inert rows' least diagonal entry must be the numpy formulation's, bit for bit
     def hexed(block):
         return [[(v.hex(), j) for v, j in part] for part in block]
 
     cases = split_pt_cases()
     for pt in cases:
-        block, inert_min = esd._split_pt(pt)
+        block, inert_min = split_pt(pt)
         ref_block, ref_min = split_pt_oracle(pt)
         assert all(type(part) is tuple for part in block)
         assert hexed(block) == hexed(ref_block)
         assert type(inert_min) is float and inert_min.hex() == ref_min.hex()
     # -0.0 is a zero and NaN is not: no row of the signed zeros is live, and the rows with a NaN are,
     # whose block holds the mask terms of rows and columns {2, 4}
-    assert esd._split_pt(cases[-2])[0] == ((), ())
-    nan_terms = [[j for _, j in part] for part in esd._split_pt(cases[-1])[0]]
+    assert split_pt(cases[-2])[0] == ((), ())
+    nan_terms = [[j for _, j in part] for part in split_pt(cases[-1])[0]]
     assert nan_terms == [channels._MASK_TERMS[np.ix_([2, 4], [2, 4])].ravel().tolist()] * 2
 
 
@@ -463,9 +477,9 @@ def test_sweep_and_probe_rule_equals_the_full_spectrum_on_states_with_inert_rows
         assert curve.min_pt_eigenvalue.tobytes() == full[:, 0].tobytes()
         assert curve.negativity_numeric.tobytes() == negativity_of_spectrum(full).tobytes()
         probe = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_block=stand_in._live_block,
-                                      _inert_min=stand_in._inert_min, _kernel=linalg._jacobi_kernel(size))
+                                      _inert_min=stand_in._inert_min, _kernel=scalar._jacobi_kernel(size))
         for i, pair in enumerate(zip(ga.tolist(), gb.tolist())):
-            assert esd._min_pt_eigenvalue(probe, pair).hex() == full[i, 0].hex(), pair
+            assert scalar._min_pt_eigenvalue(probe, pair).hex() == full[i, 0].hex(), pair
         entangled |= bool(curve.negativity_numeric.any())
         live = np.flatnonzero((pt - np.diag(pt.diagonal())).any(axis=1))
         inert_below |= bool((stand_in._inert_min < solved[:, live].min(axis=-1)).any())
@@ -485,10 +499,10 @@ def test_every_route_dephases_a_general_state_with_the_same_floats(seed, monkeyp
     mat = random_density_matrix(np.random.default_rng(seed)).mat
     rho0 = DensityMatrix(0.5 * (mat + mat.conj().T), QUBIT_QUTRIT)  # exactly Hermitian
     pt = partial_transpose(rho0.mat, QUBIT_QUTRIT, "A")
-    live_block, inert_min = esd._split_pt(pt)
+    live_block, inert_min = split_pt(pt)
     assert len(live_block[0]) == 36 and inert_min == math.inf
     rows, planes = [], []
-    matrix_kernel, stack_kernel = linalg._jacobi_kernel(6), esd._jacobi_stack
+    matrix_kernel, stack_kernel = scalar._jacobi_kernel(6), linalg._jacobi_stack
 
     def record_rows(re, im, off_tol, skip_tol):
         rows.append((np.reshape(re, (6, 6)), np.reshape(im, (6, 6))))
@@ -506,7 +520,7 @@ def test_every_route_dephases_a_general_state_with_the_same_floats(seed, monkeyp
     sweep(stand_in, np.zeros(len(GENERAL_PAIRS)))
     [(re_planes, im_planes)] = planes
     for i, pair in enumerate(GENERAL_PAIRS):
-        esd._min_pt_eigenvalue(stand_in, pair)
+        scalar._min_pt_eigenvalue(stand_in, pair)
         re, im = rows[i]
         evolved = partial_transpose(evolve(stand_in, pair).mat, QUBIT_QUTRIT, "A")
         for route_re, route_im in ((re_planes[..., i], im_planes[..., i]), (evolved.real, evolved.imag)):
@@ -699,7 +713,7 @@ def test_sweep_no_death_variant():
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_sweep_makes_no_root_finder_probe(kind, probe_calls):
-    # the curve needs no death time: every root-finder probe would call esd._min_pt_eigenvalue
+    # the curve needs no death time: every root-finder probe would call scalar._min_pt_eigenvalue
     curve = sweep(scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7), np.linspace(0.0, 4.0, 101))
     assert len(curve) == 101
     assert probe_calls == []
@@ -797,14 +811,14 @@ def test_curve_rows_against_the_exact_corner(kind):
     # (0, 1e-10] reads exactly 0 by the noise-floor rule; the extra times put x g(t) at
     # 1/8 + delta, on both sides of that floor
     tol = Decimal(sys.float_info.epsilon / 2)
-    eighth, floor = Decimal(1) / 8, Decimal(linalg.SPECTRAL_TOL)
+    eighth, floor = Decimal(1) / 8, Decimal(scalar.SPECTRAL_TOL)
     floored = 0
     for rate in np.logspace(-9.0, 3.0, 13):
         for x in (0.0, 0.1, 0.125, 0.1251, 0.13, 0.2, 0.25):
             s = scenario(kind, x=x, rate_a=float(rate), rate_b=0.7 * float(rate))
             r = s.effective_rate()
             grid = [*np.linspace(0.0, 4.0 * LN2 / r, 401)]
-            if x > esd.ENTANGLEMENT_THRESHOLD_X:
+            if x > scalar.ENTANGLEMENT_THRESHOLD_X:
                 grid += [2.0 * math.log(x / (0.125 + delta)) / r for delta in (1.1e-10, 9e-11, 5e-11, 1e-12)]
             curve = sweep(s, grid)
             for t, ga, gb, lam, neg in zip(*(curve[name].tolist() for name in (
@@ -853,7 +867,7 @@ def test_gamma_factors_of_an_array_are_per_point(kind):
         s = scenario(kind, rate_a=rate_a, rate_b=rate_b)
         ga, gb = s.gamma_factors(times)
         assert ga.shape == gb.shape == times.shape
-        expected = np.array([[channels.decay_factor(rate, float(t)) for rate in s.rates] for t in times.ravel()])
+        expected = np.array([[scalar.decay_factor(rate, float(t)) for rate in s.rates] for t in times.ravel()])
         assert np.stack([ga.ravel(), gb.ravel()], axis=-1).tobytes() == expected.tobytes(), (rate_a, rate_b)
 
 
@@ -877,7 +891,7 @@ def test_scenario_splits_the_partial_transpose_of_its_state_bit_for_bit(x):
     # its split must be the one of linalg.partial_transpose on ansatz_x's DensityMatrix, and its
     # initial_state, built on first read, ansatz_x's bits
     s = Scenario("multilocal", x)
-    split = esd._split_pt(partial_transpose(ansatz_x(x).mat, QUBIT_QUTRIT, "A"))
+    split = split_pt(partial_transpose(ansatz_x(x).mat, QUBIT_QUTRIT, "A"))
     assert repr((s._live_block, s._inert_min)) == repr(split)
     assert "initial_state" not in vars(s)
     assert s.initial_state.mat.tobytes() == ansatz_x(x).mat.tobytes()

@@ -17,10 +17,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from esdsim import linalg  # noqa: E402
+from esdsim import DensityMatrix, InvalidStateError, ScenarioKind, linalg, parse_state  # noqa: E402
 from esdsim.cli import main  # noqa: E402
-from esdsim.esd import ScenarioKind  # noqa: E402
-from esdsim.states import DensityMatrix, InvalidStateError, parse_state  # noqa: E402
 
 FUZZ = settings(max_examples=60, deadline=timedelta(seconds=1), derandomize=True, database=None)
 

@@ -10,21 +10,31 @@ import numpy as np
 import pytest
 
 import esdsim
-from esdsim import channels, esd, linalg, scalar
-from esdsim.linalg import (
+from esdsim import (
     QUBIT_QUTRIT,
     BipartiteDims,
     DimensionMismatchError,
-    SPECTRAL_TOL,
+    EsdOutcome,
     NonHermitianError,
+    Scenario,
+    ScenarioKind,
+    ansatz_x,
+    channels,
+    esd,
+    evolve,
+    format_state,
     hermitian_eigenvalues,
+    linalg,
+    negativity,
+    numeric_esd_time,
+    parse_state,
     partial_trace,
     partial_transpose,
+    random_density_matrix,
+    scalar,
 )
-
-from esdsim.esd import EsdOutcome, Scenario, ScenarioKind, evolve, numeric_esd_time
-from esdsim.entanglement import negativity
-from esdsim.states import JOINT_COHERENCE_SLOTS, ansatz_x, format_state, parse_state, random_density_matrix
+from esdsim.scalar import SPECTRAL_TOL
+from esdsim.states import JOINT_COHERENCE_SLOTS
 
 from numeric_oracles import (
     charpoly_eigs_2x2,
@@ -333,7 +343,7 @@ def matrix_eigenvalues(m, off_tol):
     n = len(m)
     if n < 2:
         return np.sort(m.diagonal().real)
-    diag = linalg._jacobi_kernel(n)(m.real.ravel().tolist(), m.imag.ravel().tolist(), off_tol, off_tol / (2 * n))
+    diag = scalar._jacobi_kernel(n)(m.real.ravel().tolist(), m.imag.ravel().tolist(), off_tol, off_tol / (2 * n))
     return np.sort(diag)
 
 
@@ -357,7 +367,7 @@ def stack_eigenvalues(stack):
     n = stack.shape[-1]
     if n < 2:
         return np.sort(stack.diagonal(axis1=-2, axis2=-1).real, axis=-1)
-    off_tol = linalg._JACOBI_OFF_TOL
+    off_tol = scalar._JACOBI_OFF_TOL
     return np.sort(linalg._jacobi_stack(*planes(stack), off_tol, off_tol / (2 * n)), axis=-1)
 
 
@@ -381,7 +391,7 @@ def test_kernels_overwrite_their_input_and_the_entries_only_read_theirs(read_onl
     # imaginary planes), and the one-matrix kernel its flat rows; the stack kernel overwrites the
     # float planes its callers build afresh
     rng = np.random.default_rng(26)
-    off_tol = linalg._JACOBI_OFF_TOL
+    off_tol = scalar._JACOBI_OFF_TOL
     m = trusted(random_hermitian(rng, 6))
     m.flags.writeable = not read_only
     before = m.copy()
@@ -390,7 +400,7 @@ def test_kernels_overwrite_their_input_and_the_entries_only_read_theirs(read_onl
     assert eigs.dtype == np.float64 and eigs.shape == (6,)
     assert eigs.tobytes() == matrix_eigenvalues(before, off_tol).tobytes()
     re, im = m.real.ravel().tolist(), m.imag.ravel().tolist()
-    diag = linalg._jacobi_kernel(6)(re, im, off_tol, off_tol / 12)
+    diag = scalar._jacobi_kernel(6)(re, im, off_tol, off_tol / 12)
     assert len(diag) == 6 and np.sort(diag).tobytes() == eigs.tobytes()
     assert np.array(re).tobytes() == before.real.tobytes() and np.array(im).tobytes() == before.imag.tobytes()
     stack = trusted(stack_of(rng, STACKS["mixed"]))  # planes() copies: the stack route only reads the stack
@@ -436,7 +446,7 @@ def test_exact_zero_pairs_and_signed_zeros_give_the_same_eigenvalue_bits():
     assert np.max(np.abs(expected - np.linalg.eigvalsh(m))) < 1e-15
     assert {0.25, 0.125, -0.0625} <= set(expected.tolist())  # the inert rows keep their diagonal
     for a in (m, signed):
-        assert matrix_eigenvalues(a, linalg._JACOBI_OFF_TOL).tobytes() == expected.tobytes()
+        assert matrix_eigenvalues(a, scalar._JACOBI_OFF_TOL).tobytes() == expected.tobytes()
     stacked = stack_eigenvalues(np.array([m, signed, m]))
     assert stacked.tobytes() == np.array([expected] * 3).tobytes()
 
@@ -448,7 +458,7 @@ def test_generated_kernel_gives_the_reference_bits_and_only_reads_its_input(n, m
     # signed-zero matrix holding its coupled rows {1, 4} and, at n = 2, the death-time probes'
     # live blocks, with their skip_tol; it only reads the flat rows it is given
     rng = np.random.default_rng(70 + n)
-    off_tol = linalg._JACOBI_OFF_TOL
+    off_tol = scalar._JACOBI_OFF_TOL
     mats = list(trusted(np.array([random_hermitian(rng, n) for _ in range(40)])))
     for _ in range(40):
         h = random_hermitian(rng, n)
@@ -467,21 +477,21 @@ def test_generated_kernel_gives_the_reference_bits_and_only_reads_its_input(n, m
         assert matrix_eigenvalues(edge, off_tol).tolist() == [0.25] * n
         mats.append(edge)
     cases = [(m.real, m.imag, off_tol / (2 * n)) for m in mats]  # real and imaginary parts, skip_tol
+    generate = scalar._jacobi_kernel
     if n == 2:
-        kernel = scalar._jacobi_kernel
-
         def recording_kernel(size):
             def record(re, im, off_tol, skip_tol):
                 cases.append((np.reshape(re, (size, size)), np.reshape(im, (size, size)), skip_tol))
-                return kernel(size)(re, im, off_tol, skip_tol)
+                return generate(size)(re, im, off_tol, skip_tol)
             return record
 
-        monkeypatch.setattr(scalar, "_jacobi_kernel", recording_kernel)  # where Scenario reads it
-        for kind in ScenarioKind:
-            for x in (0.126, 0.2, 0.25):
-                numeric_esd_time(Scenario(kind, x, 1.3, 0.7))
+        with monkeypatch.context() as patch:
+            patch.setattr(scalar, "_jacobi_kernel", recording_kernel)  # where Scenario reads it
+            for kind in ScenarioKind:
+                for x in (0.126, 0.2, 0.25):
+                    numeric_esd_time(Scenario(kind, x, 1.3, 0.7))
         assert len(cases) > len(mats) + 100
-    kernel = linalg._jacobi_kernel(n)
+    kernel = generate(n)
     for re, im, skip_tol in cases:
         flat_re, flat_im = re.ravel().tolist(), im.ravel().tolist()
         diag = kernel(flat_re, flat_im, off_tol, skip_tol)
@@ -494,20 +504,20 @@ def test_generated_kernel_gives_the_reference_bits_and_only_reads_its_input(n, m
 def test_a_matrix_above_six_goes_through_the_stack_kernel_with_the_reference_bits(n, monkeypatch):
     # no kernel is generated above 6x6: the checked entry solves the matrix as a stack of one,
     # which gives the frozen one-matrix kernel's bits
-    sizes, kernel = [], linalg._jacobi_kernel
-    monkeypatch.setattr(linalg, "_jacobi_kernel", lambda size: sizes.append(size) or kernel(size))
+    sizes, kernel = [], scalar._jacobi_kernel
+    monkeypatch.setattr(scalar, "_jacobi_kernel", lambda size: sizes.append(size) or kernel(size))
     rng = np.random.default_rng(80 + n)
     mats = [*trusted(np.array([random_hermitian(rng, n) for _ in range(5)])), trusted(one_pair(rng, n))]
     for m in mats:
-        assert hermitian_eigenvalues(m).tobytes() == reference_eigenvalues(m, linalg._JACOBI_OFF_TOL).tobytes()
+        assert hermitian_eigenvalues(m).tobytes() == reference_eigenvalues(m, scalar._JACOBI_OFF_TOL).tobytes()
     assert sizes == []
 
 
 def test_no_kernel_is_generated_above_six(monkeypatch):
     # a 16x16 matrix and a dims 3 3 state's negativity take the stack route: the kernel cache
     # gains no size, and each answer agrees with LAPACK
-    sizes, kernel = [], linalg._jacobi_kernel
-    monkeypatch.setattr(linalg, "_jacobi_kernel", lambda size: sizes.append(size) or kernel(size))
+    sizes, kernel = [], scalar._jacobi_kernel
+    monkeypatch.setattr(scalar, "_jacobi_kernel", lambda size: sizes.append(size) or kernel(size))
     cached = kernel.cache_info().currsize
     rng = np.random.default_rng(73)
     h = random_hermitian(rng, 16)
@@ -530,7 +540,7 @@ def test_checked_entry_hands_the_kernel_the_signed_zeros_of_its_input(scale, mon
     # numpy's complex product by a real, (x + iy)(s + 0i), made -0.0 - 0.0 * y a +0.0 where y < 0
     m = np.array([[0.25 * scale, complex(-0.0, -0.1 * scale)], [complex(-0.0, 0.1 * scale), 0.25 * scale]])
     assert np.signbit(m.real).tolist() == [[False, True], [True, False]]
-    rows, kernel = [], linalg._jacobi_kernel
+    rows, kernel = [], scalar._jacobi_kernel
 
     def recording_kernel(n):
         def record(re, im, off_tol, skip_tol):
@@ -538,7 +548,7 @@ def test_checked_entry_hands_the_kernel_the_signed_zeros_of_its_input(scale, mon
             return kernel(n)(re, im, off_tol, skip_tol)
         return record
 
-    monkeypatch.setattr(linalg, "_jacobi_kernel", recording_kernel)
+    monkeypatch.setattr(scalar, "_jacobi_kernel", recording_kernel)
     eigs = hermitian_eigenvalues(m)
     [(re, im)] = rows
     assert np.signbit(re).tolist() == [[False, True], [True, False]]
@@ -555,7 +565,7 @@ def test_trusted_entry_gives_the_checked_bits_alone_and_stacked(n):
     stack = trusted(stack_of(rng, STACKS["mixed"], n))
     for mats in (stack, stack / 64.0):
         checked = np.array([hermitian_eigenvalues(m) for m in mats])
-        singles = [matrix_eigenvalues(m, linalg._JACOBI_OFF_TOL) for m in mats]
+        singles = [matrix_eigenvalues(m, scalar._JACOBI_OFF_TOL) for m in mats]
         assert np.array(singles).tobytes() == checked.tobytes()
         assert stack_eigenvalues(mats).tobytes() == checked.tobytes()
 
@@ -655,8 +665,8 @@ def test_public_entries_refuse_a_stack(shape):
 @pytest.mark.parametrize("kernel", ["matrix", "stack"])
 def test_jacobi_sweep_cap_raises(kernel, monkeypatch):
     # a dense 6x6 needs several sweeps: past the cap, either kernel must raise, not return a half-rotated diagonal
-    # each kernel reads the cap in its own module: the generated one in scalar, the stack one in linalg
-    monkeypatch.setattr(scalar if kernel == "matrix" else linalg, "_MAX_JACOBI_SWEEPS", 1)
+    # both kernels read the one cap, scalar's, when they are called
+    monkeypatch.setattr(scalar, "_MAX_JACOBI_SWEEPS", 1)
     rng = np.random.default_rng(31)
     with pytest.raises(RuntimeError, match="Jacobi iteration did not converge"):
         if kernel == "matrix":

@@ -1,23 +1,24 @@
 import numpy as np
 import pytest
 
-from esdsim import linalg, states
-from esdsim.linalg import QUBIT_QUTRIT, SPECTRAL_TOL, hermitian_eigenvalues
-from esdsim.states import (
-    ANSATZ_DIAGONAL,
-    JOINT_COHERENCE_SLOTS,
+from esdsim import (
+    QUBIT_QUTRIT,
     DensityMatrix,
     InvalidStateError,
     ansatz_general,
     ansatz_x,
-    extract_corner,
     format_state,
+    hermitian_eigenvalues,
+    linalg,
     parse_state,
     random_density_matrix,
     reduce_a,
     reduce_b,
+    states,
     validate,
 )
+from esdsim.scalar import ANSATZ_DIAGONAL, SPECTRAL_TOL
+from esdsim.states import JOINT_COHERENCE_SLOTS, extract_corner
 
 from numeric_oracles import random_pattern_state, random_unitary
 
