@@ -5,7 +5,10 @@ prints the death time, selfcheck runs the numeric cross-checks,
 dump-state writes the evolved state in the plain-text matrix format.
 Exit codes: 0 success, 1 usage error, no death time found in the
 esd-time search window or a curve too large to allocate, 2 selfcheck
-failure, 3 I/O error on --out or stdout.
+failure, 3 I/O error on --out or stdout. curve renders and writes its
+CSV one sweep block of 1 024 rows at a time, so a write that fails
+mid-stream leaves a truncated --out file, as a failed single large
+write does too.
 
 Only curve, dump-state and selfcheck load numpy, on their first run in
 a process: esd-time, --help and a usage error run on esdsim.scalar
@@ -84,18 +87,26 @@ def parse_args(argv=None) -> argparse.Namespace:
     return ns
 
 
-def render_csv(curve) -> str:
-    return CSV_HEADER + "\n" + "".join(_CSV_ROW % row for row in curve.tolist())
+def render_csv(block) -> str:
+    """One sweep block's CSV rows, no header, read from the block's flat float buffer."""
+    return (_CSV_ROW * len(block)) % tuple(block.view(float).tolist())
 
 
-def _emit(text: str, out: str | None) -> int:
+def _emit(text, out: str | None) -> int:
+    """Write text, a string or an iterable of strings, to --out or stdout; 3 on an OSError, else 0.
+
+    An iterable is written as it is produced, so a failure mid-stream leaves
+    what came before it in the file or on stdout.
+    """
+    chunks = (text,) if isinstance(text, str) else text
     try:
         if out is None:
-            sys.stdout.write(text)
+            for chunk in chunks:
+                sys.stdout.write(chunk)
             sys.stdout.flush()
         else:
             with open(out, "w", encoding="ascii") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
     except OSError as exc:
         print(f"esd: cannot write {'<stdout>' if out is None else out}: {exc}", file=sys.stderr)
         if out is None and sys.stdout is sys.__stdout__:
@@ -120,20 +131,21 @@ def run(config: argparse.Namespace) -> int:
 
         return _emit(format_state(evolve(scenario, config.t_max)), config.out)
     if config.mode == "curve":
+        import itertools
+
         import numpy as np
 
-        from .esd import sweep
+        from .esd import _SWEEP_BLOCK, sweep
 
         try:
-            try:
-                t_grid = np.linspace(0.0, config.t_max, config.steps)
-            except ValueError as exc:  # numpy refuses a grid past its own size limit before allocating
-                raise MemoryError(exc) from None
-            csv = render_csv(sweep(scenario, t_grid))
-        except MemoryError as exc:  # a --steps grid beyond what can be allocated
+            t_grid = np.linspace(0.0, config.t_max, config.steps)
+        except (MemoryError, ValueError) as exc:  # numpy refuses a grid past its own size limit with a ValueError
             print(f"esd: cannot allocate the {config.steps}-point curve: {exc}", file=sys.stderr)
             return 1
-        return _emit(csv, config.out)
+        # each slice is one of the blocks a whole-grid sweep solves, so its rows are the same bits
+        blocks = (render_csv(sweep(scenario, t_grid[start:start + _SWEEP_BLOCK]))
+                  for start in range(0, config.steps, _SWEEP_BLOCK))
+        return _emit(itertools.chain((CSV_HEADER + "\n",), blocks), config.out)
     analytic = analytic_esd_time(scenario)
     if isinstance(analytic, EsdOutcome):
         return _emit(f"{analytic.value}\n", config.out)

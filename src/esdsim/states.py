@@ -209,10 +209,11 @@ def format_state(rho: DensityMatrix) -> str:
     row with entries written as re+imj pairs at 17 significant digits,
     which round-trips float64 exactly.
     """
-    lines = [f"dims {rho.dims.dim_a} {rho.dims.dim_b}"]
-    for row in rho.mat.tolist():  # Python scalars format faster than numpy's
-        lines.append(" ".join(["%.17g%+.17gj" % (z.real, z.imag) for z in row]))
-    return "\n".join(lines) + "\n"
+    n = rho.dims.total
+    row = " ".join(["%.17g%+.17gj"] * n) + "\n"
+    # the stored C-ordered complex128 copy read as (re, im) floats; Python floats format faster than numpy's
+    body = (row * n) % tuple(rho.mat.view(np.float64).ravel().tolist())
+    return f"dims {rho.dims.dim_a} {rho.dims.dim_b}\n" + body
 
 
 def parse_state(text: str) -> DensityMatrix:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,63 @@ def test_stdout_io_error_exit_code(argv, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", FullStdout())
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("esd: cannot write <stdout>: ")
+
+
+class FullAfterHeaderStdout:
+    """A stdout whose device fills after the CSV header: the first write lands, every later one fails."""
+
+    def __init__(self):
+        self.written = []
+
+    def write(self, text):
+        if self.written:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.written.append(text)
+
+    def flush(self):
+        pass
+
+
+def test_curve_write_failure_mid_stream_exit_code(monkeypatch, capsys):
+    # the curve is written one sweep block at a time, so the header is out before the device fills
+    stdout = FullAfterHeaderStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["curve", "--steps", "3000"]) == 3
+    assert stdout.written == [CSV_HEADER + "\n"]
+    assert capsys.readouterr().err == f"esd: cannot write <stdout>: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("steps", [2, 1023, 1024, 1025, 2049, 10001])
+@pytest.mark.parametrize("flags", [[], ["--scenario", "qutrit", "--x", "0.2", "--rate-b", "0.3", "--t-max", "9"]],
+                         ids=["multilocal", "qutrit"])
+def test_curve_streams_the_bytes_of_one_sweep(flags, steps, tmp_path, capsys):
+    # the CLI sweeps and writes one block of grid points at a time: the bytes must be those of one
+    # sweep over the whole grid, each row formatted on its own
+    argv = ["curve", *flags, "--steps", str(steps)]
+    config = parse_args(argv)
+    curve = esd.sweep(config.scenario, np.linspace(0.0, config.t_max, steps))
+    expected = CSV_HEADER + "\n" + "".join(cli._CSV_ROW % row for row in curve.tolist())
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    path = tmp_path / "curve.csv"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == expected.encode()
+
+
+def test_curve_memory_stays_flat(tmp_path):
+    # the CSV is rendered and written per sweep block, so only the grid grows with --steps (0.8 MB
+    # here); holding the whole curve's records, row tuples and text would take about 48 MiB
+    path = tmp_path / "curve.csv"
+    assert main(["curve", "--steps", "3", "--out", str(path)]) == 0  # imports outside the trace
+    tracemalloc.start()
+    try:
+        assert main(["curve", "--steps", "100001", "--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak
+    with path.open() as fh:
+        assert sum(1 for _ in fh) == 100002
 
 
 def _subprocess_env(**extra):
