@@ -25,7 +25,8 @@ each with its own rotation parameters, overwriting them, and returns the
 same bits as one call per matrix. Two callers skip the checks, and say
 why their input may. Both read the live block of PT_A(rho0), the rows
 that have an off-diagonal entry, from the one split their Scenario
-keeps: esd._pt_eigenvalues builds its planes for a sweep block, for
+keeps, which it writes in closed form, with no partial_transpose call:
+esd._pt_eigenvalues builds its planes for a sweep block, for
 _jacobi_stack, and scalar._min_pt_eigenvalue, the death-time probe, its
 flat lists for the kernel the Scenario keeps, so that a probe makes no
 numpy call. Both pass the skip rule of the full 6x6 matrix.

@@ -3,8 +3,8 @@
 `esd esd-time` runs on this module alone, so its process never loads
 numpy (about 0.1 s of a 0.15 s start-up). It holds:
 
-- the family's Scenario, which builds the x-state's side-A partial
-  transpose as row lists and keeps it split (_split_rows);
+- the family's Scenario, which writes the split of the x-state's side-A
+  partial transpose in closed form;
 - the death-time route: the probe (_min_pt_eigenvalue), Illinois
   regula falsi (numeric_esd_time) and the closed form (analytic_esd_time);
 - the decay factor and the six products that the dephasing mask gathers;
@@ -65,9 +65,17 @@ _QUTRIT_EXPONENTS = ((0, 1, 1), (1, 0, 2), (1, 2, 0))
 _TERM_ROWS = [[((0, 2, 3), (1, 4, 5))[_QUBIT_EXPONENTS[i // _DIM_B][j // _DIM_B]]
                [_QUTRIT_EXPONENTS[i % _DIM_B][j % _DIM_B]] for j in range(_N)] for i in range(_N)]
 
-# PT_A[(a, b), (a', b')] = rho[(a', b), (a, b')], with index i = 3a + b: the (row, column) of rho for each entry
-_PT_A_INDEX = tuple(tuple((_DIM_B * (j // _DIM_B) + i % _DIM_B, _DIM_B * (i // _DIM_B) + j % _DIM_B)
-                          for j in range(_N)) for i in range(_N))
+# PT_A[(a, b), (a', b')] = rho[(a', b), (a, b')], with index i = 3a + b, keeps the diagonal and moves the corner
+# pair, CORNER_SLOT and its mirror, to (q, p) and (p, q), p < q: the rows of the live block, which x couples
+# when x != 0. Every other row is inert: it keeps its diagonal entry and no other.
+_LIVE_ROWS = tuple(sorted(_DIM_B * (j // _DIM_B) + i % _DIM_B for i, j in (CORNER_SLOT, CORNER_SLOT[::-1])))
+# the (entry, _TERM_ROWS index) pairs of the live block's diagonal, the terms of its (p, q) and (q, p), which
+# hold x, and its imaginary part, every entry +0.0, flat row-major
+_LIVE_DIAGONAL = tuple((ANSATZ_DIAGONAL[i], _TERM_ROWS[i][i]) for i in _LIVE_ROWS)
+_LIVE_OFF_TERMS = tuple(_TERM_ROWS[i][j] for i in _LIVE_ROWS for j in _LIVE_ROWS if i != j)
+_LIVE_IM = tuple((0.0, _TERM_ROWS[i][j]) for i in _LIVE_ROWS for j in _LIVE_ROWS)
+# the least diagonal entry of the inert rows when x != 0; at x = 0 every row is inert
+_INERT_MIN = min(d for i, d in enumerate(ANSATZ_DIAGONAL) if i not in _LIVE_ROWS)
 
 
 def decay_factor(rate: float, t: float) -> float:
@@ -116,56 +124,27 @@ class BracketError(RuntimeError):
     """
 
 
-def _x_state_rows(x) -> list:
-    """The x-state's real parts as six row lists; its imaginary parts are all +0.0.
+def _corner(x) -> float:
+    """x + 0.0 in float64, so that a -0.0 is 0.0: the x-state's corner entry.
 
-    Diagonal ANSATZ_DIAGONAL; the only off-diagonal entries are x + 0.0
-    (so a -0.0 is stored as 0.0), taken in float64, at CORNER_SLOT and its
-    mirror. Any x outside [0, ANSATZ_X_MAX] raises ValueError: the one
-    check of x, made when a Scenario is built and by states.ansatz_x.
+    Any x outside [0, ANSATZ_X_MAX] raises ValueError: the one check of
+    x, made when a Scenario is built and by states.ansatz_x.
     """
     if not 0.0 <= x <= ANSATZ_X_MAX:
         raise ValueError(f"x must lie in the positivity range [0, {ANSATZ_X_MAX}], got {x}")
+    return float(x + 0.0)
+
+
+def _x_state_rows(x) -> list:
+    """The x-state's real parts as six row lists; its imaginary parts are all +0.0.
+
+    Diagonal ANSATZ_DIAGONAL; the only off-diagonal entries are
+    _corner(x), which checks x, at CORNER_SLOT and its mirror.
+    """
     rows = [[d if i == j else 0.0 for j in range(_N)] for i, d in enumerate(ANSATZ_DIAGONAL)]
     i, j = CORNER_SLOT
-    rows[i][j] = rows[j][i] = float(x + 0.0)
+    rows[i][j] = rows[j][i] = _corner(x)
     return rows
-
-
-def _pt_a_rows(rows) -> list:
-    """The side-A partial transpose of a 2x3 matrix given as six row lists, as linalg.partial_transpose maps it."""
-    return [[rows[r][c] for r, c in index_row] for index_row in _PT_A_INDEX]
-
-
-def _split_rows(re, im) -> tuple:
-    """(block, inert_min) of PT_A(rho0), 6 x 6 real and imaginary row lists: the form sweep and the probe read.
-
-    block holds the live block, the rows with a nonzero off-diagonal
-    entry and their columns: its real and its imaginary parts, each a flat
-    row-major tuple of (entry, its index in _TERM_ROWS) pairs, as the
-    one-matrix kernel reads the block once the probe has masked it;
-    inert_min, the least diagonal entry of the other rows in row order,
-    inf when every row is live. The mask's diagonal is 1 and it keeps a
-    zero a zero, so under every mask an inert row keeps its diagonal entry
-    and no other, and that entry is one of the partial transpose's
-    eigenvalues.
-
-    It reads the lists once per Scenario: at 6x6 a numpy call costs more
-    than the test of an entry. A row is live when an off-diagonal entry's
-    part is true, as pt != 0 tests it: -0.0 is a zero and NaN is not.
-    """
-    live, inert = [], []
-    for i, (r, m) in enumerate(zip(re, im)):
-        if any(r[:i]) or any(r[i + 1:]) or any(m[:i]) or any(m[i + 1:]):
-            live.append(i)
-        else:
-            inert.append(r[i])
-    block = tuple(tuple([(part[i][j], _TERM_ROWS[i][j]) for i in live for j in live]) for part in (re, im))
-    return block, min(inert, default=math.inf)
-
-
-# the x-state's imaginary rows, and so those of its partial transpose: every entry +0.0; only read
-_ZERO_ROWS = [[0.0] * _N] * _N
 
 
 @dataclass(frozen=True)
@@ -175,12 +154,14 @@ class Scenario:
     rate_a is ignored by QUTRIT_ONLY and rate_b by QUBIT_ONLY; both act
     in MULTI_LOCAL. Construction is the one check of kind (a ScenarioKind
     or its value, stored as the member), x and the rates, stored as Python
-    floats plus 0.0, so that a -0.0 is kept as 0.0. It builds the
-    x-state's side-A partial transpose as row lists, by the index map
-    PT_A[(a, b), (a', b')] = rho[(a', b), (a, b')], and keeps it in one
-    form, _split_rows's, which sweep and the death-time probe both read:
-    the live block's flat entries, rows {2, 3} of the x-state (none at
-    x = 0), and the least diagonal entry of the inert rows. It keeps the
+    floats plus 0.0, so that a -0.0 is kept as 0.0. It keeps the x-state's
+    side-A partial transpose in one split form, which sweep and the
+    death-time probe both read: the live block's flat (entry, mask term)
+    pairs, rows _LIVE_ROWS, where PT_A moves the corner pair (none at
+    x = 0), and the least diagonal entry of the inert rows. The family
+    fixes all of it but x, so it is written in closed form, with no 6x6
+    matrix; tests/numeric_oracles.split_pt, the split of any partial
+    transpose by a scan of its rows, is its bit reference. It keeps the
     one-matrix kernel for the live block's size, _jacobi_kernel(2) (None
     when no row is live), so that a probe calls it with no lookup; a
     kernel is generated once per size per process, on first use. It
@@ -201,16 +182,18 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
-        pt = _pt_a_rows(_x_state_rows(self.x))  # checks x
-        for name, part in zip(("_live_block", "_inert_min"), _split_rows(pt, _ZERO_ROWS)):
-            object.__setattr__(self, name, part)
-        size = math.isqrt(len(self._live_block[0]))
-        object.__setattr__(self, "_kernel", _jacobi_kernel(size) if size else None)
+        x = _corner(self.x)
+        if x:
+            (pp, qq), (pq, qp) = _LIVE_DIAGONAL, _LIVE_OFF_TERMS
+            split = ((pp, (x, pq), (x, qp), qq), _LIVE_IM), _INERT_MIN, _jacobi_kernel(len(_LIVE_ROWS))
+        else:
+            split = ((), ()), min(ANSATZ_DIAGONAL), None
+        for name, value in zip(("x", "_live_block", "_inert_min", "_kernel"), (x, *split)):
+            object.__setattr__(self, name, value)
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
-        for name in ("x", "rate_a", "rate_b"):  # checked above, so a str has raised TypeError
-            object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
+            object.__setattr__(self, name, float(rate) + 0.0)  # checked, so a str has raised TypeError
         object.__setattr__(self, "_rates", (0.0 if self.kind is ScenarioKind.QUTRIT_ONLY else self.rate_a,
                                             0.0 if self.kind is ScenarioKind.QUBIT_ONLY else self.rate_b))
         if not math.isfinite(self.effective_rate()):
@@ -284,16 +267,18 @@ def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
 
     It makes no numpy call: the mask's six products are Python floats,
     rounded as channels.dephasing_mask rounds them, and each entry x + iy
-    of the live block of PT_A(rho0) becomes the flat lists' entries x * m
-    and y * m, as in evolve and esd._pt_eigenvalues: the same floats,
-    signed zeros included, for any rho0. Only that block goes to the
-    kernel the Scenario keeps, which only reads the lists (rows {2, 3} of
-    the x-state; no call when none is live), with the full 6x6 solve's
-    bits, as in esd._pt_eigenvalues: an inert row stays exactly zero off
-    the diagonal, and the skip rule, the one rule that reads n, takes
-    n = 6. The inert rows' eigenvalues are their diagonal entries,
-    x * 1.0 = x, whose least the Scenario keeps; the value is min(inert
-    least entry, block eigenvalues), the rule sweep applies to its rows too.
+    of the live block of PT_A(rho0), as the Scenario's split holds it,
+    becomes the flat lists' entries x * m and y * m, as in evolve and
+    esd._pt_eigenvalues: the same floats, signed zeros included, for any
+    rho0 so split. Only that block goes to the kernel the Scenario keeps,
+    which only reads the lists (the x-state's rows _LIVE_ROWS, which the
+    Scenario writes in closed form; no call when none is live), with the
+    full 6x6 solve's bits, as in esd._pt_eigenvalues: an inert row stays
+    exactly zero off the diagonal, and the skip rule, the one rule that
+    reads n, takes n = 6. The inert rows' eigenvalues are their diagonal
+    entries, x * 1.0 = x, whose least the Scenario keeps; the value is
+    min(inert least entry, block eigenvalues), the rule sweep applies to
+    its rows too.
 
     The checked route symmetrizes the same floats with no complex product,
     which for an exactly Hermitian rho0 changes at most the sign of a zero

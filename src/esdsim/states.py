@@ -135,9 +135,11 @@ def ansatz_x(x: float) -> DensityMatrix:
     entries are x at the corner slot and its mirror. Every x in
     [0, 1/4] gives a valid state; x = 1/4 is rank-deficient (one zero
     eigenvalue) and x > 1/8 is where the state is entangled. Any other x
-    raises ValueError. The entries are scalar._x_state_rows', which a
-    Scenario transposes and splits without numpy: x + 0.0 in float64 (a
-    -0.0 is stored as 0.0), and every imaginary part +0.0.
+    raises ValueError. The entries are scalar._x_state_rows': x + 0.0 in
+    float64 (a -0.0 is stored as 0.0), and every imaginary part +0.0. A
+    Scenario checks x and takes its corner entry through the same
+    scalar._corner, and writes the split of this state's partial
+    transpose in closed form, without building the state.
     """
     return DensityMatrix(_x_state_rows(x), QUBIT_QUTRIT)
 

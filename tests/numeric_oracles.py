@@ -6,8 +6,9 @@ package's iterative eigensolver. The death-time and corner oracles run in
 stdlib decimal arithmetic, sharing no code with the package, numpy or libm.
 jacobi_matrix_reference is not independent: it is the package's earlier
 one-matrix Jacobi kernel, frozen here as the bit reference of the
-generated one. split_pt is no oracle either: it hands a partial transpose
-given as an array to the package's own split.
+generated one. split_pt is no oracle either: it is the package's earlier
+row-scan split of a partial transpose, kept as the bit reference of the
+Scenario's closed form.
 """
 
 import decimal
@@ -162,7 +163,25 @@ def random_pattern_state(rng):
 
 
 def split_pt(pt):
-    """scalar._split_rows of a 6 x 6 partial transpose given as an array, read as real and imaginary row lists."""
-    from esdsim.scalar import _split_rows
+    """(block, inert_min) of a 6 x 6 partial transpose given as an array, by a scan of its rows.
 
-    return _split_rows(pt.real.tolist(), pt.imag.tolist())
+    The generic split, kept as the reference of the Scenario's closed
+    form. block holds the live block, the rows with a nonzero off-diagonal
+    entry and their columns: its real and its imaginary parts, each a flat
+    row-major tuple of (entry, its index in scalar._TERM_ROWS) pairs;
+    inert_min, the least diagonal entry of the other rows in row order,
+    inf when every row is live. A row is live when an off-diagonal entry's
+    real or imaginary part is true, as pt != 0 tests it: -0.0 is a zero
+    and NaN is not.
+    """
+    from esdsim.scalar import _TERM_ROWS
+
+    re, im = pt.real.tolist(), pt.imag.tolist()
+    live, inert = [], []
+    for i, (r, m) in enumerate(zip(re, im)):
+        if any(r[:i]) or any(r[i + 1:]) or any(m[:i]) or any(m[i + 1:]):
+            live.append(i)
+        else:
+            inert.append(r[i])
+    block = tuple(tuple([(part[i][j], _TERM_ROWS[i][j]) for i in live for j in live]) for part in (re, im))
+    return block, min(inert, default=math.inf)

@@ -205,7 +205,7 @@ def test_dephasing_mask_is_its_own_partial_transpose(side):
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_scenario_keeps_the_read_only_partial_transpose_of_its_state(kind):
-    # the Scenario keeps PT_A(rho0) in one form, _split_rows's (block, inert_min): immutable tuples
+    # the Scenario keeps PT_A(rho0) in one form, split_pt's (block, inert_min): immutable tuples
     # and a float, which every copy rebuilds unchanged, with the same kernel
     s = Scenario(kind, 0.2, 1.3, 0.7)
     split = split_pt(partial_transpose(s.initial_state.mat, QUBIT_QUTRIT, "A"))

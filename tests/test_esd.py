@@ -7,6 +7,7 @@ import time
 import tracemalloc
 import types
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from esdsim import (
     pt_spectrum_closed_form,
     random_density_matrix,
     scalar,
+    states,
     sweep,
     validate,
 )
@@ -567,23 +569,24 @@ def test_sweep_makes_no_checked_eigensolve(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_death_time_and_sweep_transpose_no_evolved_state(kind, monkeypatch):
-    # the x-state is transposed once, as row lists, when the Scenario is built; the probes and the
-    # sweep blocks scale that partial transpose by the mask and wrap no DensityMatrix
+    # the Scenario writes the split of PT_A(rho0) in closed form: building it, its death time and a
+    # sweep take no partial transpose, build no x-state rows and wrap no DensityMatrix; evolve builds
+    # the x-state, on first read of initial_state, and wraps one DensityMatrix
     calls = []
 
     def counted(module, name):
         real = getattr(module, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    for module, name in ((linalg, "partial_transpose"), (scalar, "_pt_a_rows"), (esd, "DensityMatrix")):
+    for module, name in ((linalg, "partial_transpose"), (scalar, "_x_state_rows"), (states, "_x_state_rows"),
+                         (esd, "DensityMatrix")):
         monkeypatch.setattr(module, name, counted(module, name))
     s = scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7)
-    assert calls == ["_pt_a_rows"]
     assert close_to_death_time(numeric_esd_time(s), analytic_esd_time(s))
     assert len(sweep(s, np.linspace(0.0, 4.0, 600))) == 600
-    assert calls == ["_pt_a_rows"]
+    assert calls == []
     evolve(s, 1.0)  # the counters see the calls they count
-    assert calls == ["_pt_a_rows", "DensityMatrix"]
+    assert calls == ["_x_state_rows", "DensityMatrix"]
 
 
 def test_numeric_esd_time_iteration_cap(monkeypatch):
@@ -885,29 +888,21 @@ def test_sweep_memory_stays_flat():
     assert peak <= 2 * 2 ** 20, peak
 
 
-@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 0.125, 0.2, 0.25])
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 0.125, 0.2, 0.25, math.nextafter(0.125, 0.0),
+                               math.nextafter(0.125, 1.0), 1e-300, math.nextafter(0.25, 0.0), 0, Fraction(1, 5),
+                               np.float32(0.2)])
 def test_scenario_splits_the_partial_transpose_of_its_state_bit_for_bit(x):
-    # the Scenario builds PT_A(rho0) from the x-state's row lists by the index map, with no numpy;
-    # its split must be the one of linalg.partial_transpose on ansatz_x's DensityMatrix, and its
-    # initial_state, built on first read, ansatz_x's bits
-    s = Scenario("multilocal", x)
+    # the Scenario writes the split of PT_A(rho0) in closed form, with no numpy; it must be the
+    # row-scan split of linalg.partial_transpose on ansatz_x's DensityMatrix, with the 2x2 kernel
+    # exactly when a row is live, and its initial_state, built on first read, ansatz_x's bits
     split = split_pt(partial_transpose(ansatz_x(x).mat, QUBIT_QUTRIT, "A"))
-    assert repr((s._live_block, s._inert_min)) == repr(split)
-    assert "initial_state" not in vars(s)
-    assert s.initial_state.mat.tobytes() == ansatz_x(x).mat.tobytes()
-    assert s.initial_state is s.initial_state and not s.initial_state.mat.flags.writeable
-
-
-def test_row_index_map_is_the_partial_transpose():
-    # PT_A[(a, b), (a', b')] = rho[(a', b), (a, b')] on row lists, against linalg.partial_transpose,
-    # signed zeros and NaN included
-    rng = np.random.default_rng(41)
-    mats = [random_density_matrix(rng).mat for _ in range(8)]
-    mats.append(np.array([[complex(rng.choice([0.0, -0.0, math.nan, 0.3]), rng.choice([0.0, -0.0, -0.2]))
-                           for _ in range(6)] for _ in range(6)]))
-    for mat in mats:
-        rows = scalar._pt_a_rows(mat.tolist())
-        assert np.array(rows).tobytes() == partial_transpose(mat, QUBIT_QUTRIT, "A").tobytes()
+    for kind in ScenarioKind:
+        s = Scenario(kind, x)
+        assert repr((s._live_block, s._inert_min)) == repr(split)
+        assert s._kernel is (scalar._jacobi_kernel(2) if split[0] != ((), ()) else None)
+        assert "initial_state" not in vars(s)
+        assert s.initial_state.mat.tobytes() == ansatz_x(x).mat.tobytes()
+        assert s.initial_state is s.initial_state and not s.initial_state.mat.flags.writeable
 
 
 @pytest.mark.parametrize("x, error, message", [
