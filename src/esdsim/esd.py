@@ -76,7 +76,7 @@ def _pt_eigenvalues(re: np.ndarray, im: np.ndarray, terms: np.ndarray, gamma_a, 
     for bit, for any rho0. They need none of hermitian_eigenvalues'
     checks: an exactly Hermitian rho0 gives exactly Hermitian planes,
     which symmetrizing changes at most in the sign of a zero (see
-    _min_pt_eigenvalue); no entry exceeds 1/4, so none is scaled; and the
+    scalar._family_probe); no entry exceeds 1/4, so none is scaled; and the
     Frobenius norm is below 0.56, so off_tol is 1e-13.
 
     The block (rows {2, 3} of the x-state; 0 x 0 at x = 0, which gives
@@ -100,8 +100,10 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
     evolve, negativity and analytic_negativity give at its time alone,
     bit for bit; the corner, x * (gamma_a * gamma_b), is the closed form's x*g(t).
 
-    It solves only the live block, as the probe does, and takes the probe's
-    rule: min_pt_eigenvalue is the least of the block's eigenvalues and the
+    It solves only the live block, the same block that the death-time
+    probe (scalar._family_probe) writes into its locals and rotates, and
+    takes the probe's rule: min_pt_eigenvalue is the least of the block's
+    eigenvalues and the
     inert rows' least diagonal entry, and the negativity counts the block's
     eigenvalues alone. An inert row's eigenvalue is a diagonal entry of
     rho0, 1/4 or 1/8 for the family and at least lambda_min(rho0) >=

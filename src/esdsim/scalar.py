@@ -9,7 +9,11 @@ numpy (about 0.1 s of a 0.15 s start-up). It holds:
   regula falsi (numeric_esd_time) and the closed form (analytic_esd_time);
 - the decay factor and the six products that the dephasing mask gathers;
 - the generator of the one-matrix Jacobi kernel, _jacobi_kernel(n), which
-  linalg's checked entry calls too; the kernel's float operations are set
+  linalg's checked entry calls, and of the probe, _family_probe(), one
+  straight-line function that runs the kernel's sweep loop on the
+  family's live 2x2 block in its locals; both emit that loop from one
+  helper, _jacobi_sweep_lines, and compile on first use, so importing
+  this module compiles neither. The kernel's float operations are set
   out in the linalg module docstring.
 
 Nothing here imports numpy: Scenario.gamma_factors takes an array of
@@ -24,7 +28,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 # anything that passes through the eigensolver is compared at 1e-10
 SPECTRAL_TOL = 1e-10
@@ -100,6 +104,11 @@ def _mask_products(gamma_a, gamma_b) -> tuple:
     return 1.0, gamma_a, gamma_b, gb2, gamma_a * gamma_b, gamma_a * gb2
 
 
+# _mask_products' six products as source, with its roundings, for the generated probe
+_MASK_PRODUCT_SOURCE = ("1.0", "gamma_a", "gamma_b", "gamma_b * gamma_b", "gamma_a * gamma_b",
+                        "gamma_a * (gamma_b * gamma_b)")
+
+
 class ScenarioKind(enum.Enum):
     QUBIT_ONLY = "qubit"
     QUTRIT_ONLY = "qutrit"
@@ -147,6 +156,16 @@ def _x_state_rows(x) -> list:
     return rows
 
 
+def _live_pairs(x) -> tuple:
+    """The real and imaginary (entry, _TERM_ROWS index) pairs of the live block for a corner x != 0, flat row-major.
+
+    x is only placed, never computed with: the Scenario places its
+    corner, and _family_probe the name of the probe's local that holds it.
+    """
+    (pp, qq), (pq, qp) = _LIVE_DIAGONAL, _LIVE_OFF_TERMS
+    return (pp, (x, pq), (x, qp), qq), _LIVE_IM
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Which subsystems are noisy, the initial corner x, and the rates.
@@ -155,20 +174,19 @@ class Scenario:
     in MULTI_LOCAL. Construction is the one check of kind (a ScenarioKind
     or its value, stored as the member), x and the rates, stored as Python
     floats plus 0.0, so that a -0.0 is kept as 0.0. It keeps the x-state's
-    side-A partial transpose in one split form, which sweep and the
-    death-time probe both read: the live block's flat (entry, mask term)
-    pairs, rows _LIVE_ROWS, where PT_A moves the corner pair (none at
-    x = 0), and the least diagonal entry of the inert rows. The family
+    side-A partial transpose in one split form, which sweep reads: the
+    live block's flat (entry, mask term) pairs, rows _LIVE_ROWS, where
+    PT_A moves the corner pair (none at x = 0), and the least diagonal
+    entry of the inert rows. The family
     fixes all of it but x, so it is written in closed form, with no 6x6
     matrix; tests/numeric_oracles.split_pt, the split of any partial
-    transpose by a scan of its rows, is its bit reference. It keeps the
-    one-matrix kernel for the live block's size, _jacobi_kernel(2) (None
-    when no row is live), so that a probe calls it with no lookup; a
-    kernel is generated once per size per process, on first use. It
-    stores the rates as they act, too, which rates returns and
-    gamma_factors reads, so that a probe tests no kind; gamma_factors
-    checks t. None of this imports numpy. initial_state, the x-state as a
-    DensityMatrix, which evolve reads, is built on first read.
+    transpose by a scan of its rows, is its bit reference. The death-time
+    probe rotates the same block, written into its locals from the same
+    pairs (_live_pairs), and reads x and _inert_min. It stores the rates
+    as they act, too, which rates returns and gamma_factors and the probe
+    read, so that a probe tests no kind; gamma_factors checks t. None of
+    this imports numpy. initial_state, the x-state as a DensityMatrix,
+    which evolve reads, is built on first read.
     """
 
     kind: ScenarioKind
@@ -177,18 +195,13 @@ class Scenario:
     rate_b: float = 1.0
     _live_block: tuple = field(init=False, repr=False, compare=False)
     _inert_min: float = field(init=False, repr=False, compare=False)
-    _kernel: Optional[Callable] = field(init=False, repr=False, compare=False)
     _rates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
         x = _corner(self.x)
-        if x:
-            (pp, qq), (pq, qp) = _LIVE_DIAGONAL, _LIVE_OFF_TERMS
-            split = ((pp, (x, pq), (x, qp), qq), _LIVE_IM), _INERT_MIN, _jacobi_kernel(len(_LIVE_ROWS))
-        else:
-            split = ((), ()), min(ANSATZ_DIAGONAL), None
-        for name, value in zip(("x", "_live_block", "_inert_min", "_kernel"), (x, *split)):
+        split = (_live_pairs(x), _INERT_MIN) if x else (((), ()), min(ANSATZ_DIAGONAL))
+        for name, value in zip(("x", "_live_block", "_inert_min"), (x, *split)):
             object.__setattr__(self, name, value)
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
@@ -199,7 +212,7 @@ class Scenario:
         if not math.isfinite(self.effective_rate()):
             raise ValueError(f"rate_a + rate_b must be finite, got {self.rate_a} + {self.rate_b}")
 
-    def __reduce__(self):  # the generated kernel does not pickle; __post_init__ rebuilds the fields
+    def __reduce__(self):  # a copy or pickle carries the arguments; __post_init__ checks them and rebuilds the rest
         return type(self), (self.kind, self.x, self.rate_a, self.rate_b)
 
     @cached_property
@@ -262,39 +275,21 @@ def analytic_esd_time(scenario: Scenario) -> EsdTime:
     return 2.0 * math.log(8.0 * scenario.x) / rate
 
 
-def _min_pt_eigenvalue(scenario: Scenario, t: float) -> float:
-    """One probe, PT_A(rho0) o mask -> Jacobi: negativity(evolve(scenario, t)).min_pt_eigenvalue, bit for bit.
+def _first_probe(scenario: Scenario, t: float) -> float:
+    """The first death-time probe: compile _family_probe(), bind it as _min_pt_eigenvalue in place of this, run it.
 
-    It makes no numpy call: the mask's six products are Python floats,
-    rounded as channels.dephasing_mask rounds them, and each entry x + iy
-    of the live block of PT_A(rho0), as the Scenario's split holds it,
-    becomes the flat lists' entries x * m and y * m, as in evolve and
-    esd._pt_eigenvalues: the same floats, signed zeros included, for any
-    rho0 so split. Only that block goes to the kernel the Scenario keeps,
-    which only reads the lists (the x-state's rows _LIVE_ROWS, which the
-    Scenario writes in closed form; no call when none is live), with the
-    full 6x6 solve's bits, as in esd._pt_eigenvalues: an inert row stays
-    exactly zero off the diagonal, and the skip rule, the one rule that
-    reads n, takes n = 6. The inert rows' eigenvalues are their diagonal
-    entries, x * 1.0 = x, whose least the Scenario keeps; the value is
-    min(inert least entry, block eigenvalues), the rule sweep applies to
-    its rows too.
-
-    The checked route symmetrizes the same floats with no complex product,
-    which for an exactly Hermitian rho0 changes at most the sign of a zero
-    entry; no kernel step divides by an entry, so that reaches at most the
-    sign of an exactly zero eigenvalue. It takes the sorted spectrum's
-    first entry where this takes the min: equal floats other than zeros
-    have equal bits, so either order, too, reaches at most the sign of a
-    zero eigenvalue.
+    So import esdsim compiles nothing, and every later probe that
+    numeric_esd_time makes through the module binding is the generated
+    function itself. A binding a caller has put there is left in place.
     """
-    terms = _mask_products(*scenario.gamma_factors(t))
-    re_block, im_block = scenario._live_block
-    if not re_block:
-        return scenario._inert_min
-    return min(scenario._inert_min, *scenario._kernel([x * terms[j] for x, j in re_block],
-                                                      [y * terms[j] for y, j in im_block],
-                                                      _JACOBI_OFF_TOL, _PT_SKIP_TOL))
+    global _min_pt_eigenvalue
+    probe = _family_probe()
+    if _min_pt_eigenvalue is _first_probe:
+        _min_pt_eigenvalue = probe
+    return probe(scenario, t)
+
+
+_min_pt_eigenvalue = _first_probe
 
 
 def default_bracket(scenario: Scenario) -> float:
@@ -309,7 +304,7 @@ def numeric_esd_time(scenario: Scenario) -> EsdTime:
     """Find the death time as the root of the smallest PT eigenvalue.
 
     Every probe dephases, transposes and solves with evolve's bits (see
-    _min_pt_eigenvalue), so this is an independent check on the closed form. The
+    _family_probe), so this is an independent check on the closed form. The
     bracket [0, default_bracket(scenario)] is closed by Illinois regula
     falsi (Dowell & Jarratt, BIT 11, 1971) until its width is at most
     4*eps*max(|a|, |b|), i.e. to machine precision; the midpoint of the
@@ -402,6 +397,35 @@ _JACOBI_OTHER = """\
 """
 
 
+def _jacobi_sweep_lines(n: int, result: str) -> list:
+    """The one-matrix kernel's sweep loop on an n x n matrix held in locals, as source lines of a function body.
+
+    r{i}_{j} and i{i}_{j} hold the real and imaginary parts of entry
+    (i, j); the loop reads off_tol and skip_tol as locals and
+    _MAX_JACOBI_SWEEPS as a global when it runs. On convergence it
+    returns result, whose {diagonal} is the diagonal's locals in order.
+    """
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    return [
+        "    sqrt = math.sqrt",
+        "    for _ in range(_MAX_JACOBI_SWEEPS):",
+        "        if sqrt(2.0 * (" + " + ".join(f"(r{p}_{q} * r{p}_{q} + i{p}_{q} * i{p}_{q})" for p, q in pairs)
+        + ")) < off_tol:",
+        "            return " + result.format(diagonal=", ".join(f"r{i}_{i}" for i in range(n))),
+        *(_JACOBI_PAIR.format(p=p, q=q, others="".join(_JACOBI_OTHER.format(k=k, p=p, q=q)
+                                                       for k in range(n) if k != p and k != q))
+          for p, q in pairs),
+        "    raise RuntimeError('Jacobi iteration did not converge; input may be pathological')",
+    ]
+
+
+def _compile_function(name: str, lines: list) -> Callable:
+    """The function name that lines define, compiled with this module's globals, which it reads when it runs."""
+    namespace = {}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), globals(), namespace)
+    return namespace[name]
+
+
 @cache
 def _jacobi_kernel(n: int) -> Callable:
     """The one-matrix Jacobi kernel for n x n, 2 <= n <= 6, generated and compiled on first use.
@@ -423,8 +447,8 @@ def _jacobi_kernel(n: int) -> Callable:
     _MAX_JACOBI_SWEEPS when called, as linalg._jacobi_stack does: the two
     kernels share one cap. skip_tol is the caller's, as
     linalg._jacobi_stack's is: off_tol / (2n) for the matrix itself, or
-    the n of a larger matrix whose live block this is, as
-    _min_pt_eigenvalue passes.
+    the n of a larger matrix whose live block this is. Its sweep loop is
+    _jacobi_sweep_lines(n), which the death-time probe runs too.
 
     The source grows as n^3, and so do its compile time and peak memory
     (about 15 ms and 3 MB at n = 6, 2 vCPU), so no size above the
@@ -434,22 +458,65 @@ def _jacobi_kernel(n: int) -> Callable:
     if not 2 <= n <= _N:
         raise ValueError(f"the one-matrix kernel takes 2 <= n <= {_N}, got {n}")
     entries = [(i, j) for i in range(n) for j in range(n)]
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    lines = [
+    return _compile_function(f"_jacobi_{n}x{n}", [
         f"def _jacobi_{n}x{n}(re, im, off_tol, skip_tol):",
         "    " + ", ".join(f"r{i}_{j}" for i, j in entries) + " = re",
         "    " + ", ".join(f"i{i}_{j}" for i, j in entries) + " = im",
-        "    sqrt = math.sqrt",
-        "    for _ in range(_MAX_JACOBI_SWEEPS):",
-        "        if sqrt(2.0 * (" + " + ".join(f"(r{p}_{q} * r{p}_{q} + i{p}_{q} * i{p}_{q})" for p, q in pairs)
-        + ")) < off_tol:",
-        "            return [" + ", ".join(f"r{i}_{i}" for i in range(n)) + "]",
-        *(_JACOBI_PAIR.format(p=p, q=q, others="".join(_JACOBI_OTHER.format(k=k, p=p, q=q)
-                                                       for k in range(n) if k != p and k != q))
-          for p, q in pairs),
-        "    raise RuntimeError('Jacobi iteration did not converge; input may be pathological')",
-    ]
-    namespace = {}
-    # this module's globals, so that the kernel reads _MAX_JACOBI_SWEEPS when it runs
-    exec(compile("\n".join(lines), f"<jacobi kernel {n}x{n}>", "exec"), globals(), namespace)
-    return namespace[f"_jacobi_{n}x{n}"]
+        *_jacobi_sweep_lines(n, "[{diagonal}]"),
+    ])
+
+
+@cache
+def _family_probe() -> Callable:
+    """The death-time probe, probe(scenario, t) -> negativity(evolve(scenario, t)).min_pt_eigenvalue, bit for bit.
+
+    It is generated and compiled once per process, on first use, as one
+    straight-line function, and makes no numpy call. It is the general
+    probe, tests/numeric_oracles.min_pt_eigenvalue_reference (any split's
+    pairs times _mask_products, through _jacobi_kernel(L), then the min),
+    written out for the family's split, with no list, no kernel call and
+    no lookup of the block. It checks t with gamma_factors' test and
+    message, takes the two decay factors from decay_factor and rounds the
+    products that the block's terms name as _mask_products does
+    (_MASK_PRODUCT_SOURCE). At x = 0 no row is live, and it returns the
+    Scenario's _inert_min. Otherwise it writes the live block of
+    PT_A(rho0), rows _LIVE_ROWS, into locals from _live_pairs, each entry
+    x + iy as x * m and y * m, as in evolve and esd._pt_eigenvalues: the
+    same floats, signed zeros included. On them it runs the one-matrix
+    kernel's sweep loop (_jacobi_sweep_lines) with the full 6x6 solve's
+    bits: an inert row stays exactly zero off the diagonal, and the skip
+    rule, the one rule that reads n, takes n = 6 (_PT_SKIP_TOL). The inert
+    rows' eigenvalues are their diagonal entries, x * 1.0 = x, whose least
+    the Scenario keeps; the value is min(inert least entry, block
+    eigenvalues), the rule sweep applies to its rows too.
+
+    The checked route symmetrizes the same floats with no complex product,
+    which for an exactly Hermitian rho0 changes at most the sign of a zero
+    entry; no kernel step divides by an entry, so that reaches at most the
+    sign of an exactly zero eigenvalue. It takes the sorted spectrum's
+    first entry where this takes the min: equal floats other than zeros
+    have equal bits, so either order, too, reaches at most the sign of a
+    zero eigenvalue.
+    """
+    size = len(_LIVE_ROWS)
+    entries = [(i, j) for i in range(size) for j in range(size)]
+    re_block, im_block = _live_pairs("x")
+    cells = [(part, entry, value, term) for part, block in (("r", re_block), ("i", im_block))
+             for entry, (value, term) in zip(entries, block)]
+    return _compile_function("_min_pt_eigenvalue", [
+        "def _min_pt_eigenvalue(scenario, t):",
+        "    if not t >= 0.0:",
+        "        raise ValueError(f't must be >= 0, got {t}')",
+        "    rate_a, rate_b = scenario._rates",
+        "    gamma_a = decay_factor(rate_a, t)",
+        "    gamma_b = decay_factor(rate_b, t)",
+        "    x = scenario.x",
+        "    if not x:",
+        "        return scenario._inert_min",
+        *(f"    m{term} = {_MASK_PRODUCT_SOURCE[term]}" for term in sorted({term for *_, term in cells})),
+        *(f"    {part}{i}_{j} = {value if isinstance(value, str) else repr(value)} * m{term}"
+          for part, (i, j), value, term in cells),
+        f"    off_tol = {_JACOBI_OFF_TOL!r}",
+        f"    skip_tol = {_PT_SKIP_TOL!r}",
+        *_jacobi_sweep_lines(size, "min(scenario._inert_min, {diagonal})"),
+    ])

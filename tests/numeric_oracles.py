@@ -8,7 +8,9 @@ jacobi_matrix_reference is not independent: it is the package's earlier
 one-matrix Jacobi kernel, frozen here as the bit reference of the
 generated one. split_pt is no oracle either: it is the package's earlier
 row-scan split of a partial transpose, kept as the bit reference of the
-Scenario's closed form.
+Scenario's closed form, and min_pt_eigenvalue_reference is the package's
+earlier death-time probe for any split, kept as the bit reference of the
+generated one.
 """
 
 import decimal
@@ -185,3 +187,26 @@ def split_pt(pt):
             inert.append(r[i])
     block = tuple(tuple([(part[i][j], _TERM_ROWS[i][j]) for i in live for j in live]) for part in (re, im))
     return block, min(inert, default=math.inf)
+
+
+def min_pt_eigenvalue_reference(scenario, t):
+    """The smallest eigenvalue of PT_A(rho0) o M(t), for any split that scenario keeps, as the probe computes it.
+
+    The general probe, kept as the bit reference of the generated one:
+    the mask's six products of scenario.gamma_factors(t) (which checks t),
+    each live pair's entry x + iy as x * m and y * m in flat lists, the
+    L x L one-matrix kernel, esdsim.scalar._jacobi_kernel(L), looked up at
+    each call, with the skip rule of the full 6x6, and the least of
+    scenario._inert_min and the block's diagonal, in that order. It calls
+    no kernel when no row is live. scenario needs only gamma_factors,
+    _live_block and _inert_min.
+    """
+    from esdsim import scalar
+
+    terms = scalar._mask_products(*scenario.gamma_factors(t))
+    re_block, im_block = scenario._live_block
+    if not re_block:
+        return scenario._inert_min
+    kernel = scalar._jacobi_kernel(math.isqrt(len(re_block)))
+    return min(scenario._inert_min, *kernel([x * terms[j] for x, j in re_block], [y * terms[j] for y, j in im_block],
+                                            scalar._JACOBI_OFF_TOL, scalar._PT_SKIP_TOL))

@@ -478,6 +478,21 @@ def test_import_loads_no_numpy():
     assert proc.stdout == "False\n"
 
 
+def test_import_compiles_no_probe_and_a_death_time_no_kernel():
+    # import esdsim compiles neither a kernel nor the probe; the first probe compiles the generated
+    # one and binds it where the root finder reads it, and a family death time loads no numpy and
+    # generates no kernel
+    program = ("import sys, esdsim\n"
+               "from esdsim import scalar\n"
+               "assert scalar._min_pt_eigenvalue is scalar._first_probe\n"
+               "assert scalar._family_probe.cache_info().currsize == scalar._jacobi_kernel.cache_info().currsize == 0\n"
+               "for kind in ('qubit', 'qutrit', 'multilocal'):\n"
+               "    assert isinstance(esdsim.numeric_esd_time(esdsim.Scenario(kind, 0.2)), float)\n"
+               "assert scalar._min_pt_eigenvalue is scalar._family_probe()\n"
+               "assert scalar._jacobi_kernel.cache_info().currsize == 0 and 'numpy' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", program], check=True, env=_subprocess_env(PYTHONWARNINGS="error"))
+
+
 @pytest.mark.parametrize("outcome", list(NUMPY_FREE_RUNS))
 def test_esd_time_runs_without_numpy(outcome, tmp_path):
     # the death-time path runs on esdsim.scalar alone: no outcome, usage errors included, loads numpy

@@ -43,7 +43,8 @@ from esdsim.entanglement import negativity_of_spectrum
 from esdsim.scalar import CURVE_FIELDS
 from esdsim.states import JOINT_COHERENCE_SLOTS, extract_corner
 
-from numeric_oracles import exact_corner, exact_esd_time, random_hermitian, random_pattern_state, split_pt
+from numeric_oracles import (exact_corner, exact_esd_time, min_pt_eigenvalue_reference, random_hermitian,
+                             random_pattern_state, split_pt)
 
 LN2 = math.log(2.0)
 
@@ -240,12 +241,14 @@ def test_numeric_esd_time_probes_every_point_through_the_pipeline(probe_calls):
 def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, probe_calls, monkeypatch):
     # the probe and sweep skip hermitian_eigenvalues' checks: they must give the
     # checked route's bits, on input that is exactly Hermitian with Frobenius norm <= 1;
-    # both hand their kernel only the live 2x2 block, rows {2, 3}, with the skip rule of
-    # the full 6x6; at x = 0 the probe makes no call and sweep hands the stack kernel a 0x0 block
+    # both rotate only the live 2x2 block, rows {2, 3}, with the skip rule of the full 6x6.
+    # The generated probe rotates it in locals and calls no kernel: the reference probe,
+    # whose bits it gives, hands the same block to the 2x2 kernel, which records it. At
+    # x = 0 neither rotates, and sweep hands the stack kernel a 0x0 block
     probe_inputs, blocks = [], []
     kernel, stack_kernel = scalar._jacobi_kernel, linalg._jacobi_stack
 
-    def recording_kernel(n):  # each Scenario below is built after the patch, and keeps this kernel
+    def recording_kernel(n):  # the reference probe looks the kernel up at each call
         if n != 2:  # the checked route's 6x6 solve, which reads the same binding
             return kernel(n)
 
@@ -275,9 +278,10 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
             for t in times:
                 checked = negativity(evolve(s, t)).min_pt_eigenvalue
                 assert scalar._min_pt_eigenvalue(s, t).hex() == checked.hex(), (rate, x, t)
+                assert min_pt_eigenvalue_reference(s, t).hex() == checked.hex(), (rate, x, t)
             grid = [*times, 0.0, *np.geomspace(1e-12, 1e12, 25), math.inf]
             curve = sweep(s, grid)
-            assert len(probe_inputs) == (2 * len(times) if x else 0) and len(blocks) == 1
+            assert len(probe_inputs) == (len(times) if x else 0) and len(blocks) == 1
             assert all(m.shape == (2, 2) for m in probe_inputs)
             for re, im in blocks:
                 assert re.dtype == im.dtype == np.float64
@@ -366,32 +370,33 @@ def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
 
 
 def test_deflated_probe_equals_the_full_solve_bit_for_bit(monkeypatch):
-    # the probe solves only the live block, the L x L kernel on flat rows with the skip rule of n = 6,
-    # and takes the inert rows' least diagonal entry: its value must be min of the full 6x6 kernel
-    # diagonal, and the block's diagonal the full diagonal's live entries, bit for bit; no kernel
-    # call when L = 0
+    # the general probe, the generated one's reference, solves only the live block, the L x L kernel on
+    # flat rows with the skip rule of n = 6, and takes the inert rows' least diagonal entry: its value
+    # must be min of the full 6x6 kernel diagonal, and the block's diagonal the full diagonal's live
+    # entries, bit for bit; no kernel call when L = 0
     off_tol = scalar._JACOBI_OFF_TOL
     calls = []
+    generate = scalar._jacobi_kernel
 
     def recording_kernel(n):
         def record(re, im, off_tol, skip_tol):
             calls.append((n, len(re), len(im), skip_tol))
-            diag = scalar._jacobi_kernel(n)(re, im, off_tol, skip_tol)
+            diag = generate(n)(re, im, off_tol, skip_tol)
             calls[-1] += (diag,)
             return diag
         return record
 
+    monkeypatch.setattr(scalar, "_jacobi_kernel", recording_kernel)  # where the reference probe reads it
     masks = channels.dephasing_mask(DEFLATION_GA, DEFLATION_GB)
     for pt, live in live_block_pts():
         block, inert_min = split_pt(pt)
         assert len(block[0]) == len(block[1]) == len(live) ** 2
-        stand_in = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_block=block, _inert_min=inert_min,
-                                         _kernel=recording_kernel(len(live)) if live else None)
+        stand_in = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_block=block, _inert_min=inert_min)
         for i, pair in enumerate(zip(DEFLATION_GA.tolist(), DEFLATION_GB.tolist())):
             del calls[:]
-            got = scalar._min_pt_eigenvalue(stand_in, pair)
-            full = scalar._jacobi_kernel(6)((pt.real * masks[..., i]).ravel().tolist(),
-                                            (pt.imag * masks[..., i]).ravel().tolist(), off_tol, off_tol / 12)
+            got = min_pt_eigenvalue_reference(stand_in, pair)
+            full = generate(6)((pt.real * masks[..., i]).ravel().tolist(),
+                               (pt.imag * masks[..., i]).ravel().tolist(), off_tol, off_tol / 12)
             assert got.hex() == min(full).hex(), (live, pair)
             if not live:
                 assert calls == []
@@ -451,7 +456,8 @@ def test_split_pt_equals_its_numpy_oracle():
 
 def test_sweep_and_probe_rule_equals_the_full_spectrum_on_states_with_inert_rows():
     # sweep and the probe read lambda_min as min(inert least entry, live block) and the negativity
-    # off the live block alone. For valid 2x3 states with inert rows, the x-family and jointly
+    # off the live block alone (the probe in its general form, the generated one's reference). For
+    # valid 2x3 states with inert rows, the x-family and jointly
     # coherent states with some coherences zero, both must be the full 6x6 solve's, bit for bit,
     # at every factor pair; one state's inert least entry lies below all of its block's eigenvalues
     states = [ansatz_x(x) for x in (0.125, 0.2, 0.25)]
@@ -479,9 +485,9 @@ def test_sweep_and_probe_rule_equals_the_full_spectrum_on_states_with_inert_rows
         assert curve.min_pt_eigenvalue.tobytes() == full[:, 0].tobytes()
         assert curve.negativity_numeric.tobytes() == negativity_of_spectrum(full).tobytes()
         probe = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_block=stand_in._live_block,
-                                      _inert_min=stand_in._inert_min, _kernel=scalar._jacobi_kernel(size))
+                                      _inert_min=stand_in._inert_min)
         for i, pair in enumerate(zip(ga.tolist(), gb.tolist())):
-            assert scalar._min_pt_eigenvalue(probe, pair).hex() == full[i, 0].hex(), pair
+            assert min_pt_eigenvalue_reference(probe, pair).hex() == full[i, 0].hex(), pair
         entangled |= bool(curve.negativity_numeric.any())
         live = np.flatnonzero((pt - np.diag(pt.diagonal())).any(axis=1))
         inert_below |= bool((stand_in._inert_min < solved[:, live].min(axis=-1)).any())
@@ -496,8 +502,9 @@ GENERAL_PAIRS = ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.3, 0.7), (1.0, 1.0))
 def test_every_route_dephases_a_general_state_with_the_same_floats(seed, monkeypatch):
     # a random state's entries have negative real and imaginary parts: a complex product by the
     # real mask, (x m - y 0) + i (x 0 + y m), gives other signed zeros than x m and y m where m is
-    # 0. The probe's rows, the sweep planes with every row live and the partial transpose of
-    # evolve's state must all be the real products, signed zeros included
+    # 0. The probe's rows (of its general form, the generated one's reference), the sweep planes
+    # with every row live and the partial transpose of evolve's state must all be the real
+    # products, signed zeros included
     mat = random_density_matrix(np.random.default_rng(seed)).mat
     rho0 = DensityMatrix(0.5 * (mat + mat.conj().T), QUBIT_QUTRIT)  # exactly Hermitian
     pt = partial_transpose(rho0.mat, QUBIT_QUTRIT, "A")
@@ -510,25 +517,94 @@ def test_every_route_dephases_a_general_state_with_the_same_floats(seed, monkeyp
         rows.append((np.reshape(re, (6, 6)), np.reshape(im, (6, 6))))
         return matrix_kernel(re, im, off_tol, skip_tol)
 
+    def kernel_of(n):  # the reference probe looks the kernel up at each call
+        assert n == 6
+        return record_rows
+
     def record_planes(re, im, off_tol, skip_tol):
         planes.append((re.copy(), im.copy()))  # copied before the kernel overwrites them
         return stack_kernel(re, im, off_tol, skip_tol)
 
     ga, gb = (np.array(factors) for factors in zip(*GENERAL_PAIRS))
     stand_in = types.SimpleNamespace(  # a Scenario of rho0, as much as evolve, the probe and sweep read
-        x=0.0, initial_state=rho0, _live_block=live_block, _inert_min=inert_min, _kernel=record_rows,
+        x=0.0, initial_state=rho0, _live_block=live_block, _inert_min=inert_min,
         gamma_factors=lambda t: (ga, gb) if isinstance(t, np.ndarray) else t)  # the sweep's times are ignored
     monkeypatch.setattr(esd, "_jacobi_stack", record_planes)
+    monkeypatch.setattr(scalar, "_jacobi_kernel", kernel_of)
     sweep(stand_in, np.zeros(len(GENERAL_PAIRS)))
     [(re_planes, im_planes)] = planes
     for i, pair in enumerate(GENERAL_PAIRS):
-        scalar._min_pt_eigenvalue(stand_in, pair)
+        min_pt_eigenvalue_reference(stand_in, pair)
         re, im = rows[i]
         evolved = partial_transpose(evolve(stand_in, pair).mat, QUBIT_QUTRIT, "A")
         for route_re, route_im in ((re_planes[..., i], im_planes[..., i]), (evolved.real, evolved.imag)):
             assert route_re.tobytes() == re.tobytes() and route_im.tobytes() == im.tobytes(), pair
     zeros = [part[part == 0.0] for part in rows[0]]  # (0, 0): every off-diagonal product is a zero
     assert any(np.signbit(z).any() for z in zeros) and not all(np.signbit(z).all() for z in zeros)
+
+
+#: Corners for the generated probe: zeros of both signs, the least subnormal, a tiny one, the threshold 1/8
+#: and the end 1/4 with their neighbours, and an x that is no Python float
+PROBE_XS = (0.0, -0.0, 5e-324, 1e-300, math.nextafter(0.125, 0.0), 0.125, math.nextafter(0.125, 1.0), 0.2,
+            math.nextafter(0.25, 0.0), 0.25, Fraction(1, 5), np.float32(0.2))
+#: Rate pairs for it: an idle side each way, extreme rates whose t* is subnormal, and no noise at all
+PROBE_RATES = ((1.0, 1.0), (0.7, 1.3), (0.0, 2.0), (2.0, 0.0), (1e308, 1e-308), (0.0, 0.0))
+
+
+def test_generated_probe_gives_the_reference_probe_bits():
+    # the generated probe is the general probe written out for the family's split: it must give its
+    # bits (repr) at every corner, rate pair and time, the death time and an int time included, and
+    # gamma_factors' error and message for a time that it refuses; its mask products, as source,
+    # must round as _mask_products does
+    factors = [0.0, 5e-324, 1e-160, 0.3, 0.5, 1.0]
+    for ga in factors:
+        for gb in factors:
+            products = [eval(source, {"gamma_a": ga, "gamma_b": gb}) for source in scalar._MASK_PRODUCT_SOURCE]
+            assert repr(products) == repr(list(scalar._mask_products(ga, gb))), (ga, gb)
+    probe = scalar._family_probe()
+    for kind in ScenarioKind:
+        for x in PROBE_XS:
+            for rate_a, rate_b in PROBE_RATES:
+                s = Scenario(kind, x, rate_a, rate_b)
+                t_star = analytic_esd_time(s)
+                for t in (0.0, 5e-324, 1e-300, 0.37, 1, 1e300, math.inf, *([t_star] if type(t_star) is float else [])):
+                    assert repr(probe(s, t)) == repr(min_pt_eigenvalue_reference(s, t)), (kind, x, rate_a, rate_b, t)
+                for t in (-1.0, math.nan, -math.inf):
+                    with pytest.raises(ValueError) as refused:
+                        s.gamma_factors(t)
+                    with pytest.raises(ValueError) as probed:
+                        probe(s, t)
+                    assert str(probed.value) == str(refused.value) == f"t must be >= 0, got {t}"
+
+
+def test_family_death_time_runs_the_generated_probe_alone(probe_calls, monkeypatch):
+    # a family death time asks for no kernel: each probe is the generated function, which rotates the
+    # live block in locals. The root finder probes the same times as through the reference probe, both
+    # bracket ends first and at most 16 in all, and no request reads the Scenario's initial_state
+    # (test_cli.py runs a death time in a process without numpy)
+    def reference_route(s):
+        times = []
+
+        def probe(scenario, t):
+            times.append(t)
+            return min_pt_eigenvalue_reference(scenario, t)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scalar, "_min_pt_eigenvalue", probe)
+            return numeric_esd_time(s), times
+
+    def no_kernel(n):
+        raise AssertionError(f"a death-time probe asked for the {n}x{n} kernel")
+
+    scenarios = [Scenario(kind, x, rate_a, rate_b) for kind in ScenarioKind for x in (0.126, 0.2, 0.25)
+                 for rate_a, rate_b in ((1.3, 0.7), (1e-3, 50.0), (1e-7, 1e-7))]
+    references = [reference_route(s) for s in scenarios]
+    monkeypatch.setattr(scalar, "_jacobi_kernel", no_kernel)
+    for s, (death_time, times) in zip(scenarios, references):
+        del probe_calls[:]
+        assert numeric_esd_time(s).hex() == death_time.hex()
+        assert probe_calls == times and probe_calls[:2] == [0.0, scalar.default_bracket(s)]
+        assert len(probe_calls) <= 16 and "initial_state" not in vars(s)
 
 
 def test_death_time_probe_makes_no_numpy_call(monkeypatch):
@@ -893,13 +969,17 @@ def test_sweep_memory_stays_flat():
                                np.float32(0.2)])
 def test_scenario_splits_the_partial_transpose_of_its_state_bit_for_bit(x):
     # the Scenario writes the split of PT_A(rho0) in closed form, with no numpy; it must be the
-    # row-scan split of linalg.partial_transpose on ansatz_x's DensityMatrix, with the 2x2 kernel
-    # exactly when a row is live, and its initial_state, built on first read, ansatz_x's bits
+    # row-scan split of linalg.partial_transpose on ansatz_x's DensityMatrix, probed with the
+    # reference probe's bits, which rotates the 2x2 block exactly when a row is live, and with no
+    # rotation when none is; and its initial_state, built on first read, ansatz_x's bits
     split = split_pt(partial_transpose(ansatz_x(x).mat, QUBIT_QUTRIT, "A"))
     for kind in ScenarioKind:
         s = Scenario(kind, x)
         assert repr((s._live_block, s._inert_min)) == repr(split)
-        assert s._kernel is (scalar._jacobi_kernel(2) if split[0] != ((), ()) else None)
+        for t in (0.0, 0.37):
+            assert repr(scalar._min_pt_eigenvalue(s, t)) == repr(min_pt_eigenvalue_reference(s, t))
+        if split[0] == ((), ()):
+            assert scalar._min_pt_eigenvalue(s, 0.37) is s._inert_min
         assert "initial_state" not in vars(s)
         assert s.initial_state.mat.tobytes() == ansatz_x(x).mat.tobytes()
         assert s.initial_state is s.initial_state and not s.initial_state.mat.flags.writeable

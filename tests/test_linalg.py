@@ -40,6 +40,7 @@ from numeric_oracles import (
     charpoly_eigs_2x2,
     charpoly_eigs_3x3,
     jacobi_matrix_reference,
+    min_pt_eigenvalue_reference,
     random_hermitian,
     random_unitary,
 )
@@ -456,7 +457,8 @@ def test_generated_kernel_gives_the_reference_bits_and_only_reads_its_input(n, m
     # the kernel generated for n x n must give the frozen plan-walking kernel's bits on dense
     # matrices, dense ones with exact-zero pairs, one-pair and diagonal ones, blocks of the
     # signed-zero matrix holding its coupled rows {1, 4} and, at n = 2, the death-time probes'
-    # live blocks, with their skip_tol; it only reads the flat rows it is given
+    # live blocks, with their skip_tol, as the reference probe hands them to the kernel (the
+    # generated probe rotates the same block in locals); it only reads the flat rows it is given
     rng = np.random.default_rng(70 + n)
     off_tol = scalar._JACOBI_OFF_TOL
     mats = list(trusted(np.array([random_hermitian(rng, n) for _ in range(40)])))
@@ -486,7 +488,8 @@ def test_generated_kernel_gives_the_reference_bits_and_only_reads_its_input(n, m
             return record
 
         with monkeypatch.context() as patch:
-            patch.setattr(scalar, "_jacobi_kernel", recording_kernel)  # where Scenario reads it
+            patch.setattr(scalar, "_jacobi_kernel", recording_kernel)  # where the reference probe reads it
+            patch.setattr(scalar, "_min_pt_eigenvalue", min_pt_eigenvalue_reference)  # where the root finder does
             for kind in ScenarioKind:
                 for x in (0.126, 0.2, 0.25):
                     numeric_esd_time(Scenario(kind, x, 1.3, 0.7))
