@@ -19,7 +19,6 @@ zero at t*. Its probes and sweep take PT_A(rho(t)) as PT_A(rho0) o M(t).
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from .channels import dephasing_mask
 from .entanglement import negativity_of_spectrum
 from .linalg import QUBIT_QUTRIT, _jacobi_stack
-from .scalar import _JACOBI_OFF_TOL, _PT_SKIP_TOL, CURVE_FIELDS, Scenario
+from .scalar import _INERT_MIN, _JACOBI_OFF_TOL, _LIVE_ROWS, _PT_SKIP_TOL, CURVE_FIELDS, Scenario, _live_pairs
 from .states import DensityMatrix
 
 _CURVE_DTYPE = np.dtype([(name, float) for name in CURVE_FIELDS])
@@ -79,12 +78,11 @@ def _pt_eigenvalues(re: np.ndarray, im: np.ndarray, terms: np.ndarray, gamma_a, 
     scalar._family_probe); no entry exceeds 1/4, so none is scaled; and the
     Frobenius norm is below 0.56, so off_tol is 1e-13.
 
-    The block (rows {2, 3} of the x-state; 0 x 0 at x = 0, which gives
-    (k, 0)) goes to the stack kernel with the full solve's bits: an inert
-    row stays exactly zero off the diagonal under every rotation, a zero
-    pair is skipped before its hypot, and the convergence sum only gains
-    +0.0 terms. The skip rule alone reads n, so it takes _PT_SKIP_TOL, the
-    full 6x6's.
+    The block (rows {2, 3} of the x-state) goes to the stack kernel with
+    the full solve's bits: an inert row stays exactly zero off the
+    diagonal under every rotation, a zero pair is skipped before its
+    hypot, and the convergence sum only gains +0.0 terms. The skip rule
+    alone reads n, so it takes _PT_SKIP_TOL, the full 6x6's.
     """
     mask = dephasing_mask(gamma_a, gamma_b, terms)  # (L, L, k), entry-major
     return _jacobi_stack(re[..., None] * mask, im[..., None] * mask, _JACOBI_OFF_TOL, _PT_SKIP_TOL)
@@ -100,16 +98,17 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
     evolve, negativity and analytic_negativity give at its time alone,
     bit for bit; the corner, x * (gamma_a * gamma_b), is the closed form's x*g(t).
 
-    It solves only the live block, the same block that the death-time
-    probe (scalar._family_probe) writes into its locals and rotates, and
-    takes the probe's rule: min_pt_eigenvalue is the least of the block's
-    eigenvalues and the
-    inert rows' least diagonal entry, and the negativity counts the block's
-    eigenvalues alone. An inert row's eigenvalue is a diagonal entry of
-    rho0, 1/4 or 1/8 for the family and at least lambda_min(rho0) >=
-    -SPECTRAL_TOL for any valid state, so it never counts; and a 2x3
-    partial transpose has at most two negative eigenvalues (Rana, PRA 87,
-    054301, 2013), whose sum does not depend on their order.
+    It solves only the live block, the same block, from the same pairs
+    (scalar._live_pairs), that the death-time probe (scalar._family_probe)
+    writes into its locals and rotates, and takes the probe's rule:
+    min_pt_eigenvalue is the least of the block's eigenvalues and the
+    inert rows' least diagonal entry, scalar._INERT_MIN, and the
+    negativity counts the block's eigenvalues alone. An inert row's
+    eigenvalue is a diagonal entry of rho0, 1/4 or 1/8 for the family and
+    at least lambda_min(rho0) >= -SPECTRAL_TOL for any valid state, so it
+    never counts; and a 2x3 partial transpose has at most two negative
+    eigenvalues (Rana, PRA 87, 054301, 2013), whose sum does not depend on
+    their order.
     """
     times = np.asarray(t_grid, dtype=float)  # read only: the record array below takes its own copy
     if times.ndim != 1:
@@ -117,14 +116,14 @@ def sweep(scenario: Scenario, t_grid: Sequence[float]) -> np.recarray:
     ga, gb = scenario.gamma_factors(times)
     curve = np.empty(len(times), dtype=_CURVE_DTYPE).view(np.recarray)
     curve.t, curve.gamma_a, curve.gamma_b = times, ga, gb
-    size = math.isqrt(len(scenario._live_block[0]))  # the (entry, term) pairs as (L, L) planes and terms
-    pairs = np.array(scenario._live_block).reshape(2, size, size, 2)
+    size = len(_LIVE_ROWS)  # the (entry, term) pairs as (L, L) planes and terms
+    pairs = np.array(_live_pairs(scenario.x)).reshape(2, size, size, 2)
     re, im, terms = *pairs[..., 0], pairs[0, ..., 1].astype(np.intp)
     for start in range(0, len(times), _SWEEP_BLOCK):
         block = slice(start, start + _SWEEP_BLOCK)
         eigs = _pt_eigenvalues(re, im, terms, ga[block], gb[block])
         curve.negativity_numeric[block] = negativity_of_spectrum(eigs)
-        curve.min_pt_eigenvalue[block] = eigs.min(axis=-1, initial=scenario._inert_min)
+        curve.min_pt_eigenvalue[block] = eigs.min(axis=-1, initial=_INERT_MIN)
     curve.corner = scenario.x * (ga * gb)
     curve.negativity_analytic = _closed_negativity(curve.corner)
     curve.flags.writeable = False

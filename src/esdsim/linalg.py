@@ -23,15 +23,8 @@ imaginary parts laid out (n, n, k), so that each entry of every matrix
 is one contiguous k-vector; it rotates every matrix at once on them,
 each with its own rotation parameters, overwriting them, and returns the
 same bits as one call per matrix. Two routes skip the checks, and say
-why their input may. Both take the live block of PT_A(rho0), the rows
-that have an off-diagonal entry, from the one split of the family that
-scalar writes in closed form, with no partial_transpose call:
-esd._pt_eigenvalues builds its planes for a sweep block, for
-_jacobi_stack, and the death-time probe, scalar._min_pt_eigenvalue, is
-one function generated from the one-matrix kernel's template and sweep
-loop (scalar._family_probe), which writes the 2x2 block into its locals
-and rotates it there, so that a probe makes no numpy call and no kernel
-call. Both take the skip rule of the full 6x6 matrix.
+why their input may: sweep's, esd._pt_eigenvalues, and the death-time
+probe's, scalar._family_probe.
 
 Both Jacobi kernels do the same real arithmetic, one float operation at
 a time: _jacobi_kernel(n) in pure Python on local variables, one per

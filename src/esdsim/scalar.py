@@ -3,8 +3,10 @@
 `esd esd-time` runs on this module alone, so its process never loads
 numpy (about 0.1 s of a 0.15 s start-up). It holds:
 
-- the family's Scenario, which writes the split of the x-state's side-A
-  partial transpose in closed form;
+- the family's Scenario, which keeps its checked kind, corner x and rates;
+- the split of the x-state's side-A partial transpose, written in closed
+  form as module constants (_LIVE_ROWS, _live_pairs, _INERT_MIN), which
+  sweep and the probe read;
 - the death-time route: the probe (_min_pt_eigenvalue), Illinois
   regula falsi (numeric_esd_time) and the closed form (analytic_esd_time);
 - the decay factor and the six products that the dephasing mask gathers;
@@ -28,7 +30,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Union
 
 # anything that passes through the eigensolver is compared at 1e-10
 SPECTRAL_TOL = 1e-10
@@ -70,15 +71,15 @@ _TERM_ROWS = [[((0, 2, 3), (1, 4, 5))[_QUBIT_EXPONENTS[i // _DIM_B][j // _DIM_B]
                [_QUTRIT_EXPONENTS[i % _DIM_B][j % _DIM_B]] for j in range(_N)] for i in range(_N)]
 
 # PT_A[(a, b), (a', b')] = rho[(a', b), (a, b')], with index i = 3a + b, keeps the diagonal and moves the corner
-# pair, CORNER_SLOT and its mirror, to (q, p) and (p, q), p < q: the rows of the live block, which x couples
-# when x != 0. Every other row is inert: it keeps its diagonal entry and no other.
+# pair, CORNER_SLOT and its mirror, to (q, p) and (p, q), p < q: the rows of the live block, which x couples.
+# Every other row is inert: it keeps its diagonal entry and no other.
 _LIVE_ROWS = tuple(sorted(_DIM_B * (j // _DIM_B) + i % _DIM_B for i, j in (CORNER_SLOT, CORNER_SLOT[::-1])))
 # the (entry, _TERM_ROWS index) pairs of the live block's diagonal, the terms of its (p, q) and (q, p), which
 # hold x, and its imaginary part, every entry +0.0, flat row-major
 _LIVE_DIAGONAL = tuple((ANSATZ_DIAGONAL[i], _TERM_ROWS[i][i]) for i in _LIVE_ROWS)
 _LIVE_OFF_TERMS = tuple(_TERM_ROWS[i][j] for i in _LIVE_ROWS for j in _LIVE_ROWS if i != j)
 _LIVE_IM = tuple((0.0, _TERM_ROWS[i][j]) for i in _LIVE_ROWS for j in _LIVE_ROWS)
-# the least diagonal entry of the inert rows when x != 0; at x = 0 every row is inert
+# the least diagonal entry of the inert rows, 1/8 for every x: their eigenvalues are their diagonal entries
 _INERT_MIN = min(d for i, d in enumerate(ANSATZ_DIAGONAL) if i not in _LIVE_ROWS)
 
 
@@ -122,7 +123,7 @@ class EsdOutcome(enum.Enum):
     NO_DEATH = "no-death"
 
 
-EsdTime = Union[float, EsdOutcome]
+EsdTime = float | EsdOutcome
 
 
 class BracketError(RuntimeError):
@@ -157,10 +158,13 @@ def _x_state_rows(x) -> list:
 
 
 def _live_pairs(x) -> tuple:
-    """The real and imaginary (entry, _TERM_ROWS index) pairs of the live block for a corner x != 0, flat row-major.
+    """The real and imaginary (entry, _TERM_ROWS index) pairs of the live block for a corner x, flat row-major.
 
-    x is only placed, never computed with: the Scenario places its
+    x is only placed, never computed with: sweep places the Scenario's
     corner, and _family_probe the name of the probe's local that holds it.
+    At x = 0 the block is diagonal, 1/8 on both rows, and the kernels'
+    first stopping test returns that diagonal, so the least eigenvalue is
+    _INERT_MIN and the negativity 0.0, as when no row is live.
     """
     (pp, qq), (pq, qp) = _LIVE_DIAGONAL, _LIVE_OFF_TERMS
     return (pp, (x, pq), (x, qp), qq), _LIVE_IM
@@ -173,36 +177,25 @@ class Scenario:
     rate_a is ignored by QUTRIT_ONLY and rate_b by QUBIT_ONLY; both act
     in MULTI_LOCAL. Construction is the one check of kind (a ScenarioKind
     or its value, stored as the member), x and the rates, stored as Python
-    floats plus 0.0, so that a -0.0 is kept as 0.0. It keeps the x-state's
-    side-A partial transpose in one split form, which sweep reads: the
-    live block's flat (entry, mask term) pairs, rows _LIVE_ROWS, where
-    PT_A moves the corner pair (none at x = 0), and the least diagonal
-    entry of the inert rows. The family
-    fixes all of it but x, so it is written in closed form, with no 6x6
-    matrix; tests/numeric_oracles.split_pt, the split of any partial
-    transpose by a scan of its rows, is its bit reference. The death-time
-    probe rotates the same block, written into its locals from the same
-    pairs (_live_pairs), and reads x and _inert_min. It stores the rates
-    as they act, too, which rates returns and gamma_factors and the probe
-    read, so that a probe tests no kind; gamma_factors checks t. None of
-    this imports numpy. initial_state, the x-state as a DensityMatrix,
-    which evolve reads, is built on first read.
+    floats plus 0.0, so that a -0.0 is kept as 0.0. It keeps nothing of
+    the partial transpose: the family fixes all of it but x, so sweep and
+    the death-time probe take its split from x and the module's closed
+    form (_live_pairs, _INERT_MIN). It stores the rates as they act, which
+    rates returns and gamma_factors and the probe read, so that a probe
+    tests no kind; gamma_factors checks t. None of this imports numpy.
+    initial_state, the x-state as a DensityMatrix, which evolve reads, is
+    built on first read.
     """
 
     kind: ScenarioKind
     x: float
     rate_a: float = 1.0
     rate_b: float = 1.0
-    _live_block: tuple = field(init=False, repr=False, compare=False)
-    _inert_min: float = field(init=False, repr=False, compare=False)
     _rates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
-        x = _corner(self.x)
-        split = (_live_pairs(x), _INERT_MIN) if x else (((), ()), min(ANSATZ_DIAGONAL))
-        for name, value in zip(("x", "_live_block", "_inert_min"), (x, *split)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "x", _corner(self.x))
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
@@ -212,7 +205,7 @@ class Scenario:
         if not math.isfinite(self.effective_rate()):
             raise ValueError(f"rate_a + rate_b must be finite, got {self.rate_a} + {self.rate_b}")
 
-    def __reduce__(self):  # a copy or pickle carries the arguments; __post_init__ checks them and rebuilds the rest
+    def __reduce__(self):  # a copy or pickle carries the arguments; __post_init__ checks them and rebuilds _rates
         return type(self), (self.kind, self.x, self.rate_a, self.rate_b)
 
     @cached_property
@@ -478,17 +471,16 @@ def _family_probe() -> Callable:
     no lookup of the block. It checks t with gamma_factors' test and
     message, takes the two decay factors from decay_factor and rounds the
     products that the block's terms name as _mask_products does
-    (_MASK_PRODUCT_SOURCE). At x = 0 no row is live, and it returns the
-    Scenario's _inert_min. Otherwise it writes the live block of
-    PT_A(rho0), rows _LIVE_ROWS, into locals from _live_pairs, each entry
-    x + iy as x * m and y * m, as in evolve and esd._pt_eigenvalues: the
-    same floats, signed zeros included. On them it runs the one-matrix
-    kernel's sweep loop (_jacobi_sweep_lines) with the full 6x6 solve's
-    bits: an inert row stays exactly zero off the diagonal, and the skip
-    rule, the one rule that reads n, takes n = 6 (_PT_SKIP_TOL). The inert
-    rows' eigenvalues are their diagonal entries, x * 1.0 = x, whose least
-    the Scenario keeps; the value is min(inert least entry, block
-    eigenvalues), the rule sweep applies to its rows too.
+    (_MASK_PRODUCT_SOURCE). It writes the live block of PT_A(rho0), rows
+    _LIVE_ROWS, into locals from _live_pairs, each entry x + iy as x * m
+    and y * m, as in evolve and esd._pt_eigenvalues: the same floats,
+    signed zeros included. On them it runs the one-matrix kernel's sweep
+    loop (_jacobi_sweep_lines) with the full 6x6 solve's bits: an inert
+    row stays exactly zero off the diagonal, and the skip rule, the one
+    rule that reads n, takes n = 6 (_PT_SKIP_TOL). The inert rows'
+    eigenvalues are their diagonal entries, x * 1.0 = x, whose least is
+    _INERT_MIN, written in as a literal; the value is min(_INERT_MIN,
+    block eigenvalues), the rule sweep applies to its rows too.
 
     The checked route symmetrizes the same floats with no complex product,
     which for an exactly Hermitian rho0 changes at most the sign of a zero
@@ -511,12 +503,10 @@ def _family_probe() -> Callable:
         "    gamma_a = decay_factor(rate_a, t)",
         "    gamma_b = decay_factor(rate_b, t)",
         "    x = scenario.x",
-        "    if not x:",
-        "        return scenario._inert_min",
         *(f"    m{term} = {_MASK_PRODUCT_SOURCE[term]}" for term in sorted({term for *_, term in cells})),
         *(f"    {part}{i}_{j} = {value if isinstance(value, str) else repr(value)} * m{term}"
           for part, (i, j), value, term in cells),
         f"    off_tol = {_JACOBI_OFF_TOL!r}",
         f"    skip_tol = {_PT_SKIP_TOL!r}",
-        *_jacobi_sweep_lines(size, "min(scenario._inert_min, {diagonal})"),
+        *_jacobi_sweep_lines(size, f"min({_INERT_MIN!r}, {{diagonal}})"),
     ])

@@ -8,9 +8,9 @@ jacobi_matrix_reference is not independent: it is the package's earlier
 one-matrix Jacobi kernel, frozen here as the bit reference of the
 generated one. split_pt is no oracle either: it is the package's earlier
 row-scan split of a partial transpose, kept as the bit reference of the
-Scenario's closed form, and min_pt_eigenvalue_reference is the package's
-earlier death-time probe for any split, kept as the bit reference of the
-generated one.
+family's closed form (esdsim.scalar._live_pairs and _INERT_MIN), and
+min_pt_eigenvalue_reference is the package's earlier death-time probe for
+any split, kept as the bit reference of the generated one.
 """
 
 import decimal
@@ -167,7 +167,7 @@ def random_pattern_state(rng):
 def split_pt(pt):
     """(block, inert_min) of a 6 x 6 partial transpose given as an array, by a scan of its rows.
 
-    The generic split, kept as the reference of the Scenario's closed
+    The generic split, kept as the reference of the family's closed
     form. block holds the live block, the rows with a nonzero off-diagonal
     entry and their columns: its real and its imaginary parts, each a flat
     row-major tuple of (entry, its index in scalar._TERM_ROWS) pairs;
@@ -189,24 +189,34 @@ def split_pt(pt):
     return block, min(inert, default=math.inf)
 
 
-def min_pt_eigenvalue_reference(scenario, t):
-    """The smallest eigenvalue of PT_A(rho0) o M(t), for any split that scenario keeps, as the probe computes it.
+def family_split(x):
+    """split_pt of the x-state's side-A partial transpose, PT_A(ansatz_x(x)), by the row scan."""
+    from esdsim import QUBIT_QUTRIT, ansatz_x, partial_transpose
+
+    return split_pt(partial_transpose(ansatz_x(x).mat, QUBIT_QUTRIT, "A"))
+
+
+def min_pt_eigenvalue_reference(scenario, t, split=None):
+    """The smallest eigenvalue of PT_A(rho0) o M(t), for any split of PT_A(rho0), as the probe computes it.
 
     The general probe, kept as the bit reference of the generated one:
     the mask's six products of scenario.gamma_factors(t) (which checks t),
     each live pair's entry x + iy as x * m and y * m in flat lists, the
     L x L one-matrix kernel, esdsim.scalar._jacobi_kernel(L), looked up at
-    each call, with the skip rule of the full 6x6, and the least of
-    scenario._inert_min and the block's diagonal, in that order. It calls
-    no kernel when no row is live. scenario needs only gamma_factors,
-    _live_block and _inert_min.
+    each call, with the skip rule of the full 6x6, and the least of the
+    inert rows' least entry and the block's diagonal, in that order. It
+    calls no kernel when no row is live. split is split_pt's (block,
+    inert_min); by default it is family_split(scenario.x), the row scan of
+    the x-state's partial transpose, which shares no code with the
+    family's closed form. scenario needs only gamma_factors, and x when no
+    split is given.
     """
     from esdsim import scalar
 
     terms = scalar._mask_products(*scenario.gamma_factors(t))
-    re_block, im_block = scenario._live_block
+    (re_block, im_block), inert_min = family_split(scenario.x) if split is None else split
     if not re_block:
-        return scenario._inert_min
+        return inert_min
     kernel = scalar._jacobi_kernel(math.isqrt(len(re_block)))
-    return min(scenario._inert_min, *kernel([x * terms[j] for x, j in re_block], [y * terms[j] for y, j in im_block],
-                                            scalar._JACOBI_OFF_TOL, scalar._PT_SKIP_TOL))
+    return min(inert_min, *kernel([x * terms[j] for x, j in re_block], [y * terms[j] for y, j in im_block],
+                                  scalar._JACOBI_OFF_TOL, scalar._PT_SKIP_TOL))

@@ -29,7 +29,7 @@ from esdsim.channels import COMPLETENESS_TOL, apply, dephasing_mask
 from esdsim.linalg import max_abs_diff
 from esdsim.scalar import _min_pt_eigenvalue, decay_factor
 
-from numeric_oracles import random_pattern_state, split_pt
+from numeric_oracles import random_pattern_state
 
 
 @pytest.mark.parametrize("build", [dephasing_qubit, dephasing_qutrit], ids=lambda f: f.__name__)
@@ -204,15 +204,14 @@ def test_dephasing_mask_is_its_own_partial_transpose(side):
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
-def test_scenario_keeps_the_read_only_partial_transpose_of_its_state(kind):
-    # the Scenario keeps PT_A(rho0) in one form, split_pt's (block, inert_min): immutable tuples
-    # and a float, which every copy rebuilds unchanged, with the same probe values
+def test_scenario_keeps_only_its_checked_arguments(kind):
+    # the Scenario holds its checked kind, x and rates and its acting rates, and nothing of PT_A(rho0),
+    # whose split sweep and the probe take from x and the module's closed form: every copy rebuilds
+    # the same fields, with the same probe values
     s = Scenario(kind, 0.2, 1.3, 0.7)
-    split = split_pt(partial_transpose(s.initial_state.mat, QUBIT_QUTRIT, "A"))
-    assert repr((s._live_block, s._inert_min)) == repr(split)
-    assert isinstance(s._live_block, tuple) and all(type(part) is tuple for part in s._live_block)
-    for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s)), dataclasses.replace(s)):
-        assert copied == s and repr((copied._live_block, copied._inert_min)) == repr(split)
+    names = ["kind", "x", "rate_a", "rate_b", "_rates"]
+    for copied in (s, copy.deepcopy(s), pickle.loads(pickle.dumps(s)), dataclasses.replace(s)):
+        assert copied == s and list(vars(copied)) == [field.name for field in dataclasses.fields(copied)] == names
         for t in (0.0, 0.37, 5.0):
             assert repr(_min_pt_eigenvalue(copied, t)) == repr(_min_pt_eigenvalue(s, t))
 

@@ -493,6 +493,17 @@ def test_import_compiles_no_probe_and_a_death_time_no_kernel():
     subprocess.run([sys.executable, "-c", program], check=True, env=_subprocess_env(PYTHONWARNINGS="error"))
 
 
+def test_esd_time_loads_neither_numpy_nor_typing():
+    # with no site hook to load either first (python -S), a death time loads no numpy and no typing:
+    # the one module of its path that imported typing, scalar, writes EsdTime as float | EsdOutcome
+    program = ("import sys, esdsim.cli\n"
+               "esdsim.cli.main(['esd-time'])\n"
+               "print(sorted({'numpy', 'typing'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", program], capture_output=True, text=True, check=True,
+                          env=_subprocess_env(PYTHONWARNINGS="error"))
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
 @pytest.mark.parametrize("outcome", list(NUMPY_FREE_RUNS))
 def test_esd_time_runs_without_numpy(outcome, tmp_path):
     # the death-time path runs on esdsim.scalar alone: no outcome, usage errors included, loads numpy

@@ -244,7 +244,8 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
     # both rotate only the live 2x2 block, rows {2, 3}, with the skip rule of the full 6x6.
     # The generated probe rotates it in locals and calls no kernel: the reference probe,
     # whose bits it gives, hands the same block to the 2x2 kernel, which records it. At
-    # x = 0 neither rotates, and sweep hands the stack kernel a 0x0 block
+    # x = 0 the reference's row scan finds no live row and calls no kernel, while sweep
+    # hands the stack kernel the diagonal 2x2 block, which converges before any rotation
     probe_inputs, blocks = [], []
     kernel, stack_kernel = scalar._jacobi_kernel, linalg._jacobi_stack
 
@@ -285,7 +286,7 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
             assert all(m.shape == (2, 2) for m in probe_inputs)
             for re, im in blocks:
                 assert re.dtype == im.dtype == np.float64
-                assert re.shape == im.shape == ((2, 2) if x else (0, 0)) + (len(times) + 27,)
+                assert re.shape == im.shape == (2, 2, len(times) + 27)
             for pts in (*probe_inputs, *(complex_stack(re, im) for re, im in blocks)):
                 assert np.array_equal(pts, np.swapaxes(pts, -1, -2).conj()), (rate, x)
                 assert np.all(np.linalg.norm(pts, axis=(-2, -1)) <= 1.0), (rate, x)
@@ -330,7 +331,7 @@ def live_block_pts():
     pts = ((block, [0, 2, 4]), (inert, []), (pair, [1, 3]), (dense, list(range(6))))
     for pt, live in pts:
         assert np.array_equal(pt, pt.conj().T) and np.linalg.norm(pt) <= 1.0
-        assert np.flatnonzero((pt - np.diag(pt.diagonal())).any(axis=1)).tolist() == live
+        assert live_rows(pt) == live
     return pts
 
 
@@ -341,16 +342,27 @@ def full_pt_solve(pt, ga, gb):
     return linalg._jacobi_stack(pt.real[..., None] * masks, pt.imag[..., None] * masks, off_tol, off_tol / 12)
 
 
-def sweep_stand_in(pt, ga, gb):
-    """A Scenario of the state whose PT_A is pt, as much as sweep reads; a grid of len(ga) times gets ga and gb."""
-    block, inert_min = split_pt(pt)
-    return types.SimpleNamespace(x=0.0, gamma_factors=lambda times: (ga, gb), _live_block=block, _inert_min=inert_min)
+def live_rows(pt):
+    """The rows of pt with a nonzero off-diagonal entry, as a list."""
+    return np.flatnonzero((pt - np.diag(pt.diagonal())).any(axis=1)).tolist()
+
+
+def sweep_rule(pt, ga, gb):
+    """sweep's (min_pt_eigenvalue, negativity_numeric) for the state whose PT_A is pt, at the factor arrays ga and gb.
+
+    esd._pt_eigenvalues solves pt's live block and sweep's rule reads it,
+    with split_pt's inert least entry where sweep takes scalar._INERT_MIN.
+    """
+    live = live_rows(pt)
+    rows = np.ix_(live, live)
+    eigs = esd._pt_eigenvalues(pt.real[rows], pt.imag[rows], channels._MASK_TERMS[rows], ga, gb)
+    return eigs.min(axis=-1, initial=split_pt(pt)[1]), negativity_of_spectrum(eigs)
 
 
 def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
     # _pt_eigenvalues solves only the live block: off the x-family, its eigenvalues must be the live
     # entries of the full 6x6 stack solve's diagonal, whose skip rule reads n = 6, under masks that
-    # zero live pairs, and sweep's rule must read the full spectrum's least entry and negativity
+    # zero live pairs, and sweep's rule on them must read the full spectrum's least entry and negativity
     for pt, live in live_block_pts():
         full = full_pt_solve(pt, DEFLATION_GA, DEFLATION_GB)
         rows = np.ix_(live, live)
@@ -358,15 +370,15 @@ def test_deflated_sweep_solve_equals_the_full_solve_bit_for_bit():
         assert got.shape == (len(DEFLATION_GA), len(live))
         assert got.tobytes() == full[:, live].tobytes(), live
         spectrum = np.sort(full, axis=-1)
-        curve = sweep(sweep_stand_in(pt, DEFLATION_GA, DEFLATION_GB), np.zeros(len(DEFLATION_GA)))
-        assert curve.min_pt_eigenvalue.tobytes() == spectrum[:, 0].tobytes(), live
+        least, negativity_numeric = sweep_rule(pt, DEFLATION_GA, DEFLATION_GB)
+        assert least.tobytes() == spectrum[:, 0].tobytes(), live
         # sweep's negativity counts the live block alone, in its own order. That holds for the partial
         # transpose of a valid 2x3 state (see the test below): no inert entry is below -SPECTRAL_TOL,
         # and at most two eigenvalues are negative, whose sum does not depend on their order. The
         # inert stand-in's -0.0625 diagonal entry, which no valid state has, counts in the full
         # spectrum, and the dense stand-in has three negative eigenvalues: neither is checked here
         if live and np.count_nonzero(spectrum < -scalar.SPECTRAL_TOL, axis=-1).max() <= 2:
-            assert curve.negativity_numeric.tobytes() == negativity_of_spectrum(spectrum).tobytes(), live
+            assert negativity_numeric.tobytes() == negativity_of_spectrum(spectrum).tobytes(), live
 
 
 def test_deflated_probe_equals_the_full_solve_bit_for_bit(monkeypatch):
@@ -391,10 +403,10 @@ def test_deflated_probe_equals_the_full_solve_bit_for_bit(monkeypatch):
     for pt, live in live_block_pts():
         block, inert_min = split_pt(pt)
         assert len(block[0]) == len(block[1]) == len(live) ** 2
-        stand_in = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_block=block, _inert_min=inert_min)
+        stand_in = types.SimpleNamespace(gamma_factors=lambda pair: pair)
         for i, pair in enumerate(zip(DEFLATION_GA.tolist(), DEFLATION_GB.tolist())):
             del calls[:]
-            got = min_pt_eigenvalue_reference(stand_in, pair)
+            got = min_pt_eigenvalue_reference(stand_in, pair, (block, inert_min))
             full = generate(6)((pt.real * masks[..., i]).ravel().tolist(),
                                (pt.imag * masks[..., i]).ravel().tolist(), off_tol, off_tol / 12)
             assert got.hex() == min(full).hex(), (live, pair)
@@ -456,7 +468,8 @@ def test_split_pt_equals_its_numpy_oracle():
 
 def test_sweep_and_probe_rule_equals_the_full_spectrum_on_states_with_inert_rows():
     # sweep and the probe read lambda_min as min(inert least entry, live block) and the negativity
-    # off the live block alone (the probe in its general form, the generated one's reference). For
+    # off the live block alone (sweep's rule on _pt_eigenvalues, and the probe in its general form,
+    # the generated one's reference). For
     # valid 2x3 states with inert rows, the x-family and jointly
     # coherent states with some coherences zero, both must be the full 6x6 solve's, bit for bit,
     # at every factor pair; one state's inert least entry lies below all of its block's eigenvalues
@@ -476,21 +489,19 @@ def test_sweep_and_probe_rule_equals_the_full_spectrum_on_states_with_inert_rows
     entangled = inert_below = False
     for rho in states:
         pt = partial_transpose(rho.mat, QUBIT_QUTRIT, "A")
-        stand_in = sweep_stand_in(pt, ga, gb)
-        size = math.isqrt(len(stand_in._live_block[0]))
-        assert 0 < size < 6 and stand_in._inert_min < math.inf
+        split = split_pt(pt)
+        live = live_rows(pt)
+        assert 0 < len(live) < 6 and split[1] < math.inf
         solved = full_pt_solve(pt, ga, gb)
         full = np.sort(solved, axis=-1)
-        curve = sweep(stand_in, np.zeros(len(ga)))
-        assert curve.min_pt_eigenvalue.tobytes() == full[:, 0].tobytes()
-        assert curve.negativity_numeric.tobytes() == negativity_of_spectrum(full).tobytes()
-        probe = types.SimpleNamespace(gamma_factors=lambda pair: pair, _live_block=stand_in._live_block,
-                                      _inert_min=stand_in._inert_min)
+        least, negativity_numeric = sweep_rule(pt, ga, gb)
+        assert least.tobytes() == full[:, 0].tobytes()
+        assert negativity_numeric.tobytes() == negativity_of_spectrum(full).tobytes()
+        probe = types.SimpleNamespace(gamma_factors=lambda pair: pair)
         for i, pair in enumerate(zip(ga.tolist(), gb.tolist())):
-            assert min_pt_eigenvalue_reference(probe, pair).hex() == full[i, 0].hex(), pair
-        entangled |= bool(curve.negativity_numeric.any())
-        live = np.flatnonzero((pt - np.diag(pt.diagonal())).any(axis=1))
-        inert_below |= bool((stand_in._inert_min < solved[:, live].min(axis=-1)).any())
+            assert min_pt_eigenvalue_reference(probe, pair, split).hex() == full[i, 0].hex(), pair
+        entangled |= bool(negativity_numeric.any())
+        inert_below |= bool((split[1] < solved[:, live].min(axis=-1)).any())
     assert entangled and inert_below
 
 
@@ -502,14 +513,14 @@ GENERAL_PAIRS = ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.3, 0.7), (1.0, 1.0))
 def test_every_route_dephases_a_general_state_with_the_same_floats(seed, monkeypatch):
     # a random state's entries have negative real and imaginary parts: a complex product by the
     # real mask, (x m - y 0) + i (x 0 + y m), gives other signed zeros than x m and y m where m is
-    # 0. The probe's rows (of its general form, the generated one's reference), the sweep planes
-    # with every row live and the partial transpose of evolve's state must all be the real
-    # products, signed zeros included
+    # 0. The probe's rows (of its general form, the generated one's reference), sweep's planes
+    # (esd._pt_eigenvalues) with every row live and the partial transpose of evolve's state must
+    # all be the real products, signed zeros included
     mat = random_density_matrix(np.random.default_rng(seed)).mat
     rho0 = DensityMatrix(0.5 * (mat + mat.conj().T), QUBIT_QUTRIT)  # exactly Hermitian
     pt = partial_transpose(rho0.mat, QUBIT_QUTRIT, "A")
-    live_block, inert_min = split_pt(pt)
-    assert len(live_block[0]) == 36 and inert_min == math.inf
+    split = split_pt(pt)
+    assert len(split[0][0]) == 36 and split[1] == math.inf
     rows, planes = [], []
     matrix_kernel, stack_kernel = scalar._jacobi_kernel(6), linalg._jacobi_stack
 
@@ -526,15 +537,14 @@ def test_every_route_dephases_a_general_state_with_the_same_floats(seed, monkeyp
         return stack_kernel(re, im, off_tol, skip_tol)
 
     ga, gb = (np.array(factors) for factors in zip(*GENERAL_PAIRS))
-    stand_in = types.SimpleNamespace(  # a Scenario of rho0, as much as evolve, the probe and sweep read
-        x=0.0, initial_state=rho0, _live_block=live_block, _inert_min=inert_min,
-        gamma_factors=lambda t: (ga, gb) if isinstance(t, np.ndarray) else t)  # the sweep's times are ignored
+    # a Scenario of rho0, as much as evolve and the probe read: gamma_factors of a factor pair is the pair
+    stand_in = types.SimpleNamespace(initial_state=rho0, gamma_factors=lambda pair: pair)
     monkeypatch.setattr(esd, "_jacobi_stack", record_planes)
     monkeypatch.setattr(scalar, "_jacobi_kernel", kernel_of)
-    sweep(stand_in, np.zeros(len(GENERAL_PAIRS)))
+    esd._pt_eigenvalues(pt.real, pt.imag, channels._MASK_TERMS, ga, gb)
     [(re_planes, im_planes)] = planes
     for i, pair in enumerate(GENERAL_PAIRS):
-        min_pt_eigenvalue_reference(stand_in, pair)
+        min_pt_eigenvalue_reference(stand_in, pair, split)
         re, im = rows[i]
         evolved = partial_transpose(evolve(stand_in, pair).mat, QUBIT_QUTRIT, "A")
         for route_re, route_im in ((re_planes[..., i], im_planes[..., i]), (evolved.real, evolved.imag)):
@@ -645,7 +655,7 @@ def test_sweep_makes_no_checked_eigensolve(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_death_time_and_sweep_transpose_no_evolved_state(kind, monkeypatch):
-    # the Scenario writes the split of PT_A(rho0) in closed form: building it, its death time and a
+    # the split of PT_A(rho0) is the module's closed form: building a Scenario, its death time and a
     # sweep take no partial transpose, build no x-state rows and wrap no DensityMatrix; evolve builds
     # the x-state, on first read of initial_state, and wraps one DensityMatrix
     calls = []
@@ -674,6 +684,36 @@ def test_numeric_esd_time_iteration_cap(monkeypatch):
 def test_numeric_esd_time_never_entangled():
     assert numeric_esd_time(scenario(ScenarioKind.QUBIT_ONLY, x=0.0625)) is EsdOutcome.NEVER_ENTANGLED
     assert numeric_esd_time(scenario(ScenarioKind.MULTI_LOCAL, x=0.125)) is EsdOutcome.NEVER_ENTANGLED
+
+
+def test_numeric_esd_time_reads_exactly_minus_spectral_tol_as_never_entangled(monkeypatch):
+    # the negativity's test of entanglement is lambda_min < -SPECTRAL_TOL, strictly: a probe that reads
+    # exactly -SPECTRAL_TOL at t = 0 is never entangled, and one that reads the float below it is
+    s = scenario(ScenarioKind.MULTI_LOCAL)
+    probe = scalar._min_pt_eigenvalue
+    for at_zero, entangled in ((-scalar.SPECTRAL_TOL, False), (math.nextafter(-scalar.SPECTRAL_TOL, -1.0), True)):
+        monkeypatch.setattr(scalar, "_min_pt_eigenvalue", lambda s, t: at_zero if t == 0.0 else probe(s, t))
+        got = numeric_esd_time(s)
+        assert (type(got) is float) == entangled and (got is EsdOutcome.NEVER_ENTANGLED) != entangled, at_zero
+
+
+def test_illinois_takes_the_midpoint_when_the_secant_step_lands_on_an_end(monkeypatch):
+    # the secant step c must lie strictly inside (a, b): when fb dwarfs fa, fb - fa rounds to fb and c
+    # lands exactly on a, and the root finder must probe the midpoint instead, never a time it has probed
+    s = scenario(ScenarioKind.MULTI_LOCAL)
+    a, b = 0.0, scalar.default_bracket(s)
+    fa, fb = -2e-10, 2.0 ** 40
+    assert b - fb * (b - a) / (fb - fa) == a
+    root, times = 0.3 * b, []
+
+    def step(scenario, t):
+        times.append(t)
+        return fa if t < root else fb
+
+    monkeypatch.setattr(scalar, "_min_pt_eigenvalue", step)
+    got = numeric_esd_time(s)
+    assert times[:3] == [a, b, 0.5 * b] and len(set(times)) == len(times)
+    assert abs(got - root) <= 4.0 * sys.float_info.epsilon * root
 
 
 def test_numeric_esd_time_bracket_failure():
@@ -968,18 +1008,30 @@ def test_sweep_memory_stays_flat():
                                math.nextafter(0.125, 1.0), 1e-300, math.nextafter(0.25, 0.0), 0, Fraction(1, 5),
                                np.float32(0.2)])
 def test_scenario_splits_the_partial_transpose_of_its_state_bit_for_bit(x):
-    # the Scenario writes the split of PT_A(rho0) in closed form, with no numpy; it must be the
-    # row-scan split of linalg.partial_transpose on ansatz_x's DensityMatrix, probed with the
-    # reference probe's bits, which rotates the 2x2 block exactly when a row is live, and with no
-    # rotation when none is; and its initial_state, built on first read, ansatz_x's bits
-    split = split_pt(partial_transpose(ansatz_x(x).mat, QUBIT_QUTRIT, "A"))
+    # sweep and the probe take the split of PT_A(rho0) from the Scenario's x and the module's closed
+    # form, with no numpy: for x != 0 it must be the row-scan split of linalg.partial_transpose on
+    # ansatz_x's DensityMatrix, its live rows _LIVE_ROWS (rows (1, 3) give the same block, since
+    # rows 1 and 2 share their diagonal entry and mask terms); at x = 0 the row scan finds no live
+    # row and the inert least entry _INERT_MIN, and _live_pairs gives a diagonal block of _INERT_MIN.
+    # Either way the probe and sweep give the reference probe's bits, and initial_state, built on
+    # first read, ansatz_x's bits
+    pt = partial_transpose(ansatz_x(x).mat, QUBIT_QUTRIT, "A")
+    split = split_pt(pt)
+    x_value = Scenario(ScenarioKind.MULTI_LOCAL, x).x
+    (diagonal_p, off_pq, off_qp, diagonal_q), im_pairs = scalar._live_pairs(x_value)
+    if x_value:
+        assert scalar._LIVE_ROWS == tuple(live_rows(pt)) == (2, 3)
+        assert repr((scalar._live_pairs(x_value), scalar._INERT_MIN)) == repr(split)
+    else:
+        assert repr(split) == repr((((), ()), scalar._INERT_MIN))
+        assert [entry.hex() for entry, _ in (diagonal_p, diagonal_q)] == [scalar._INERT_MIN.hex()] * 2
+        assert [entry.hex() for entry, _ in (off_pq, off_qp, *im_pairs)] == [(0.0).hex()] * 6
     for kind in ScenarioKind:
         s = Scenario(kind, x)
-        assert repr((s._live_block, s._inert_min)) == repr(split)
-        for t in (0.0, 0.37):
-            assert repr(scalar._min_pt_eigenvalue(s, t)) == repr(min_pt_eigenvalue_reference(s, t))
-        if split[0] == ((), ()):
-            assert scalar._min_pt_eigenvalue(s, 0.37) is s._inert_min
+        times = [0.0, 0.37]
+        expected = [repr(min_pt_eigenvalue_reference(s, t)) for t in times]
+        assert [repr(scalar._min_pt_eigenvalue(s, t)) for t in times] == expected
+        assert [repr(v) for v in sweep(s, times).min_pt_eigenvalue.tolist()] == expected
         assert "initial_state" not in vars(s)
         assert s.initial_state.mat.tobytes() == ansatz_x(x).mat.tobytes()
         assert s.initial_state is s.initial_state and not s.initial_state.mat.flags.writeable

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -424,6 +425,26 @@ def test_kernels_overwrite_their_input_and_the_entries_only_read_theirs(read_onl
     assert eigs.shape == (3, 6)
     masked = before * np.moveaxis(channels.dephasing_mask(ga, gb), -1, 0)
     assert np.max(np.abs(np.sort(eigs, axis=-1) - np.linalg.eigvalsh(masked))) < 1e-12
+
+
+def test_a_pair_exactly_at_skip_tol_is_skipped():
+    # the skip rule is r > skip_tol, strictly: both kernels leave a pair whose r is exactly skip_tol
+    # as it is, as the reference does, and rotate it when skip_tol is the float below. The pair
+    # couples a degenerate diagonal, so its rotation moves two eigenvalues by r, far more than an
+    # ulp; the pair (1, 2) keeps the matrix from converging before the first sweep
+    off_tol = scalar._JACOBI_OFF_TOL
+    skip_tol = off_tol / 6
+    m = np.diag([0.125, 0.125, 0.25]).astype(complex)
+    m[0, 1] = m[1, 0] = skip_tol
+    m[1, 2] = m[2, 1] = 0.03
+    diagonals = []
+    for tol in (skip_tol, math.nextafter(skip_tol, 0.0)):
+        reference = jacobi_matrix_reference(m.real.tolist(), m.imag.tolist(), off_tol, tol)
+        kernel = scalar._jacobi_kernel(3)(m.real.ravel().tolist(), m.imag.ravel().tolist(), off_tol, tol)
+        stack = linalg._jacobi_stack(*planes(m[None]), off_tol, tol)
+        assert np.array(kernel).tobytes() == np.array(reference).tobytes() == stack[0].tobytes(), tol
+        diagonals.append(reference)
+    assert diagonals[0][0] == 0.125 and abs(diagonals[1][0] - 0.125) > 0.5 * skip_tol
 
 
 def signed_zero_pair():
