@@ -7,8 +7,8 @@ numpy (about 0.1 s of a 0.15 s start-up). It holds:
 - the split of the x-state's side-A partial transpose, written in closed
   form as module constants (_LIVE_ROWS, _live_pairs, _INERT_MIN), which
   sweep and the probe read;
-- the death-time route: the probe (_min_pt_eigenvalue), Illinois
-  regula falsi (numeric_esd_time) and the closed form (analytic_esd_time);
+- the death-time route: Illinois regula falsi (numeric_esd_time) on the
+  probe and the closed form (analytic_esd_time);
 - the decay factor and the six products that the dephasing mask gathers;
 - the generator of the one-matrix Jacobi kernel, _jacobi_kernel(n), which
   linalg's checked entry calls, and of the probe, _family_probe(), one
@@ -145,18 +145,6 @@ def _corner(x) -> float:
     return float(x + 0.0)
 
 
-def _x_state_rows(x) -> list:
-    """The x-state's real parts as six row lists; its imaginary parts are all +0.0.
-
-    Diagonal ANSATZ_DIAGONAL; the only off-diagonal entries are
-    _corner(x), which checks x, at CORNER_SLOT and its mirror.
-    """
-    rows = [[d if i == j else 0.0 for j in range(_N)] for i, d in enumerate(ANSATZ_DIAGONAL)]
-    i, j = CORNER_SLOT
-    rows[i][j] = rows[j][i] = _corner(x)
-    return rows
-
-
 def _live_pairs(x) -> tuple:
     """The real and imaginary (entry, _TERM_ROWS index) pairs of the live block for a corner x, flat row-major.
 
@@ -180,18 +168,18 @@ class Scenario:
     floats plus 0.0, so that a -0.0 is kept as 0.0. It keeps nothing of
     the partial transpose: the family fixes all of it but x, so sweep and
     the death-time probe take its split from x and the module's closed
-    form (_live_pairs, _INERT_MIN). It stores the rates as they act, which
-    rates returns and gamma_factors and the probe read, so that a probe
-    tests no kind; gamma_factors checks t. None of this imports numpy.
-    initial_state, the x-state as a DensityMatrix, which evolve reads, is
-    built on first read.
+    form (_live_pairs, _INERT_MIN). It stores the rates as they act in
+    rates, an idle side's as 0.0, which gamma_factors and the probe read,
+    so that a probe tests no kind; gamma_factors checks t. None of this
+    imports numpy. initial_state, the x-state as a DensityMatrix, which
+    evolve reads, is built on first read.
     """
 
     kind: ScenarioKind
     x: float
     rate_a: float = 1.0
     rate_b: float = 1.0
-    _rates: tuple = field(init=False, repr=False, compare=False)
+    rates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
@@ -200,12 +188,12 @@ class Scenario:
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
             object.__setattr__(self, name, float(rate) + 0.0)  # checked, so a str has raised TypeError
-        object.__setattr__(self, "_rates", (0.0 if self.kind is ScenarioKind.QUTRIT_ONLY else self.rate_a,
-                                            0.0 if self.kind is ScenarioKind.QUBIT_ONLY else self.rate_b))
+        object.__setattr__(self, "rates", (0.0 if self.kind is ScenarioKind.QUTRIT_ONLY else self.rate_a,
+                                           0.0 if self.kind is ScenarioKind.QUBIT_ONLY else self.rate_b))
         if not math.isfinite(self.effective_rate()):
             raise ValueError(f"rate_a + rate_b must be finite, got {self.rate_a} + {self.rate_b}")
 
-    def __reduce__(self):  # a copy or pickle carries the arguments; __post_init__ checks them and rebuilds _rates
+    def __reduce__(self):  # a copy or pickle carries the arguments; __post_init__ checks them and rebuilds rates
         return type(self), (self.kind, self.x, self.rate_a, self.rate_b)
 
     @cached_property
@@ -214,11 +202,6 @@ class Scenario:
         from .states import ansatz_x  # numpy: only evolve and the tests read it
 
         return ansatz_x(self.x)
-
-    @property
-    def rates(self) -> tuple:
-        """(rate_a, rate_b) as they act: an idle side's rate is 0.0."""
-        return self._rates
 
     def effective_rate(self) -> float:
         """Sum of the rates that actually act in this scenario."""
@@ -233,7 +216,7 @@ class Scenario:
         float64. An array comes from a caller that has loaded numpy, so
         this reaches for numpy only then, in sys.modules.
         """
-        rate_a, rate_b = self._rates
+        rate_a, rate_b = self.rates
         np = None if isinstance(t, float) else sys.modules.get("numpy")
         if np is not None and isinstance(t, np.ndarray) and t.ndim:
             bad = ~(t >= 0.0)
@@ -268,23 +251,6 @@ def analytic_esd_time(scenario: Scenario) -> EsdTime:
     return 2.0 * math.log(8.0 * scenario.x) / rate
 
 
-def _first_probe(scenario: Scenario, t: float) -> float:
-    """The first death-time probe: compile _family_probe(), bind it as _min_pt_eigenvalue in place of this, run it.
-
-    So import esdsim compiles nothing, and every later probe that
-    numeric_esd_time makes through the module binding is the generated
-    function itself. A binding a caller has put there is left in place.
-    """
-    global _min_pt_eigenvalue
-    probe = _family_probe()
-    if _min_pt_eigenvalue is _first_probe:
-        _min_pt_eigenvalue = probe
-    return probe(scenario, t)
-
-
-_min_pt_eigenvalue = _first_probe
-
-
 def default_bracket(scenario: Scenario) -> float:
     """Search window generous enough for any x in range: 10x the worst t*."""
     rate = scenario.effective_rate()
@@ -296,27 +262,28 @@ def default_bracket(scenario: Scenario) -> float:
 def numeric_esd_time(scenario: Scenario) -> EsdTime:
     """Find the death time as the root of the smallest PT eigenvalue.
 
-    Every probe dephases, transposes and solves with evolve's bits (see
-    _family_probe), so this is an independent check on the closed form. The
-    bracket [0, default_bracket(scenario)] is closed by Illinois regula
-    falsi (Dowell & Jarratt, BIT 11, 1971) until its width is at most
-    4*eps*max(|a|, |b|), i.e. to machine precision; the midpoint of the
-    final bracket is returned. The window is 10x the largest possible
-    t*, so the eigenvalue at its end is (1 - 8x/2^10)/8 > 0.12 and the
-    bracket always holds the sign change.
+    Every probe, the function _family_probe() returns, dephases,
+    transposes and solves with evolve's bits, so this is an independent
+    check on the closed form. The bracket [0, default_bracket(scenario)]
+    is closed by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971)
+    until its width is at most 4*eps*max(|a|, |b|), i.e. to machine
+    precision; the midpoint of the final bracket is returned. The window
+    is 10x the largest possible t*, so the eigenvalue at its end is
+    (1 - 8x/2^10)/8 > 0.12 and the bracket always holds the sign change.
 
     Returns NEVER_ENTANGLED when the state starts with zero negativity.
     Raises BracketError when no noise acts, when the window is not
     finite (rates below about 7.7e-308) or when the iteration cap is
     reached.
     """
-    a, fa = 0.0, _min_pt_eigenvalue(scenario, 0.0)
+    probe = _family_probe()
+    a, fa = 0.0, probe(scenario, 0.0)
     if not fa < -SPECTRAL_TOL:  # the negativity's test of entanglement
         return EsdOutcome.NEVER_ENTANGLED
     b = default_bracket(scenario)
     if not math.isfinite(b):
         raise BracketError(f"search window t_max = {b} is not finite; the dephasing rate is too small")
-    fb = _min_pt_eigenvalue(scenario, b)
+    fb = probe(scenario, b)
     side = 0  # which end moved last: -1 for a, +1 for b
     for _ in range(_MAX_ROOT_ITERATIONS):
         if b - a <= 4.0 * _EPS * max(abs(a), abs(b)):
@@ -326,7 +293,7 @@ def numeric_esd_time(scenario: Scenario) -> EsdTime:
             c = a + 0.5 * (b - a)
             if not a < c < b:  # a and b are adjacent floats
                 return c
-        fc = _min_pt_eigenvalue(scenario, c)
+        fc = probe(scenario, c)
         if fc == 0.0:
             return c
         if fc < 0.0:
@@ -463,8 +430,10 @@ def _jacobi_kernel(n: int) -> Callable:
 def _family_probe() -> Callable:
     """The death-time probe, probe(scenario, t) -> negativity(evolve(scenario, t)).min_pt_eigenvalue, bit for bit.
 
-    It is generated and compiled once per process, on first use, as one
-    straight-line function, and makes no numpy call. It is the general
+    It is generated and compiled once per process, by the first death
+    time, as one straight-line function, and makes no numpy call;
+    numeric_esd_time fetches it here once per call, so a caller that
+    replaces _family_probe wraps every probe. It is the general
     probe, tests/numeric_oracles.min_pt_eigenvalue_reference (any split's
     pairs times _mask_products, through _jacobi_kernel(L), then the min),
     written out for the family's split, with no list, no kernel call and
@@ -499,7 +468,7 @@ def _family_probe() -> Callable:
         "def _min_pt_eigenvalue(scenario, t):",
         "    if not t >= 0.0:",
         "        raise ValueError(f't must be >= 0, got {t}')",
-        "    rate_a, rate_b = scenario._rates",
+        "    rate_a, rate_b = scenario.rates",
         "    gamma_a = decay_factor(rate_a, t)",
         "    gamma_b = decay_factor(rate_b, t)",
         "    x = scenario.x",

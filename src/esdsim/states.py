@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import QUBIT_QUTRIT, BipartiteDims
-from .scalar import CORNER_SLOT, SPECTRAL_TOL, _x_state_rows
+from .scalar import ANSATZ_DIAGONAL, CORNER_SLOT, SPECTRAL_TOL, _corner
 
 TRACE_TOL = 1e-12
 PATTERN_TOL = 1e-14
@@ -135,13 +135,15 @@ def ansatz_x(x: float) -> DensityMatrix:
     entries are x at the corner slot and its mirror. Every x in
     [0, 1/4] gives a valid state; x = 1/4 is rank-deficient (one zero
     eigenvalue) and x > 1/8 is where the state is entangled. Any other x
-    raises ValueError. The entries are scalar._x_state_rows': x + 0.0 in
-    float64 (a -0.0 is stored as 0.0), and every imaginary part +0.0. A
-    Scenario checks x and takes its corner entry through the same
-    scalar._corner, and writes the split of this state's partial
-    transpose in closed form, without building the state.
+    raises ValueError. The corner entry is scalar._corner(x), which
+    checks x: x + 0.0 in float64 (a -0.0 is stored as 0.0); every
+    imaginary part is +0.0. A Scenario checks x and takes its corner
+    entry through the same scalar._corner, and writes the split of this
+    state's partial transpose in closed form, without building the state.
     """
-    return DensityMatrix(_x_state_rows(x), QUBIT_QUTRIT)
+    mat = np.diag(np.array(ANSATZ_DIAGONAL, dtype=complex))
+    mat[CORNER_SLOT] = mat[CORNER_SLOT[::-1]] = _corner(x)
+    return DensityMatrix(mat, QUBIT_QUTRIT)
 
 
 def ansatz_general(diagonal: Sequence[float], coherences: Sequence[float]) -> DensityMatrix:

@@ -27,7 +27,7 @@ from esdsim import (
 )
 from esdsim.channels import COMPLETENESS_TOL, apply, dephasing_mask
 from esdsim.linalg import max_abs_diff
-from esdsim.scalar import _min_pt_eigenvalue, decay_factor
+from esdsim.scalar import _family_probe, decay_factor
 
 from numeric_oracles import random_pattern_state
 
@@ -209,11 +209,11 @@ def test_scenario_keeps_only_its_checked_arguments(kind):
     # whose split sweep and the probe take from x and the module's closed form: every copy rebuilds
     # the same fields, with the same probe values
     s = Scenario(kind, 0.2, 1.3, 0.7)
-    names = ["kind", "x", "rate_a", "rate_b", "_rates"]
+    names = ["kind", "x", "rate_a", "rate_b", "rates"]
     for copied in (s, copy.deepcopy(s), pickle.loads(pickle.dumps(s)), dataclasses.replace(s)):
         assert copied == s and list(vars(copied)) == [field.name for field in dataclasses.fields(copied)] == names
         for t in (0.0, 0.37, 5.0):
-            assert repr(_min_pt_eigenvalue(copied, t)) == repr(_min_pt_eigenvalue(s, t))
+            assert repr(_family_probe()(copied, t)) == repr(_family_probe()(s, t))
 
 
 def test_multilocal_corner_product():

@@ -479,16 +479,20 @@ def test_import_loads_no_numpy():
 
 
 def test_import_compiles_no_probe_and_a_death_time_no_kernel():
-    # import esdsim compiles neither a kernel nor the probe; the first probe compiles the generated
-    # one and binds it where the root finder reads it, and a family death time loads no numpy and
-    # generates no kernel
+    # import esdsim compiles neither a kernel nor the probe; the first death time compiles the generated
+    # probe once, in _family_probe's cache, and rebinds no global of scalar, and a family death time
+    # loads no numpy and generates no kernel
     program = ("import sys, esdsim\n"
                "from esdsim import scalar\n"
-               "assert scalar._min_pt_eigenvalue is scalar._first_probe\n"
                "assert scalar._family_probe.cache_info().currsize == scalar._jacobi_kernel.cache_info().currsize == 0\n"
+               "before = dict(vars(scalar))\n"
                "for kind in ('qubit', 'qutrit', 'multilocal'):\n"
                "    assert isinstance(esdsim.numeric_esd_time(esdsim.Scenario(kind, 0.2)), float)\n"
-               "assert scalar._min_pt_eigenvalue is scalar._family_probe()\n"
+               "after = vars(scalar)\n"
+               "assert after.keys() == before.keys(), after.keys() ^ before.keys()\n"
+               "rebound = [name for name, value in before.items() if after[name] is not value]\n"
+               "assert not rebound, rebound\n"
+               "assert scalar._family_probe.cache_info().currsize == 1\n"
                "assert scalar._jacobi_kernel.cache_info().currsize == 0 and 'numpy' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", program], check=True, env=_subprocess_env(PYTHONWARNINGS="error"))
 

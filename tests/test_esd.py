@@ -182,13 +182,13 @@ def test_numeric_esd_time_matches_analytic():
 def probe_calls(monkeypatch):
     """Count the probes the death-time search makes: each dephases, transposes and solves."""
     calls = []
-    probe = scalar._min_pt_eigenvalue
+    probe = scalar._family_probe()
 
     def counting_probe(scenario, t):
         calls.append(t)
         return probe(scenario, t)
 
-    monkeypatch.setattr(scalar, "_min_pt_eigenvalue", counting_probe)  # where numeric_esd_time reads it
+    monkeypatch.setattr(scalar, "_family_probe", lambda: counting_probe)  # where numeric_esd_time fetches it
     return calls
 
 
@@ -278,7 +278,7 @@ def test_probe_equals_checked_route_and_meets_the_kernel_precondition(kind, prob
                 assert times[:2] == [0.0, scalar.default_bracket(s)]
             for t in times:
                 checked = negativity(evolve(s, t)).min_pt_eigenvalue
-                assert scalar._min_pt_eigenvalue(s, t).hex() == checked.hex(), (rate, x, t)
+                assert scalar._family_probe()(s, t).hex() == checked.hex(), (rate, x, t)
                 assert min_pt_eigenvalue_reference(s, t).hex() == checked.hex(), (rate, x, t)
             grid = [*times, 0.0, *np.geomspace(1e-12, 1e12, 25), math.inf]
             curve = sweep(s, grid)
@@ -600,7 +600,7 @@ def test_family_death_time_runs_the_generated_probe_alone(probe_calls, monkeypat
             return min_pt_eigenvalue_reference(scenario, t)
 
         with monkeypatch.context() as patch:
-            patch.setattr(scalar, "_min_pt_eigenvalue", probe)
+            patch.setattr(scalar, "_family_probe", lambda: probe)
             return numeric_esd_time(s), times
 
     def no_kernel(n):
@@ -656,23 +656,22 @@ def test_sweep_makes_no_checked_eigensolve(kind, monkeypatch):
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_death_time_and_sweep_transpose_no_evolved_state(kind, monkeypatch):
     # the split of PT_A(rho0) is the module's closed form: building a Scenario, its death time and a
-    # sweep take no partial transpose, build no x-state rows and wrap no DensityMatrix; evolve builds
-    # the x-state, on first read of initial_state, and wraps one DensityMatrix
+    # sweep take no partial transpose, build no x-state and wrap no DensityMatrix; evolve builds the
+    # x-state, on first read of initial_state, and wraps one DensityMatrix
     calls = []
 
     def counted(module, name):
         real = getattr(module, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    for module, name in ((linalg, "partial_transpose"), (scalar, "_x_state_rows"), (states, "_x_state_rows"),
-                         (esd, "DensityMatrix")):
+    for module, name in ((linalg, "partial_transpose"), (states, "ansatz_x"), (esd, "DensityMatrix")):
         monkeypatch.setattr(module, name, counted(module, name))
     s = scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7)
     assert close_to_death_time(numeric_esd_time(s), analytic_esd_time(s))
     assert len(sweep(s, np.linspace(0.0, 4.0, 600))) == 600
     assert calls == []
     evolve(s, 1.0)  # the counters see the calls they count
-    assert calls == ["_x_state_rows", "DensityMatrix"]
+    assert calls == ["ansatz_x", "DensityMatrix"]
 
 
 def test_numeric_esd_time_iteration_cap(monkeypatch):
@@ -690,9 +689,9 @@ def test_numeric_esd_time_reads_exactly_minus_spectral_tol_as_never_entangled(mo
     # the negativity's test of entanglement is lambda_min < -SPECTRAL_TOL, strictly: a probe that reads
     # exactly -SPECTRAL_TOL at t = 0 is never entangled, and one that reads the float below it is
     s = scenario(ScenarioKind.MULTI_LOCAL)
-    probe = scalar._min_pt_eigenvalue
+    probe = scalar._family_probe()
     for at_zero, entangled in ((-scalar.SPECTRAL_TOL, False), (math.nextafter(-scalar.SPECTRAL_TOL, -1.0), True)):
-        monkeypatch.setattr(scalar, "_min_pt_eigenvalue", lambda s, t: at_zero if t == 0.0 else probe(s, t))
+        monkeypatch.setattr(scalar, "_family_probe", lambda: lambda s, t: at_zero if t == 0.0 else probe(s, t))
         got = numeric_esd_time(s)
         assert (type(got) is float) == entangled and (got is EsdOutcome.NEVER_ENTANGLED) != entangled, at_zero
 
@@ -710,7 +709,7 @@ def test_illinois_takes_the_midpoint_when_the_secant_step_lands_on_an_end(monkey
         times.append(t)
         return fa if t < root else fb
 
-    monkeypatch.setattr(scalar, "_min_pt_eigenvalue", step)
+    monkeypatch.setattr(scalar, "_family_probe", lambda: step)
     got = numeric_esd_time(s)
     assert times[:3] == [a, b, 0.5 * b] and len(set(times)) == len(times)
     assert abs(got - root) <= 4.0 * sys.float_info.epsilon * root
@@ -832,7 +831,7 @@ def test_sweep_no_death_variant():
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_sweep_makes_no_root_finder_probe(kind, probe_calls):
-    # the curve needs no death time: every root-finder probe would call scalar._min_pt_eigenvalue
+    # the curve needs no death time: every root-finder probe would call the probe scalar._family_probe() returns
     curve = sweep(scenario(kind, x=0.2, rate_a=1.3, rate_b=0.7), np.linspace(0.0, 4.0, 101))
     assert len(curve) == 101
     assert probe_calls == []
@@ -1030,7 +1029,7 @@ def test_scenario_splits_the_partial_transpose_of_its_state_bit_for_bit(x):
         s = Scenario(kind, x)
         times = [0.0, 0.37]
         expected = [repr(min_pt_eigenvalue_reference(s, t)) for t in times]
-        assert [repr(scalar._min_pt_eigenvalue(s, t)) for t in times] == expected
+        assert [repr(scalar._family_probe()(s, t)) for t in times] == expected
         assert [repr(v) for v in sweep(s, times).min_pt_eigenvalue.tolist()] == expected
         assert "initial_state" not in vars(s)
         assert s.initial_state.mat.tobytes() == ansatz_x(x).mat.tobytes()

@@ -510,7 +510,7 @@ def test_generated_kernel_gives_the_reference_bits_and_only_reads_its_input(n, m
 
         with monkeypatch.context() as patch:
             patch.setattr(scalar, "_jacobi_kernel", recording_kernel)  # where the reference probe reads it
-            patch.setattr(scalar, "_min_pt_eigenvalue", min_pt_eigenvalue_reference)  # where the root finder does
+            patch.setattr(scalar, "_family_probe", lambda: min_pt_eigenvalue_reference)  # where the root finder does
             for kind in ScenarioKind:
                 for x in (0.126, 0.2, 0.25):
                     numeric_esd_time(Scenario(kind, x, 1.3, 0.7))
