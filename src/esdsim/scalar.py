@@ -1,9 +1,11 @@
-"""The pure-Python half of esdsim: everything a death time runs, with no numpy import.
+"""The pure-Python half of esdsim: everything a death time runs, importing neither numpy nor dataclasses.
 
 `esd esd-time` runs on this module alone, so its process never loads
-numpy (about 0.1 s of a 0.15 s start-up). It holds:
+numpy (about 0.1 s of a 0.15 s start-up), nor dataclasses and the
+inspect module it imports (about 8 ms). It holds:
 
-- the family's Scenario, which keeps its checked kind, corner x and rates;
+- the family's Scenario, a plain frozen class, which keeps its checked
+  kind, corner x and rates;
 - the split of the x-state's side-A partial transpose, written in closed
   form as module constants (_LIVE_ROWS, _live_pairs, _INERT_MIN), which
   sweep and the probe read;
@@ -18,8 +20,8 @@ numpy (about 0.1 s of a 0.15 s start-up). It holds:
   this module compiles neither. The kernel's float operations are set
   out in the linalg module docstring.
 
-Nothing here imports numpy: Scenario.gamma_factors takes an array of
-times only from a caller that has loaded numpy, and
+Nothing here imports numpy or dataclasses: Scenario.gamma_factors takes
+an array of times only from a caller that has loaded numpy, and
 Scenario.initial_state, a DensityMatrix, is built on first read.
 """
 
@@ -28,7 +30,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 # anything that passes through the eigensolver is compared at 1e-10
@@ -158,7 +159,11 @@ def _live_pairs(x) -> tuple:
     return (pp, (x, pq), (x, qp), qq), _LIVE_IM
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    """Scenario's __setattr__ and __delattr__: AttributeError, with a frozen dataclass's message."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class Scenario:
     """Which subsystems are noisy, the initial corner x, and the rates.
 
@@ -173,28 +178,46 @@ class Scenario:
     so that a probe tests no kind; gamma_factors checks t. None of this
     imports numpy. initial_state, the x-state as a DensityMatrix, which
     evolve reads, is built on first read.
+
+    A plain frozen class, not a dataclass, so that importing this module
+    loads neither dataclasses nor inspect: it compares, hashes and prints
+    as a frozen dataclass of kind, x, rate_a and rate_b would, and a
+    changed copy is a constructor call, Scenario(s.kind, s.x, s.rate_a,
+    rate_b=...).
     """
 
-    kind: ScenarioKind
-    x: float
-    rate_a: float = 1.0
-    rate_b: float = 1.0
-    rates: tuple = field(init=False, repr=False, compare=False)
+    __match_args__ = ("kind", "x", "rate_a", "rate_b")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", ScenarioKind(self.kind))  # ValueError for anything else
-        object.__setattr__(self, "x", _corner(self.x))
-        for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
+    def __init__(self, kind, x, rate_a=1.0, rate_b=1.0):
+        kind = ScenarioKind(kind)  # ValueError for anything else
+        x = _corner(x)
+        checked = []
+        for name, rate in (("rate_a", rate_a), ("rate_b", rate_b)):
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
-            object.__setattr__(self, name, float(rate) + 0.0)  # checked, so a str has raised TypeError
-        object.__setattr__(self, "rates", (0.0 if self.kind is ScenarioKind.QUTRIT_ONLY else self.rate_a,
-                                           0.0 if self.kind is ScenarioKind.QUBIT_ONLY else self.rate_b))
-        if not math.isfinite(self.effective_rate()):
-            raise ValueError(f"rate_a + rate_b must be finite, got {self.rate_a} + {self.rate_b}")
+            checked.append(float(rate) + 0.0)  # checked, so a str has raised TypeError
+        rate_a, rate_b = checked
+        rates = (0.0 if kind is ScenarioKind.QUTRIT_ONLY else rate_a,
+                 0.0 if kind is ScenarioKind.QUBIT_ONLY else rate_b)
+        if not math.isfinite(sum(rates)):
+            raise ValueError(f"rate_a + rate_b must be finite, got {rate_a} + {rate_b}")
+        self.__dict__.update(kind=kind, x=x, rate_a=rate_a, rate_b=rate_b, rates=rates)
 
-    def __reduce__(self):  # a copy or pickle carries the arguments; __post_init__ checks them and rebuilds rates
+    def __reduce__(self):  # a copy or pickle carries the arguments; __init__ checks them and rebuilds rates
         return type(self), (self.kind, self.x, self.rate_a, self.rate_b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.x, self.rate_a, self.rate_b) == (other.kind, other.x, other.rate_a, other.rate_b)
+
+    def __hash__(self):
+        return hash((self.kind, self.x, self.rate_a, self.rate_b))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(kind={self.kind!r}, x={self.x!r}, rate_a={self.rate_a!r}, "
+                f"rate_b={self.rate_b!r})")
 
     @cached_property
     def initial_state(self):

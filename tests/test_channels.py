@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import pickle
 
@@ -210,8 +209,8 @@ def test_scenario_keeps_only_its_checked_arguments(kind):
     # the same fields, with the same probe values
     s = Scenario(kind, 0.2, 1.3, 0.7)
     names = ["kind", "x", "rate_a", "rate_b", "rates"]
-    for copied in (s, copy.deepcopy(s), pickle.loads(pickle.dumps(s)), dataclasses.replace(s)):
-        assert copied == s and list(vars(copied)) == [field.name for field in dataclasses.fields(copied)] == names
+    for copied in (s, copy.deepcopy(s), pickle.loads(pickle.dumps(s)), Scenario(s.kind, s.x, s.rate_a, s.rate_b)):
+        assert copied == s and list(vars(copied)) == names
         for t in (0.0, 0.37, 5.0):
             assert repr(_family_probe()(copied, t)) == repr(_family_probe()(s, t))
 

@@ -498,14 +498,19 @@ def test_import_compiles_no_probe_and_a_death_time_no_kernel():
 
 
 def test_esd_time_loads_neither_numpy_nor_typing():
-    # with no site hook to load either first (python -S), a death time loads no numpy and no typing:
-    # the one module of its path that imported typing, scalar, writes EsdTime as float | EsdOutcome
-    program = ("import sys, esdsim.cli\n"
+    # with no site hook to load any first (python -S), neither the bench's import probe, a bare
+    # `import esdsim, esdsim.cli`, nor a death time loads numpy, typing, dataclasses or inspect: the one
+    # module of its path that imported typing, scalar, writes EsdTime as float | EsdOutcome, and its
+    # Scenario is a plain frozen class, not a dataclass
+    program = ("import sys, esdsim, esdsim.cli\n"
+               "heavy = {'numpy', 'typing', 'dataclasses', 'inspect'}\n"
+               "print(sorted(heavy & set(sys.modules)))\n"
                "esdsim.cli.main(['esd-time'])\n"
-               "print(sorted({'numpy', 'typing'} & set(sys.modules)))\n")
+               "print(sorted(heavy & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-S", "-c", program], capture_output=True, text=True, check=True,
                           env=_subprocess_env(PYTHONWARNINGS="error"))
-    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]"), proc.stdout
 
 
 @pytest.mark.parametrize("outcome", list(NUMPY_FREE_RUNS))

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import pickle
 import sys
@@ -117,8 +116,9 @@ def test_scenario_stores_the_rates_that_act(kind):
 
     built = [scenario(kind, x=0.2, rate_a=1.5, rate_b=0.5), scenario(kind, x=0.2, rate_a=-0.0, rate_b=-0.0)]
     for s in built:
-        for c in (s, pickle.loads(pickle.dumps(s)), copy.deepcopy(s), dataclasses.replace(s),
-                  dataclasses.replace(s, kind=ScenarioKind.MULTI_LOCAL), dataclasses.replace(s, rate_b=2.25)):
+        for c in (s, pickle.loads(pickle.dumps(s)), copy.deepcopy(s), Scenario(s.kind, s.x, s.rate_a, s.rate_b),
+                  Scenario(ScenarioKind.MULTI_LOCAL, s.x, s.rate_a, s.rate_b),
+                  Scenario(s.kind, s.x, s.rate_a, rate_b=2.25)):
             assert [r.hex() for r in c.rates] == [r.hex() for r in acting(c)]
             assert all(type(r) is float and not math.copysign(1.0, r) < 0.0 for r in c.rates)
             assert c.effective_rate() == sum(acting(c))
@@ -127,6 +127,72 @@ def test_scenario_stores_the_rates_that_act(kind):
     rates, before = s.rates, numeric_esd_time(s).hex()
     object.__setattr__(s, "kind", None)
     assert s.rates == rates and numeric_esd_time(s).hex() == before
+
+
+#: One scenario per kind, its constructor arguments and the repr it prints.
+SCENARIO_REPRS = [
+    (("qubit", 0.2, 1.3, 0.7), "Scenario(kind=<ScenarioKind.QUBIT_ONLY: 'qubit'>, x=0.2, rate_a=1.3, rate_b=0.7)"),
+    (("qutrit", -0.0, 2, 0), "Scenario(kind=<ScenarioKind.QUTRIT_ONLY: 'qutrit'>, x=0.0, rate_a=2.0, rate_b=0.0)"),
+    ((ScenarioKind.MULTI_LOCAL, 0.25),
+     "Scenario(kind=<ScenarioKind.MULTI_LOCAL: 'multilocal'>, x=0.25, rate_a=1.0, rate_b=1.0)"),
+]
+
+#: Constructor arguments Scenario refuses, checked kind, x, rate_a, rate_b, then their sum, and what it raises.
+SCENARIO_REFUSALS = [
+    (("bogus", 0.3, -1.0), ValueError, "'bogus' is not a valid ScenarioKind"),
+    ((None, 0.2), ValueError, "None is not a valid ScenarioKind"),
+    (("qubit", 0.3, -1.0), ValueError, "x must lie in the positivity range [0, 0.25], got 0.3"),
+    (("qubit", -1e-9), ValueError, "x must lie in the positivity range [0, 0.25], got -1e-09"),
+    (("qubit", float("nan")), ValueError, "x must lie in the positivity range [0, 0.25], got nan"),
+    (("qubit", "a"), TypeError, "'<=' not supported between instances of 'float' and 'str'"),
+    (("qubit", None), TypeError, "'<=' not supported between instances of 'float' and 'NoneType'"),
+    (("qubit", 0.2, -1.0, "a"), ValueError, "rate_a must be finite and >= 0, got -1.0"),
+    (("qubit", 0.2, 1.0, float("inf")), ValueError, "rate_b must be finite and >= 0, got inf"),
+    (("qubit", 0.2, "a"), TypeError, "must be real number, not str"),
+    (("qubit", 0.2, 1.0, None), TypeError, "must be real number, not NoneType"),
+    (("multilocal", 0.2, 1e308, 1e308), ValueError, "rate_a + rate_b must be finite, got 1e+308 + 1e+308"),
+    ((), TypeError, "Scenario.__init__() missing 2 required positional arguments: 'kind' and 'x'"),
+    (("qubit", 0.2, 1.0, 1.0, 1.0), TypeError,
+     "Scenario.__init__() takes from 3 to 5 positional arguments but 6 were given"),
+]
+
+
+def test_scenario_prints_compares_and_refuses_as_the_frozen_class_it_is():
+    # Scenario's repr, ==, hash, frozenness, match arguments and refusals: its public behaviour
+    for args, text in SCENARIO_REPRS:
+        s = Scenario(*args)
+        assert repr(s) == text
+        assert Scenario(kind=s.kind.value, rate_b=s.rate_b, x=s.x, rate_a=s.rate_a) == s
+        assert "rates" not in repr(s) and s.rates
+        match s:
+            case Scenario(k, x, rate_a, rate_b):
+                assert (k, x, rate_a, rate_b) == (s.kind, s.x, s.rate_a, s.rate_b)
+            case _:
+                pytest.fail(f"{s!r} matched no class pattern")
+        assert Scenario.__match_args__ == ("kind", "x", "rate_a", "rate_b")
+        key = (s.kind, s.x, s.rate_a, s.rate_b)
+        for c in (copy.deepcopy(s), pickle.loads(pickle.dumps(s)), Scenario(*key)):
+            assert c == s and not c != s and hash(c) == hash(s) == hash(key) and repr(c) == text
+        assert s != key and s.__eq__(key) is NotImplemented and s != Scenario(s.kind, 0.125)
+        # rates is left out of == and hash: a copy whose rates are forced apart stays equal
+        forced = Scenario(*key)
+        object.__setattr__(forced, "rates", (9.0, 9.0))
+        assert forced == s and hash(forced) == hash(s) and repr(forced) == text
+        # assignment and deletion raise AttributeError and change nothing, new names and initial_state too
+        before = dict(vars(s))
+        for name in ("kind", "x", "rate_a", "rate_b", "rates", "initial_state", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 0.1)
+            with pytest.raises(AttributeError):
+                delattr(s, name)
+            assert vars(s) == before and list(vars(s)) == ["kind", "x", "rate_a", "rate_b", "rates"]
+    # two scenarios with the same acting rates differ when an idle rate does
+    assert Scenario("qubit", 0.2, 1.0, 0.5).rates == Scenario("qubit", 0.2, 1.0, 0.7).rates
+    assert Scenario("qubit", 0.2, 1.0, 0.5) != Scenario("qubit", 0.2, 1.0, 0.7)
+    for args, error, message in SCENARIO_REFUSALS:
+        with pytest.raises(error) as raised:
+            Scenario(*args)
+        assert type(raised.value) is error and str(raised.value) == message, args
 
 
 def test_scenario_stores_a_negative_zero_as_zero():
