@@ -14,6 +14,37 @@ Only curve, dump-state and selfcheck load numpy, on their first run in
 a process: esd-time, --help and a usage error run on esdsim.scalar
 alone, which imports none, so an `esd esd-time` process starts in about
 half the time (see the README).
+
+The curve CSV prints each float as `"%.17g" % v` does, byte for byte,
+but render_csv formats a whole block with numpy array steps (in
+esdsim._render, which the first curve block imports), after
+Grisu's pattern (Loitsch, PLDI 2010): a fast path in wider arithmetic
+that hands every value it cannot decide to the exact routine. For
+|v| = N * 10**(e - 16), e = floor(log10 |v|) from np.log10 and
+T = |v| * 10**(16 - e) in [1e16, 1e17), N is T rounded to nearest:
+- hi and lo are 10**(16 - e) and its remainder, each rounded to nearest
+  from Python ints, so hi + lo is within 2**-106 of the power;
+- p = fl(|v| * hi) and its error err are exact by Dekker's two-product
+  on Veltkamp's 26-bit halves (separate numpy multiplies, no fused
+  multiply-add, so no SIMD dispatch changes a bit; |v| in [1e-280, 1e280]
+  keeps every partial product normal);
+- s = err + |v| * lo is rounded twice, with |err| <= 8 and |v * lo| <= 12,
+  so p + s is within 2**-53 * 32 + 1e17 * 2**-106, under 5e-15, of T:
+  under 1e-13 of a unit in the 17th digit. p is an integer, so floor(s)
+  and the remainder s - floor(s) decide N unless T's own remainder is
+  within 5e-15 of a tie, far inside the 1e-6 margin that is refused.
+The values refused, which _render._format_each formats by "%.17g":
+- non-finite values, and |v| outside [1e-280, 1e280];
+- a remainder within 1e-6 of a rounding tie (an exact tie, such as
+  2**-25, goes there to be rounded half to even);
+- an off-by-one floor(log10 |v|), which puts T outside [1e16, 1e17),
+  or an N that rounds up to 1e17: floor(p + s) < 1e16 or N >= 1e17;
+- a fixed-notation integer whose integer digits end in 0 (120), whose
+  zeros the trailing-zero strip would cut.
+The lookup tables are built when the first curve block imports
+esdsim._render, never by `import esdsim.cli`.
+`states.format_state` and the esd-time lines, 72 and 3 values, keep
+"%.17g": numpy's cost per call would outweigh the saving there.
 """
 
 from __future__ import annotations
@@ -29,8 +60,6 @@ from .scalar import CURVE_FIELDS, BracketError, EsdOutcome, Scenario, ScenarioKi
 MODES = ("curve", "esd-time", "selfcheck", "dump-state")
 
 CSV_HEADER = ",".join(CURVE_FIELDS)
-# one curve row at 17 significant digits, which round-trips float64 exactly
-_CSV_ROW = ",".join(["%.17g"] * len(CURVE_FIELDS)) + "\n"
 
 
 class UsageError(Exception):
@@ -88,8 +117,25 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def render_csv(block) -> str:
-    """One sweep block's CSV rows, no header, read from the block's flat float buffer."""
-    return (_CSV_ROW * len(block)) % tuple(block.view(float).tolist())
+    """One sweep block's CSV rows, no header, read from the block's flat float buffer.
+
+    Each value is `"%.17g" % v`, byte for byte, built with whole-array numpy
+    steps; the module docstring gives the exactness argument. e =
+    floor(log10 |v|) indexes 10**(16 - e) as hi + lo, and |v| * (hi + lo) is
+    p + s, p = fl(|v| * hi) and s its exact Dekker error plus |v| * lo:
+    within 5e-15, under 1e-13, of a unit in the 17th digit of the scaled
+    value. The significand N rounds it to nearest; its digits come from a
+    4-digit ASCII table, and its trailing zeros from the table's NUL half.
+    The fields are laid out in a (values, 32) byte matrix whose NULs one
+    bytes.translate removes. "%.17g" itself formats the values this cannot
+    prove: non-finite or |v| outside [1e-280, 1e280]; a remainder within
+    1e-6 of a rounding tie; floor(p + s) < 1e16 or N >= 1e17, from an
+    off-by-one log10 or a significand that rounds up to 1e17; and
+    fixed-notation integers whose integer digits end in 0.
+    """
+    from ._render import render  # compiled by the first curve block, not by `import esdsim.cli`
+
+    return render(block)
 
 
 def _emit(text, out: str | None) -> int:

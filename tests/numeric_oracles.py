@@ -11,6 +11,8 @@ row-scan split of a partial transpose, kept as the bit reference of the
 family's closed form (esdsim.scalar._live_pairs and _INERT_MIN), and
 min_pt_eigenvalue_reference is the package's earlier death-time probe for
 any split, kept as the bit reference of the generated one.
+render_csv_reference is the CLI's earlier CSV renderer, one "%.17g"
+conversion per value, kept as the byte reference of the array one.
 """
 
 import decimal
@@ -220,3 +222,9 @@ def min_pt_eigenvalue_reference(scenario, t, split=None):
     kernel = scalar._jacobi_kernel(math.isqrt(len(re_block)))
     return min(inert_min, *kernel([x * terms[j] for x, j in re_block], [y * terms[j] for y, j in im_block],
                                   scalar._JACOBI_OFF_TOL, scalar._PT_SKIP_TOL))
+
+
+def render_csv_reference(block):
+    """A curve block's CSV rows, no header: each row's fields by "%.17g", joined by commas."""
+    row = ",".join(["%.17g"] * len(block.dtype.names)) + "\n"
+    return "".join(row % fields for fields in block.tolist())

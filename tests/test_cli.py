@@ -16,6 +16,8 @@ import esdsim
 from esdsim import Scenario, ScenarioKind, cli, esd, negativity, parse_state, selfcheck
 from esdsim.cli import CSV_HEADER, UsageError, main, parse_args
 
+from numeric_oracles import render_csv_reference
+
 
 def test_parse_defaults():
     config = parse_args([])
@@ -369,7 +371,7 @@ def test_curve_streams_the_bytes_of_one_sweep(flags, steps, tmp_path, capsys):
     argv = ["curve", *flags, "--steps", str(steps)]
     config = parse_args(argv)
     curve = esd.sweep(config.scenario, np.linspace(0.0, config.t_max, steps))
-    expected = CSV_HEADER + "\n" + "".join(cli._CSV_ROW % row for row in curve.tolist())
+    expected = CSV_HEADER + "\n" + render_csv_reference(curve)
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
     path = tmp_path / "curve.csv"
@@ -481,8 +483,9 @@ def test_import_loads_no_numpy():
 def test_import_compiles_no_probe_and_a_death_time_no_kernel():
     # import esdsim compiles neither a kernel nor the probe; the first death time compiles the generated
     # probe once, in _family_probe's cache, and rebinds no global of scalar, and a family death time
-    # loads no numpy and generates no kernel
-    program = ("import sys, esdsim\n"
+    # loads no numpy and generates no kernel; nor does either import the CSV renderer, esdsim._render,
+    # so none of its tables is built, or load numpy, fractions or decimal
+    program = ("import sys, esdsim, esdsim.cli\n"
                "from esdsim import scalar\n"
                "assert scalar._family_probe.cache_info().currsize == scalar._jacobi_kernel.cache_info().currsize == 0\n"
                "before = dict(vars(scalar))\n"
@@ -493,7 +496,9 @@ def test_import_compiles_no_probe_and_a_death_time_no_kernel():
                "rebound = [name for name, value in before.items() if after[name] is not value]\n"
                "assert not rebound, rebound\n"
                "assert scalar._family_probe.cache_info().currsize == 1\n"
-               "assert scalar._jacobi_kernel.cache_info().currsize == 0 and 'numpy' not in sys.modules\n")
+               "assert scalar._jacobi_kernel.cache_info().currsize == 0 and 'numpy' not in sys.modules\n"
+               "loaded = {'esdsim._render', 'numpy', 'fractions', 'decimal'} & set(sys.modules)\n"
+               "assert not loaded, loaded\n")
     subprocess.run([sys.executable, "-c", program], check=True, env=_subprocess_env(PYTHONWARNINGS="error"))
 
 
